@@ -19,21 +19,68 @@ from workloads import SMOKE_BUDGET, WORKLOADS
 SETUP_REPEATS = 10  # set-ups per instance; setup_s is the median of all of them
 MAX_SOLVES = 50
 
+# Host-speed probe (see "Noise on the reference machine" in README.md).  The
+# reference machine's host slows every process on it by up to 1.5x, in spells
+# of seconds to minutes.  An untraced solve times this fixed piece of work in
+# every iteration callback, outside the timed intervals, and its times are
+# scaled by REFERENCE_PROBE_MS over the solve's mean probe time: they read as
+# on the host at the probe's typical speed on the reference machine.
+REFERENCE_PROBE_MS = 0.6
+_PROBE_RNG = np.random.default_rng(0)
+_PROBE_GRID = _PROBE_RNG.standard_normal((8, 32, 32)) + 1j * _PROBE_RNG.standard_normal((8, 32, 32))
+_PROBE_MASK = _PROBE_RNG.standard_normal((8, 32, 32))
+_PROBE_VEC = _PROBE_RNG.standard_normal(256)
+
+
 @dataclass
 class Sample:
     """One timed solve and its verdict."""
 
-    solve_s: float
+    solve_s: float  # wall time, probe time excluded
     iter_ms: np.ndarray  # intervals between successive iteration callbacks
+    probe_ms: float  # mean probe time, NaN when nothing was probed
     solved: object  # workloads.Solved, or None when the solve raised
     rel_error: float | None
     failure: str
 
 
+def _speed_probe():
+    """Seconds taken by a fixed mix of small FFTs, vector arithmetic and
+    interpreted loop, the kinds of work a liftkit iteration does."""
+    t0 = perf_counter()
+    np.fft.ifft2(np.fft.fft2(_PROBE_GRID) * _PROBE_MASK)
+    v = _PROBE_VEC
+    for _ in range(20):
+        v = v * 0.5 + 1.0
+        float(v @ v)
+    acc = 0
+    for i in range(500):
+        acc += i * i
+    return perf_counter() - t0
+
+
 def _timed_solve(wl, inst, budget, wrap=None):
-    """Time one solve; the verdict is filled in by _judge."""
-    stamps = []
-    sink = lambda rec: stamps.append(perf_counter())  # noqa: E731
+    """Time one solve; the verdict is filled in by _judge.
+
+    Untraced solves run the speed probe in each iteration callback; an
+    interval runs from the end of one callback to the start of the next, and
+    the probe's time is taken out of the solve time.  Traced solves are not
+    probed, so the tracer's spans hold only liftkit's work.
+    """
+    starts, ends, probes = [], [], []
+
+    def sink(rec):
+        starts.append(perf_counter())
+        if wrap is None:
+            probes.append(_speed_probe())
+        ends.append(perf_counter())
+
+    def sample(elapsed, solved, failure):
+        intervals = (np.array(starts[1:]) - np.array(ends[:-1])) * 1e3
+        probe_ms = float(np.mean(probes)) * 1e3 if probes else float("nan")
+        spent = sum(e - s for s, e in zip(starts, ends))
+        return Sample(elapsed - spent, intervals, probe_ms, solved, None, failure)
+
     call = lambda: wl.solve(inst, sink, budget)  # noqa: E731
     t0 = perf_counter()
     try:
@@ -41,10 +88,8 @@ def _timed_solve(wl, inst, budget, wrap=None):
     except Exception as exc:  # a failing solve is counted, and the run goes on
         elapsed = perf_counter() - t0
         traceback.print_exc(file=sys.stderr)
-        failure = f"raised {type(exc).__name__}: {exc}"
-        return Sample(elapsed, np.diff(stamps) * 1e3, None, None, failure)
-    elapsed = perf_counter() - t0
-    return Sample(elapsed, np.diff(stamps) * 1e3, solved, None, "")
+        return sample(elapsed, None, f"raised {type(exc).__name__}: {exc}")
+    return sample(perf_counter() - t0, solved, "")
 
 
 def _judge(wl, inst, sample, smoke):
@@ -73,6 +118,7 @@ def run_workload(name, seed, seconds, trace, work_dir, out_dir, smoke=False):
     budget = SMOKE_BUDGET if smoke else wl.budget
     tracer = Tracer() if trace else None
     setup_s, untraced, traced = [], [], []
+    _speed_probe()  # its first call plans the FFT; keep that out of the solves
     start = perf_counter()
     instance = 0
     while True:
@@ -159,16 +205,39 @@ def _json_number(value):
     return value if math.isfinite(value) else None
 
 
+def _speed_scales(samples):
+    """Per solve, REFERENCE_PROBE_MS over its mean probe time; a solve that
+    never reached an iteration callback takes the run's mean probe time."""
+    probed = [s.probe_ms for s in samples if math.isfinite(s.probe_ms)]
+    fallback = float(np.mean(probed)) if probed else REFERENCE_PROBE_MS
+    return [REFERENCE_PROBE_MS / (s.probe_ms if math.isfinite(s.probe_ms) else fallback)
+            for s in samples]
+
+
 def end_to_end(wl, samples, setup_s):
-    """End-to-end metrics of untraced solves, plus notes on how they were taken."""
+    """End-to-end metrics of untraced solves, plus notes on how they were taken.
+
+    Solve times and iteration intervals are scaled to the reference host
+    speed, solve by solve (see REFERENCE_PROBE_MS); the notes give them
+    unscaled as well.
+    """
     ok = [s for s in samples if s.solved is not None]
-    iter_ms = np.concatenate([s.iter_ms for s in samples]) if samples else np.zeros(0)
+    scales = _speed_scales(samples)
+    iter_ms = (
+        np.concatenate([s.iter_ms * k for s, k in zip(samples, scales)])
+        if samples else np.zeros(0)
+    )
     tail, beyond = _tail(iter_ms, wl.tail_pct) if iter_ms.size else (float("nan"), 0)
+    solve_p50 = [float(np.median(s.iter_ms)) * k for s, k in zip(samples, scales) if s.iter_ms.size]
     metrics = {
-        # the mean over the run's solves: under the host's bursts of slowness
-        # it moved less from run to run than the median of 3-6 solves
-        "solve_s": float(np.mean([s.solve_s for s in samples])) if samples else float("nan"),
-        "iter_ms_p50": _median(iter_ms),
+        # means over the run's solves: a mean blends the solves of a run that
+        # straddles a slow and a fast spell of the host, where a median picks
+        # one of them
+        "solve_s": (
+            float(np.mean([s.solve_s * k for s, k in zip(samples, scales)]))
+            if samples else float("nan")
+        ),
+        "iter_ms_p50": float(np.mean(solve_p50)) if solve_p50 else float("nan"),
         "iter_ms_tail": tail,
         "iterations": _median([s.solved.iterations for s in ok]),
         "rel_error": _median([s.rel_error for s in ok if s.rel_error is not None]),
@@ -177,14 +246,20 @@ def end_to_end(wl, samples, setup_s):
     if setup_s:
         metrics["setup_s"] = _median(setup_s)
     notes = [
-        f"{len(samples)} solves; iter_ms_tail is p{wl.tail_pct:g} of {iter_ms.size} "
+        f"{len(samples)} solves; iter_ms_p50 is the mean of their median intervals; "
+        f"iter_ms_tail is p{wl.tail_pct:g} of {iter_ms.size} "
         f"iteration intervals, {beyond} beyond it"
         + ("" if beyond >= 10 else " (fewer than 10: tail not resolved)"),
-        f"setup_s is the median of {len(setup_s)} set-ups",
+        f"setup_s is the median of {len(setup_s)} set-ups (not scaled)",
+        "unscaled: solve_s "
+        + f"{np.mean([s.solve_s for s in samples]) if samples else float('nan'):.6g} s, "
+        + "iter_ms_p50 "
+        + f"{np.mean([np.median(s.iter_ms) for s in samples if s.iter_ms.size] or [np.nan]):.6g} ms",
     ]
-    for i, s in enumerate(samples):
+    for i, (s, k) in enumerate(zip(samples, scales)):
         notes.append(
-            f"solve {i}: {s.solve_s:.3f} s, "
+            f"solve {i}: {s.solve_s:.3f} s unscaled, probe {s.probe_ms:.4f} ms, "
+            f"scale {k:.4f}, "
             + (
                 f"{s.solved.iterations} iterations, rank {s.solved.rank}, "
                 f"fidelity {s.solved.fidelity:.3e}, rel_error {s.rel_error:.3e}"

@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload pr16_exact --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload pr16_exact --seed 1 --seconds 55 --trace 0
     python3 perfbench/run.py --workload all --trace 1      # every workload, traced
     python3 perfbench/run.py --smoke                       # quick self-check
     python3 perfbench/run.py --write-spec                  # regenerate BENCHMARK.json

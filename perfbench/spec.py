@@ -11,7 +11,7 @@ import json
 
 COMMAND = ["python3", "perfbench/run.py"]
 PATHS = ["perfbench"]
-RUN_SECONDS = 40
+RUN_SECONDS = 55
 
 # name -> one-line reason (kept within 200 characters); the longer rationale
 # and the layer -> metric map live in perfbench/README.md
@@ -25,11 +25,6 @@ WORKLOADS = {
         "noisy 32x32, 4 masks, Tikhonov, Sobolev metric, solved via liftkit.cli from "
         "liftkit.storage files; CG metric inverse dominates; the only load on metric, "
         "storage and cli"
-    ),
-    "pr32_bilinear": (
-        "32x32, 8 masks, bilinear lifting via run_primal_dual, fixed budget; FFT "
-        "sandwich dominates; svt and FactoredTensor actions with a rank 0-5-1 "
-        "transient driving the tail"
     ),
 }
 

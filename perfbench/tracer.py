@@ -97,10 +97,7 @@ SPAN_TARGETS = [
     ("liftkit.solver", "lifted_apply_quadratic", "operators.lifted_apply", None),
     ("liftkit.solver", "operator_norm", "operators.operator_norm", None),
     ("liftkit.phase_retrieval:MaskedFourierMap", "apply", "phase_retrieval.forward", None),
-    ("liftkit.phase_retrieval:MaskedFourierBilinear", "apply", "phase_retrieval.forward", None),
     ("liftkit.phase_retrieval:MaskedFourierMap", "sym_adjoint_action", "phase_retrieval.adjoint", None),
-    ("liftkit.phase_retrieval:MaskedFourierBilinear", "partial_adjoint_left", "phase_retrieval.adjoint", None),
-    ("liftkit.phase_retrieval:MaskedFourierBilinear", "partial_adjoint_right", "phase_retrieval.adjoint", None),
     ("liftkit.storage", "write_images", "storage.write", _storage_bytes),
     ("liftkit.storage", "write_data", "storage.write", _storage_bytes),
     ("liftkit.storage", "read_images", "storage.read", _storage_bytes),

@@ -19,14 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 import liftkit
-from liftkit import cli, phase_retrieval, solver, storage
+from liftkit import cli, phase_retrieval, storage
 
-# Accuracy gates of the fixed-budget workloads, set from seed runs (seeds
-# 1-5, 13 to 20 instances each) with headroom: pr32_sobolev_cli reached
-# relative errors 0.045-0.087 and pr32_bilinear relative fidelities
-# 0.28-0.36.  A solve above these bounds counts as failed.
+# Accuracy gate of the fixed-budget workload, set from seed runs (seeds 1-5,
+# 13 to 20 instances each) with headroom: pr32_sobolev_cli reached relative
+# errors 0.045-0.087.  A solve above this bound counts as failed.
 PR32_SOBOLEV_REL_ERROR_BOUND = 0.2
-PR32_BILINEAR_FIDELITY_BOUND = 0.5
 PR16_REL_ERROR_BOUND = 1e-3
 RANK_CAP = 5
 
@@ -42,7 +40,7 @@ class Instance:
     """Inputs of one solve, as liftkit will see them."""
 
     truth: np.ndarray
-    problem: object = None  # PRProblem (or bilinear map) built from the files
+    problem: object = None  # PRProblem built from the files
     paths: dict = field(default_factory=dict)
     out_dir: str = ""
 
@@ -127,17 +125,12 @@ class Workload:
             data, dims = storage.read_data(paths["data"])
             if not (np.array_equal(mask_array, masks.array) and np.array_equal(data, g)):
                 raise RuntimeError("storage round trip changed the inputs")
-            problem = liftkit.PRProblem(
+            inst.problem = liftkit.PRProblem(
                 masks=liftkit.MaskSet(array=mask_array, kind="custom"),
                 m2=dims[1],
                 m1=dims[2],
                 metric=liftkit.EuclideanMetric(mask_array.shape[1] * mask_array.shape[2]),
                 g=data,
-            )
-            inst.problem = (
-                phase_retrieval.MaskedFourierBilinear(problem)
-                if self.name == "pr32_bilinear"
-                else problem
             )
         return inst
 
@@ -149,16 +142,6 @@ class Workload:
             cfg = self.solver_config(budget)
             image, result = phase_retrieval.recover(inst.problem, cfg, sink=sink)
             return _solved(image, result)
-        if self.name == "pr32_bilinear":
-            bmap = inst.problem
-            result = solver.run_primal_dual(
-                bmap, bmap.problem.g, self.solver_config(budget), sink=sink
-            )
-            w = result.w
-            image = (
-                np.sqrt(w.values[0]) * w.left[:, 0] if w.rank else np.zeros(w.left.shape[0])
-            )
-            return _solved(image.reshape(self.shape), result)
         return self._solve_cli(inst, sink, budget)
 
     def _solve_cli(self, inst, on_iteration, budget):
@@ -235,13 +218,11 @@ class Workload:
                 return rel_error, f"final rank {solved.rank}, expected 1"
             if rel_error > PR16_REL_ERROR_BOUND:
                 return rel_error, f"rel_error {rel_error:.3g} above {PR16_REL_ERROR_BOUND}"
-        elif self.name == "pr32_sobolev_cli":
+        else:
             if solved.rank != 1:
                 return rel_error, f"final rank {solved.rank}, expected 1"
             if rel_error > PR32_SOBOLEV_REL_ERROR_BOUND:
                 return rel_error, f"rel_error {rel_error:.3g} above {PR32_SOBOLEV_REL_ERROR_BOUND}"
-        elif solved.fidelity > PR32_BILINEAR_FIDELITY_BOUND:
-            return rel_error, f"fidelity {solved.fidelity:.3g} above {PR32_BILINEAR_FIDELITY_BOUND}"
         return rel_error, ""
 
 
@@ -279,17 +260,6 @@ WORKLOADS = {
             tol=0.0,
             min_solves=3,
             tail_pct=75.0,
-            full_coverage=False,
-        ),
-        Workload(
-            name="pr32_bilinear",
-            shape=(32, 32),
-            mask_count=8,
-            noise=0.0,
-            budget=30,
-            tol=0.0,
-            min_solves=3,
-            tail_pct=80.0,
             full_coverage=False,
         ),
     )
