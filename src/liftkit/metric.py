@@ -80,6 +80,10 @@ class Metric:
         val = np.real(np.vdot(x, self.apply(x)))
         return float(np.sqrt(max(val, 0.0)))
 
+    def transform(self, u, adjoint=False):
+        """Apply T = H_base H^{-1}: the identity unless the metric is reweighted."""
+        return u
+
     def to_dense(self):
         """Materialize H as a dense matrix (small problems and diagnostics only)."""
         eye = np.eye(self.dim, dtype=complex)
@@ -219,8 +223,25 @@ class ReweightedMetric(Metric):
         return u - (factors * coeff) @ self.transformed
 
 
+def project_out(vec, basis, applied):
+    """Classical Gram-Schmidt, twice (CGS2), against a metric-orthonormal basis.
+
+    ``basis`` and ``applied`` hold the u_i and their images H u_i as rows.
+    Returns vec without its components u_i^* H vec, and the coefficients
+    summed over both passes; the second pass keeps orthogonality at rounding level.
+    """
+    if not len(basis):
+        return vec, np.zeros(0, dtype=complex)
+    basis = np.asarray(basis)
+    applied = np.asarray(applied)
+    first = (applied @ vec.conj()).conj()  # u_i^* H vec, as np.vdot(H u_i, vec)
+    vec = vec - first @ basis
+    second = (applied @ vec.conj()).conj()
+    return vec - second @ basis, first + second
+
+
 def orthonormalize(vectors, metric, drop_tol=1e-10):
-    """Modified Gram-Schmidt in the metric's inner product.
+    """Gram-Schmidt in the metric's inner product.
 
     The span of the first m outputs equals the span of the first m inputs;
     vectors that are dependent beyond ``drop_tol`` (relative to their input
@@ -235,10 +256,7 @@ def orthonormalize(vectors, metric, drop_tol=1e-10):
         orig = metric.norm(q)
         if orig == 0.0:
             continue
-        # two projection passes keep orthogonality at rounding level
-        for _ in range(2):
-            for u, hu in zip(kept, kept_applied):
-                q = q - np.vdot(hu, q) * u
+        q, _ = project_out(q, kept, kept_applied)
         nrm = metric.norm(q)
         if nrm <= drop_tol * orig:
             continue

@@ -75,25 +75,25 @@ def lifted_apply_quadratic(qmap, w):
 
 def composed_right_action(w_prev, tau, bmap, y, e, metric1):
     """Right action of w_prev - tau B^*(y) on e (threshold argument)."""
-    return -tau * bmap.partial_adjoint_left(y, e) + w_prev.right_action(metric1, e)
+    return reweighted_composed_right(w_prev, tau, bmap, y, e, metric1, bmap.h2)
 
 
 def composed_left_action(w_prev, tau, bmap, y, f, metric2):
     """Left action of w_prev - tau B^*(y) on f."""
-    return -tau * bmap.partial_adjoint_right(y, f) + w_prev.left_action(metric2, f)
+    return reweighted_composed_left(w_prev, tau, bmap, y, f, bmap.h1, metric2)
 
 
 def composed_hermitian_action(w_prev, tau, qmap, y, e, metric):
     """Action of w_prev - tau Q^*(y) on e in the symmetric setting."""
-    return -tau * qmap.sym_adjoint_action(y, e) + w_prev.action(metric, e)
+    return reweighted_composed_hermitian(w_prev, tau, qmap, y, e, metric)
 
 
 def reweighted_composed_right(w_prev, tau, bmap, y, e, metric1, metric2):
-    """Right composed action in reweighted metrics.
+    """Right composed action in possibly reweighted metrics.
 
     The forward-map adjoint is taken in the base metrics and mapped by the
-    left-space transform adjoint; the low-rank pairing uses the reweighted
-    inner product.  With all weights zero this reduces to the plain action.
+    left-space transform adjoint (the identity for a metric that is not
+    reweighted); the low-rank pairing uses the reweighted inner product.
     """
     adj = bmap.partial_adjoint_left(y, e)
     return -tau * metric2.transform(adj, adjoint=True) + w_prev.right_action(metric1, e)

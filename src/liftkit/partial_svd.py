@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import orthonormalize
+from .metric import orthonormalize, project_out
 
 BREAKDOWN_REL = 1e-13
 
@@ -70,20 +70,6 @@ class ActionOracle:
         return cls.hermitian(
             lambda e: w.action(metric, e), w.dim, metric, norm_estimate=lam0
         )
-
-    def check_adjoint(self, rng, probes=10):
-        """Max deviation of the adjoint identity on random probes (test aid)."""
-        m1, m2 = self.metrics
-        n1, n2 = self.dims
-        worst = 0.0
-        for _ in range(probes):
-            e = rng.standard_normal(n1) + 1j * rng.standard_normal(n1)
-            f = rng.standard_normal(n2) + 1j * rng.standard_normal(n2)
-            lhs = m2.inner(self.right(e), f)
-            rhs = m1.inner(e, self.left(f))
-            scale = max(abs(lhs), abs(rhs), 1.0)
-            worst = max(worst, abs(lhs - rhs) / scale)
-        return worst
 
 
 @dataclass(eq=False)
@@ -146,17 +132,6 @@ class PartialSVD:
     @property
     def count(self):
         return self.values.shape[0]
-
-
-def _project_out(vec, basis, applied, collect=None):
-    """Two MGS passes of vec against a metric-orthonormal cached basis."""
-    for _ in range(2):
-        for i, (u, hu) in enumerate(zip(basis, applied)):
-            c = np.vdot(hu, vec)
-            vec = vec - c * u
-            if collect is not None:
-                collect[i] += c
-    return vec
 
 
 def _random_unit(rng, n, metric):
@@ -271,7 +246,7 @@ def subspace_iterate(oracle, ell, delta, max_sweeps=300, rng=None, start=None, s
             return out
 
         hf = [m2.apply(f) for f in f_cols]
-        cross = np.array([[np.vdot(hfi, g) for g in raw] for hfi in hf])
+        cross = np.asarray(hf).conj() @ np.asarray(raw).T
         y_small, sig, zh_small = np.linalg.svd(cross)
         r = sig.shape[0]
         e_mat = np.stack(e_cols, axis=1)
@@ -338,10 +313,11 @@ class _GrowingFactorization:
         self.F = [v_mat[:, j].copy() for j in range(v_mat.shape[1])]
         self.HF = [self.m2.apply(f) for f in self.F]
         self.aug_values = np.asarray(values, dtype=float).copy()
+        self.aug_coupling = np.zeros(len(values), dtype=complex)
         self.scale = max(self.scale, float(values[0]) if len(values) else 0.0)
 
     def add_e(self, vec):
-        vec = _project_out(vec.astype(complex), self.E, self.HE)
+        vec, _ = project_out(vec.astype(complex), self.E, self.HE)
         nrm = self.m1.norm(vec)
         if nrm <= self.tol():
             return False
@@ -351,11 +327,14 @@ class _GrowingFactorization:
         return True
 
     def add_f_from_image(self, q, collect=None):
-        q = _project_out(q.astype(complex), self.F, self.HF, collect)
+        """Append the normalized image q; its projection coefficients go into ``collect``."""
+        q, coeff = project_out(q.astype(complex), self.F, self.HF)
+        if collect is not None:
+            collect += coeff
         beta = self.m2.norm(q)
         if beta <= self.tol():
             # stalled left direction: continue in a fresh random direction
-            f = _project_out(_random_unit(self.rng, q.shape[0], self.m2), self.F, self.HF)
+            f, _ = project_out(_random_unit(self.rng, q.shape[0], self.m2), self.F, self.HF)
             nrm = self.m2.norm(f)
             if nrm == 0.0:
                 return 0.0, None
@@ -367,37 +346,34 @@ class _GrowingFactorization:
         self.HF.append(self.m2.apply(f))
         return beta, f
 
-    def advance(self, p, gamma, k, link):
-        """Append plain recursion columns until k columns exist or the Krylov
-        space is exhausted.  Returns the next continuation pair (p, gamma)."""
+    def advance(self, p, gamma, k):
+        """Append recursion columns, starting from the continuation p / gamma,
+        until k columns exist or the Krylov space is exhausted.  Returns the
+        next continuation pair (p, gamma).  The first column links to no
+        earlier one; its image's coefficients against a seeded left basis
+        form the coupling row of the restarted system."""
         n1 = self.oracle.dims[0]
         while len(self.E) < k:
-            if gamma <= self.tol():
+            if gamma <= self.tol() or not self.add_e(p / gamma):
                 self.exact = True
                 return np.zeros(n1, dtype=complex), 0.0
-            if not self.add_e(p / gamma):
-                self.exact = True
-                return np.zeros(n1, dtype=complex), 0.0
-            if link:
-                self.gammas.append(gamma)
             e = self.E[-1]
             q = self.oracle.right(e)
-            if link and len(self.F):
+            if self.betas:
                 q = q - gamma * self.F[-1]
-            beta, f = self.add_f_from_image(q)
+            beta, f = self.add_f_from_image(q, None if self.betas else self.aug_coupling)
             if f is None:
                 self.E.pop()
                 self.HE.pop()
-                if link:
-                    self.gammas.pop()
                 self.exact = True
                 return np.zeros(n1, dtype=complex), 0.0
+            if self.betas:
+                self.gammas.append(gamma)
             self.betas.append(beta)
             self.scale = max(self.scale, beta)
             p = self.oracle.left(f) - beta * e
             gamma = self.m1.norm(p)
             self.scale = max(self.scale, gamma)
-            link = True
         return p, gamma
 
     def factorization(self, p, gamma):
@@ -443,7 +419,7 @@ def lanczos_bidiagonalize(oracle, start_direction, k):
         raise ValueError("start direction must be nonzero")
     state = _GrowingFactorization(oracle, np.random.default_rng(0))
     k = min(k, oracle.dims[0], oracle.dims[1])
-    p, gamma = state.advance(start / nrm, 1.0, k, link=False)
+    p, gamma = state.advance(start / nrm, 1.0, k)
     return state.factorization(p, gamma)
 
 
@@ -509,14 +485,10 @@ def augmented_restart(
         ok = fac.exact or (want > 0 and np.all(psvd.residuals[:want] <= tol))
         if not ok:
             ok = _threshold_prefix_done(psvd.values, psvd.residuals <= tol, stop_below, tol)
-        if ok or psvd.count == 0:
-            psvd.converged = True
+        done = bool(ok) or psvd.count == 0
+        if done or restarts >= max_restarts:
+            psvd.converged = done
             psvd.exact = fac.exact
-            psvd.restarts = restarts
-            psvd.norm_estimate = norm_est
-            return psvd
-        if restarts >= max_restarts:
-            psvd.converged = False
             psvd.restarts = restarts
             psvd.norm_estimate = norm_est
             return psvd
@@ -527,42 +499,11 @@ def augmented_restart(
         state.seed(
             psvd.right_vectors[:, :want], psvd.left_vectors[:, :want], psvd.values[:want]
         )
-        p = fac.p_last
-        gamma = m1.norm(p)
-        if gamma <= state.tol() or not state.add_e(p / gamma):
-            psvd.converged = True
-            psvd.exact = True
-            psvd.restarts = restarts
-            psvd.norm_estimate = norm_est
-            return psvd
-        e_new = state.E[-1]
-        q = oracle.right(e_new)
-        rho = [0.0 + 0.0j] * want
-        q = _project_out(q, state.F, state.HF, collect=rho)
-        state.aug_coupling = np.asarray(rho, dtype=complex)
-        beta = state.m2.norm(q)
-        if beta <= state.tol():
-            f_new = _project_out(_random_unit(rng, n2, state.m2), state.F, state.HF)
-            nf = state.m2.norm(f_new)
-            if nf == 0.0:
-                psvd.converged = True
-                psvd.exact = True
-                psvd.restarts = restarts
-                return psvd
-            f_new = f_new / nf
-            beta = 0.0
-        else:
-            f_new = q / beta
-        state.F.append(f_new)
-        state.HF.append(state.m2.apply(f_new))
-        state.betas.append(beta)
-        state.scale = max(state.scale, beta)
-        p = oracle.left(f_new) - beta * e_new
-        gamma = m1.norm(p)
-        p, gamma = state.advance(p, gamma, k, link=True)
+        # the continuation vector always adds a column, even when k == ell;
+        # an exhausted one leaves the seeded triples as an exact factorization
+        p, gamma = state.advance(fac.p_last, m1.norm(fac.p_last), max(k, want + 1))
         fac = state.factorization(p, gamma)
         psvd = ritz_factorize(fac.system, fac.right_basis, fac.left_basis, fac.gamma_last)
-        psvd.restarts = restarts
         norm_est = max(norm_est, psvd.norm_estimate)
 
 

@@ -21,6 +21,7 @@ from .lowrank import FactoredTensor, HermitianFactored
 from .metric import ReweightedMetric, orthonormalize
 from .operators import (
     QuadraticMap,
+    # the plain actions are unused here; perfbench/tracer.py wraps them at this owner
     composed_hermitian_action,
     composed_left_action,
     composed_right_action,
@@ -32,7 +33,7 @@ from .operators import (
     reweighted_composed_right,
 )
 from .partial_svd import ActionOracle, augmented_restart
-from .thresholding import ThresholdConfig, evt, svt
+from .thresholding import ThresholdConfig, _warm_vector, evt, svt
 
 log = logging.getLogger(__name__)
 
@@ -188,22 +189,13 @@ def _threshold_oracle(state, cfg, problem):
     y = state.y
     if isinstance(problem, QuadraticMap):
         metric = state.metric1
-        if isinstance(metric, ReweightedMetric) and metric.count:
-            action = lambda e: reweighted_composed_hermitian(state.w, tau, problem, y, e, metric)
-        else:
-            action = lambda e: composed_hermitian_action(state.w, tau, problem, y, e, metric)
+        action = lambda e: reweighted_composed_hermitian(state.w, tau, problem, y, e, metric)
         return ActionOracle.hermitian(
             action, metric.dim, metric, norm_estimate=state.norm_carry or None
         )
     m1, m2 = state.metric1, state.metric2
-    rw1 = isinstance(m1, ReweightedMetric) and m1.count
-    rw2 = isinstance(m2, ReweightedMetric) and m2.count
-    if rw1 or rw2:
-        right = lambda e: reweighted_composed_right(state.w, tau, problem, y, e, m1, m2)
-        left = lambda f: reweighted_composed_left(state.w, tau, problem, y, f, m1, m2)
-    else:
-        right = lambda e: composed_right_action(state.w, tau, problem, y, e, m1)
-        left = lambda f: composed_left_action(state.w, tau, problem, y, f, m2)
+    right = lambda e: reweighted_composed_right(state.w, tau, problem, y, e, m1, m2)
+    left = lambda f: reweighted_composed_left(state.w, tau, problem, y, f, m1, m2)
     return ActionOracle(
         right, left, (m1.dim, m2.dim), (m1, m2), norm_estimate=state.norm_carry or None
     )
@@ -245,7 +237,7 @@ def reweight_step(state, cfg, base1, base2, rng=None):
         oracle = ActionOracle.from_tensor(w, (base1, base2))
     mindim = min(oracle.dims)
     k = min(max(2 * count, count + 2), mindim)
-    start = _start_from(w)
+    start = _warm_vector(w)
     psvd = augmented_restart(oracle, min(count, mindim), k, cfg.delta, rng=rng, start=start)
     if not psvd.converged or psvd.count == 0 or psvd.values[0] <= 0:
         log.warning("reweighting skipped: inner decomposition did not converge")
@@ -265,14 +257,6 @@ def reweight_step(state, cfg, base1, base2, rng=None):
     left_dirs = orthonormalize([psvd.left_vectors[:, j] for j in keep], base2)
     metric2 = ReweightedMetric(base2, np.stack(left_dirs, axis=0), weights[: len(left_dirs)])
     return metric1, metric2
-
-
-def _start_from(w):
-    if isinstance(w, HermitianFactored):
-        vec = w.factors @ np.abs(w.values)
-    else:
-        vec = w.right @ w.values
-    return vec if np.linalg.norm(vec) > 0 else None
 
 
 def _empty_primal(problem):
@@ -327,13 +311,6 @@ def _prepare_data(g, cfg):
     return g, 1.0
 
 
-def _check_finite(state, n):
-    if not np.all(np.isfinite(state.y)):
-        raise NumericalError(f"dual vector became non-finite at iteration {n}")
-    if state.w.rank and not np.all(np.isfinite(state.w.values)):
-        raise NumericalError(f"primal values became non-finite at iteration {n}")
-
-
 def _record(state, n, fidelity, restarts, ms, sink, records):
     values = tuple(float(v) for v in state.w.values)
     rec = IterationRecord(
@@ -345,14 +322,12 @@ def _record(state, n, fidelity, restarts, ms, sink, records):
     return rec
 
 
-def run_primal_dual(problem, g, cfg, sink=None):
-    """Full primal-dual loop from the zero start.
+def _run(problem, g, cfg, sink, update_dual):
+    """The proximal loop of both entries, from the zero start.
 
-    Returns the factored solution rescaled back to the original data scale,
-    the final dual vector, and the per-iteration log.  ``sink`` receives each
-    IterationRecord as it is produced.
+    ``update_dual(state, g, images)`` returns the new dual vector from the
+    forward images of the current and previous primal iterate.
     """
-    cfg, _ = _resolve_steps(problem, cfg)
     g_work, scale = _prepare_data(g, cfg)
     base1, base2 = _base_metrics(problem)
     if g_work.shape != (problem.data_dim,):
@@ -374,7 +349,7 @@ def run_primal_dual(problem, g, cfg, sink=None):
 
     for n in range(cfg.max_iter):
         t0 = time.perf_counter()
-        state.y = dual_step(state, cfg, g_work, (img_curr, img_prev))
+        state.y = update_dual(state, g_work, (img_curr, img_prev))
         if not np.all(np.isfinite(state.y)):
             raise NumericalError(f"dual vector became non-finite at iteration {n}")
         w_new = primal_step(state, cfg, problem, rng=rng)
@@ -384,7 +359,8 @@ def run_primal_dual(problem, g, cfg, sink=None):
         state.norm_carry = max(state.norm_carry, getattr(w_new, "norm_estimate", 0.0))
         img_prev = img_curr
         img_curr = _lifted(problem, state.w)
-        _check_finite(state, n)
+        if state.w.rank and not np.all(np.isfinite(state.w.values)):
+            raise NumericalError(f"primal values became non-finite at iteration {n}")
         fidelity = float(np.linalg.norm(img_curr - g_work))
         if cfg.reweight.enabled and state.n % cfg.reweight.period == 0:
             state.metric1, state.metric2 = reweight_step(state, cfg, base1, base2, rng=rng)
@@ -403,6 +379,17 @@ def run_primal_dual(problem, g, cfg, sink=None):
         metric1=state.metric1,
         metric2=state.metric2,
     )
+
+
+def run_primal_dual(problem, g, cfg, sink=None):
+    """Full primal-dual loop from the zero start.
+
+    Returns the factored solution rescaled back to the original data scale,
+    the final dual vector, and the per-iteration log.  ``sink`` receives each
+    IterationRecord as it is produced.
+    """
+    cfg, _ = _resolve_steps(problem, cfg)
+    return _run(problem, g, cfg, sink, lambda state, g, images: dual_step(state, cfg, g, images))
 
 
 def run_forward_backward(problem, g, cfg, sink=None):
@@ -414,51 +401,4 @@ def run_forward_backward(problem, g, cfg, sink=None):
     if cfg.fidelity.kind != "tikhonov":
         raise ConfigError("forward-backward splitting requires the tikhonov fidelity")
     cfg, _ = _resolve_steps(problem, cfg, forward_backward=True)
-    g_work, scale = _prepare_data(g, cfg)
-    base1, base2 = _base_metrics(problem)
-    if g_work.shape != (problem.data_dim,):
-        raise ConfigError(f"data vector must have length {problem.data_dim}")
-
-    rng = np.random.default_rng(cfg.seed)
-    state = SolverState(
-        w=_empty_primal(problem),
-        w_prev=_empty_primal(problem),
-        y=np.zeros(problem.data_dim),
-        metric1=base1,
-        metric2=base2,
-    )
-    img_curr = np.zeros(problem.data_dim, dtype=complex)
-    records = []
-    converged = False
-    g_norm = max(float(np.linalg.norm(g_work)), 1e-300)
-
-    for n in range(cfg.max_iter):
-        t0 = time.perf_counter()
-        state.y = img_curr - g_work
-        if not np.all(np.isfinite(state.y)):
-            raise NumericalError(f"residual became non-finite at iteration {n}")
-        w_new = primal_step(state, cfg, problem, rng=rng)
-        state.w_prev = state.w
-        state.w = w_new
-        state.n = n + 1
-        state.norm_carry = max(state.norm_carry, getattr(w_new, "norm_estimate", 0.0))
-        img_curr = _lifted(problem, state.w)
-        _check_finite(state, n)
-        fidelity = float(np.linalg.norm(img_curr - g_work))
-        if cfg.reweight.enabled and state.n % cfg.reweight.period == 0:
-            state.metric1, state.metric2 = reweight_step(state, cfg, base1, base2, rng=rng)
-        ms = (time.perf_counter() - t0) * 1e3
-        _record(state, state.n, fidelity, getattr(w_new, "restarts", 0), ms, sink, records)
-        if fidelity <= cfg.tol * g_norm:
-            converged = True
-            break
-
-    return SolverResult(
-        w=state.w.scaled(scale),
-        y=state.y,
-        log=records,
-        scale=scale,
-        converged=converged,
-        metric1=state.metric1,
-        metric2=state.metric2,
-    )
+    return _run(problem, g, cfg, sink, lambda state, g, images: images[0] - g)

@@ -8,6 +8,7 @@ from liftkit.metric import (
     SobolevMetric,
     SobolevStencil,
     orthonormalize,
+    project_out,
 )
 
 from helpers import random_complex
@@ -318,6 +319,39 @@ class TestOrthonormalize:
         pivot = out[0][idx]
         assert pivot.imag == pytest.approx(0.0, abs=1e-14)
         assert pivot.real > 0
+
+
+class TestProjectOut:
+    @staticmethod
+    def loop_reference(vec, basis, applied):
+        """Two per-vector Gram-Schmidt passes, one basis vector at a time."""
+        coeff = np.zeros(len(basis), dtype=complex)
+        for _ in range(2):
+            for i, (u, hu) in enumerate(zip(basis, applied)):
+                c = np.vdot(hu, vec)
+                vec = vec - c * u
+                coeff[i] += c
+        return vec, coeff
+
+    def test_matches_loop_reference_in_weighted_metric(self):
+        rng = np.random.default_rng(20)
+        m = SobolevMetric((4, 5), (0.25, 1.0, 0.5))
+        basis = orthonormalize([random_complex(rng, 20) for _ in range(6)], m)
+        applied = [m.apply(u) for u in basis]
+        vec = random_complex(rng, 20)
+        out, coeff = project_out(vec, basis, applied)
+        ref, ref_coeff = self.loop_reference(vec, basis, applied)
+        # summation order differs from the loop; the bound is set from float64
+        scale = np.linalg.norm(vec)
+        assert np.linalg.norm(out - ref) <= 1e-13 * scale
+        assert np.max(np.abs(coeff - ref_coeff)) <= 1e-13 * scale
+        assert max(abs(m.pairing(out, u)) for u in basis) <= 1e-13 * scale
+
+    def test_empty_basis_returns_input(self):
+        vec = np.array([1.0 + 2.0j, -0.5j])
+        out, coeff = project_out(vec, [], [])
+        assert np.array_equal(out, vec)
+        assert coeff.shape == (0,)
 
 
 class TestSolverFailure:

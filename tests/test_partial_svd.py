@@ -14,6 +14,7 @@ from liftkit.partial_svd import (
 from helpers import (
     DenseMetric,
     dense_weighted_svd,
+    metric_sqrt,
     oracle_from_dense,
     random_complex,
     random_spd_metric,
@@ -198,6 +199,33 @@ class TestAugmentedRestart:
         w = random_complex(rng, 24 * 24).reshape(24, 24)
         out = augmented_restart(euclid_oracle(w), 4, 5, 1e-12, max_restarts=1, rng=rng)
         assert not out.converged
+
+    def test_forced_restarts_clustered_weighted(self):
+        # ell=2, k=4 against a cluster of four leading values forces restarts;
+        # every restarted factorization must stay metric-orthonormal
+        rng = np.random.default_rng(18)
+        n1, n2 = 14, 12
+        m1 = random_spd_metric(rng, n1)
+        m2 = random_spd_metric(rng, n2)
+        h1, h2 = m1.to_dense(), m2.to_dense()
+        _, ri1 = metric_sqrt(h1)
+        _, ri2 = metric_sqrt(h2)
+        y, _ = np.linalg.qr(random_complex(rng, n2 * n2).reshape(n2, n2))
+        z, _ = np.linalg.qr(random_complex(rng, n1 * n1).reshape(n1, n1))
+        values = np.array([3.0, 2.9, 2.8, 2.7, 1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3])
+        # the weighted singular values of w are exactly ``values``
+        w = ri2 @ (y * values) @ z[:, :n2].conj().T @ ri1
+        sig, _, _ = dense_weighted_svd(w, h1, h2)
+        start_estimate = 1.1 * sig[0]
+        oracle = oracle_from_dense(w, m1, m2, norm_estimate=start_estimate)
+        out = augmented_restart(oracle, 2, 4, 1e-10, rng=rng)
+        assert out.converged
+        assert out.restarts >= 1
+        assert np.allclose(out.values[:2], sig[:2], rtol=1e-8)
+        for vecs, h in ((out.right_vectors, h1), (out.left_vectors, h2)):
+            gram = vecs.conj().T @ h @ vecs
+            assert np.max(np.abs(gram - np.eye(out.count))) <= 1e-10
+        assert out.norm_estimate >= start_estimate
 
 
 class TestOperatorNormEstimate:
