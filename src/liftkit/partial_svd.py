@@ -151,17 +151,22 @@ def _empty_psvd(n1, n2, values=None, converged=True, exact=True):
     )
 
 
-def _threshold_prefix_done(values, converged_mask, stop_below, tol):
-    """True when a converged leading prefix ends in a value decisively below
-    the requested level, so no further triples can matter."""
-    if stop_below is None:
-        return False
-    for j in range(values.shape[0]):
-        if not converged_mask[j]:
-            return False
-        if values[j] < stop_below - tol:
-            return True
-    return False
+def _certified_cut(values, residuals, level, tol):
+    """Index of the first Ritz value certified below ``level``, or None.
+
+    Triple j is certified below when its interval clears the level,
+    ``values[j] + residuals[j] < level - tol``, or when it is converged
+    (``residuals[j] <= tol``) and ``values[j] < level - tol``.  Every triple
+    before the cut must be converged; the one at the cut need not be, since
+    it is dropped.  Values within tol of the level count as above it, so the
+    rank does not flap.
+    """
+    for j, (theta, r) in enumerate(zip(values, residuals)):
+        if theta + r < level - tol or (r <= tol and theta < level - tol):
+            return j
+        if r > tol:
+            return None
+    return None
 
 
 def subspace_iterate(oracle, ell, delta, max_sweeps=300, rng=None, start=None, stop_below=None):
@@ -172,7 +177,8 @@ def subspace_iterate(oracle, ell, delta, max_sweeps=300, rng=None, start=None, s
     by the SVD of the small cross matrix.  Converged means the residual
     ``|w^* H2 v_m - sigma_m u_m|_{H1}`` is below delta times the running
     norm estimate for every requested triple; with ``stop_below`` set, a
-    converged prefix reaching below that level also stops the iteration.
+    triple certified below that level (``_certified_cut``) also stops the
+    iteration.
     """
     if ell < 1 or delta <= 0:
         raise ValueError("need ell >= 1 and delta > 0")
@@ -204,8 +210,9 @@ def subspace_iterate(oracle, ell, delta, max_sweeps=300, rng=None, start=None, s
                 [m1.norm(images[m] - values[m] * u_mat[:, m]) for m in range(len(values))]
             )
             tol = delta * max(norm_est, 1e-300)
-            done = np.all(residuals <= tol) or _threshold_prefix_done(
-                values, residuals <= tol, stop_below, tol
+            done = np.all(residuals <= tol) or (
+                stop_below is not None
+                and _certified_cut(values, residuals, stop_below, tol) is not None
             )
             if done:
                 return PartialSVD(
@@ -457,10 +464,9 @@ def augmented_restart(
     vector, records the coupling row to the seeded left basis, extends to k
     columns by the plain recursion, and refactorizes.  Convergence is judged
     by the last-row residual estimate relative to the running norm estimate;
-    with ``stop_below`` set, a converged prefix reaching below that level
-    ends the restarts early.  All k Ritz triples of the final cycle are
-    returned (callers needing only converged triples should consult
-    ``residuals``).
+    with ``stop_below`` set, a triple certified below that level ends the
+    restarts early.  All k Ritz triples of the final cycle are returned
+    (callers needing only converged triples should consult ``residuals``).
     """
     if ell < 1 or delta <= 0:
         raise ValueError("need ell >= 1 and delta > 0")
@@ -483,8 +489,8 @@ def augmented_restart(
         want = min(ell, psvd.count)
         tol = delta * max(norm_est, 1e-300)
         ok = fac.exact or (want > 0 and np.all(psvd.residuals[:want] <= tol))
-        if not ok:
-            ok = _threshold_prefix_done(psvd.values, psvd.residuals <= tol, stop_below, tol)
+        if not ok and stop_below is not None:
+            ok = _certified_cut(psvd.values, psvd.residuals, stop_below, tol) is not None
         done = bool(ok) or psvd.count == 0
         if done or restarts >= max_restarts:
             psvd.converged = done

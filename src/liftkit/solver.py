@@ -142,6 +142,7 @@ class IterationRecord:
     values: tuple
     restarts: int
     ms: float
+    actions: int = 0
 
 
 @dataclass(eq=False)
@@ -202,7 +203,10 @@ def _threshold_oracle(state, cfg, problem):
 
 
 def primal_step(state, cfg, problem, rng=None):
-    """Threshold the implicit argument w - tau A^*(y) at level tau*alpha_reg."""
+    """Threshold the implicit argument w - tau A^*(y) at level tau*alpha_reg.
+
+    The result carries the oracle's action count as ``actions``.
+    """
     oracle = _threshold_oracle(state, cfg, problem)
     tcfg = ThresholdConfig(
         tau=cfg.tau * cfg.alpha_reg,
@@ -213,9 +217,10 @@ def primal_step(state, cfg, problem, rng=None):
         rank_cap=cfg.rank_cap,
     )
     warm = state.w if state.w.rank else None
-    if isinstance(problem, QuadraticMap):
-        return evt(oracle, tcfg, rng=rng, warm_start=warm)
-    return svt(oracle, tcfg, rng=rng, warm_start=warm)
+    threshold = evt if isinstance(problem, QuadraticMap) else svt
+    out = threshold(oracle, tcfg, rng=rng, warm_start=warm)
+    object.__setattr__(out, "actions", oracle.calls)
+    return out
 
 
 def reweight_step(state, cfg, base1, base2, rng=None):
@@ -311,10 +316,16 @@ def _prepare_data(g, cfg):
     return g, 1.0
 
 
-def _record(state, n, fidelity, restarts, ms, sink, records):
-    values = tuple(float(v) for v in state.w.values)
+def _record(state, n, fidelity, ms, sink, records):
+    w = state.w
     rec = IterationRecord(
-        n=n, rank=state.w.rank, fidelity=fidelity, values=values, restarts=restarts, ms=ms
+        n=n,
+        rank=w.rank,
+        fidelity=fidelity,
+        values=tuple(float(v) for v in w.values),
+        restarts=getattr(w, "restarts", 0),
+        ms=ms,
+        actions=getattr(w, "actions", 0),
     )
     records.append(rec)
     if sink is not None:
@@ -365,7 +376,7 @@ def _run(problem, g, cfg, sink, update_dual):
         if cfg.reweight.enabled and state.n % cfg.reweight.period == 0:
             state.metric1, state.metric2 = reweight_step(state, cfg, base1, base2, rng=rng)
         ms = (time.perf_counter() - t0) * 1e3
-        _record(state, state.n, fidelity, getattr(w_new, "restarts", 0), ms, sink, records)
+        _record(state, state.n, fidelity, ms, sink, records)
         if fidelity <= cfg.tol * g_norm:
             converged = True
             break

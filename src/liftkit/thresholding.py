@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import EngineError
 from .lowrank import DEFAULT_RANK_CAP, FactoredTensor, HermitianFactored, svd_to_evd
-from .partial_svd import augmented_restart, subspace_iterate
+from .partial_svd import _certified_cut, augmented_restart, subspace_iterate
 
 ENGINES = ("lanczos", "subspace", "dense")
 
@@ -141,8 +141,9 @@ def _deflated_leading(oracle, psvd, span, cfg, rng):
 
 
 def _adaptive_triples(oracle, cfg, rng, warm_start):
-    """Run the configured engine, growing the subspace until a converged value
-    falls decisively below the threshold level (or the rank is exhausted).
+    """Run the configured engine, growing the subspace until a value is
+    certified below the threshold level behind a converged prefix (or the
+    rank is exhausted).
 
     Returns the converged triples to keep (already filtered to values above
     the level) plus engine statistics.
@@ -186,17 +187,7 @@ def _adaptive_triples(oracle, cfg, rng, warm_start):
 
         values = psvd.values
         tol = cfg.delta * max(psvd.norm_estimate, 1e-300)
-        conv = psvd.residuals <= tol
-        # values within tol of the level count as above it (no rank flapping)
-        decisive_below = values < cfg.tau - tol
-
-        cut = None
-        for j in range(values.shape[0]):
-            if not conv[j]:
-                break
-            if decisive_below[j]:
-                cut = j
-                break
+        cut = _certified_cut(values, psvd.residuals, cfg.tau, tol)
 
         if cut is not None:
             if not psvd.exact and ell < cap:
@@ -211,11 +202,11 @@ def _adaptive_triples(oracle, cfg, rng, warm_start):
                     start_vec = None
                     start_cols = None
                     continue
-            keep = np.flatnonzero(conv[:cut] & (values[:cut] > cfg.tau))
+            keep = np.flatnonzero(values[:cut] > cfg.tau)
         elif psvd.exact:
             keep = np.flatnonzero(values > cfg.tau)
         elif ell < cap:
-            # no converged value below the level yet: enlarge the subspace
+            # no value certified below the level yet: enlarge the subspace
             ell = min(2 * ell, cap)
             k = min(max(2 * ell, k), mindim)
             if cfg.engine == "subspace":
@@ -226,6 +217,7 @@ def _adaptive_triples(oracle, cfg, rng, warm_start):
             continue
         else:
             # rank growth capped: accept the converged prefix (inexact regime)
+            conv = psvd.residuals <= tol
             prefix = values.shape[0]
             for j in range(values.shape[0]):
                 if not conv[j]:

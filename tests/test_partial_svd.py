@@ -4,6 +4,7 @@ import pytest
 from liftkit.metric import EuclideanMetric
 from liftkit.partial_svd import (
     BidiagonalSystem,
+    _certified_cut,
     augmented_restart,
     estimate_operator_norm,
     lanczos_bidiagonalize,
@@ -226,6 +227,73 @@ class TestAugmentedRestart:
             gram = vecs.conj().T @ h @ vecs
             assert np.max(np.abs(gram - np.eye(out.count))) <= 1e-10
         assert out.norm_estimate >= start_estimate
+
+
+def converged_prefix_cut(values, residuals, level, tol):
+    """The earlier cut rule: the first converged value decisively below the
+    level, reached through converged triples only."""
+    for j in range(values.shape[0]):
+        if residuals[j] > tol:
+            return None
+        if values[j] < level - tol:
+            return j
+    return None
+
+
+class TestCertifiedCut:
+    def test_accepts_every_converged_prefix_cut(self):
+        rng = np.random.default_rng(30)
+        earlier = 0
+        certified_only = 0
+        for _ in range(2000):
+            size = int(rng.integers(1, 8))
+            values = np.sort(rng.uniform(0.0, 1.0, size=size))[::-1]
+            tol = 10.0 ** rng.uniform(-6, -2)
+            # converged residuals mixed with unconverged ones up to 0.3
+            residuals = np.where(
+                rng.random(size) < 0.6,
+                rng.uniform(0.0, tol, size=size),
+                rng.uniform(tol, 0.3, size=size),
+            )
+            level = rng.uniform(0.0, 1.0)
+            old = converged_prefix_cut(values, residuals, level, tol)
+            new = _certified_cut(values, residuals, level, tol)
+            if old is not None:
+                earlier += 1
+                assert new == old
+            elif new is not None:
+                certified_only += 1
+                assert np.all(residuals[:new] <= tol)
+                assert values[new] + residuals[new] < level - tol
+        # both branches of the property were exercised
+        assert earlier > 100 and certified_only > 100
+
+    def test_unconverged_triple_before_the_cut_refuses(self):
+        values = np.array([1.0, 0.6, 0.1])
+        residuals = np.array([0.0, 0.05, 0.0])
+        assert _certified_cut(values, residuals, 0.5, 1e-3) is None
+        residuals[1] = 1e-4
+        assert _certified_cut(values, residuals, 0.5, 1e-3) == 2
+
+    def test_interval_straddling_the_level_refuses(self):
+        values = np.array([1.0, 0.45])
+        tol = 1e-3
+        # 0.45 + 0.0495 = 0.4995 > level - tol
+        assert _certified_cut(values, np.array([0.0, 0.0495]), 0.5, tol) is None
+        assert _certified_cut(values, np.array([0.0, 0.0485]), 0.5, tol) == 1
+
+    def test_unconverged_value_at_the_cut_is_accepted(self):
+        values = np.array([1.0, 0.2, 0.19])
+        residuals = np.array([1e-9, 0.1, 0.1])
+        assert _certified_cut(values, residuals, 0.5, 1e-6) == 1
+
+    def test_value_within_tol_of_the_level_counts_as_above(self):
+        values = np.array([1.0, 0.5 - 5e-4, 0.1])
+        residuals = np.zeros(3)
+        assert _certified_cut(values, residuals, 0.5, 1e-3) == 2
+
+    def test_empty_input(self):
+        assert _certified_cut(np.zeros(0), np.zeros(0), 0.5, 1e-8) is None
 
 
 class TestOperatorNormEstimate:

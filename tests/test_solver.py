@@ -211,6 +211,48 @@ class TestRunPrimalDual:
             assert a.fidelity == b.fidelity
             assert a.rank == b.rank
 
+    def test_records_count_threshold_actions(self, monkeypatch):
+        # count, from outside, every action on an oracle built for a threshold
+        # step; the oracles of the reweighting decompositions must not count
+        import liftkit.solver as solver_module
+        from helpers import random_hermitian_tensor_stack
+        from liftkit.partial_svd import ActionOracle
+
+        threshold_oracles = []
+        counted = [0]
+        build = solver_module._threshold_oracle
+
+        def recording_build(*args):
+            oracle = build(*args)
+            threshold_oracles.append(oracle)
+            return oracle
+
+        def counting(method):
+            def wrapper(self, vec):
+                if any(self is oracle for oracle in threshold_oracles):
+                    counted[0] += 1
+                return method(self, vec)
+
+            return wrapper
+
+        monkeypatch.setattr(solver_module, "_threshold_oracle", recording_build)
+        monkeypatch.setattr(ActionOracle, "right", counting(ActionOracle.right))
+        monkeypatch.setattr(ActionOracle, "left", counting(ActionOracle.left))
+
+        rng = np.random.default_rng(12)
+        qmap = DenseQuadratic(random_hermitian_tensor_stack(rng, 10, 5), EuclideanMetric(5))
+        g = np.real(qmap.apply(random_complex(rng, 5)))
+        cfg = SolverConfig(
+            ell=2, k=4, rank_cap=4, max_iter=30, seed=3,
+            reweight=ReweightSettings(enabled=True, period=5),
+        )
+        after_each = []
+        res = run_primal_dual(qmap, g, cfg, sink=lambda rec: after_each.append(counted[0]))
+        per_iteration = np.diff([0] + after_each)
+        assert [rec.actions for rec in res.log] == per_iteration.tolist()
+        assert sum(rec.actions for rec in res.log) == counted[0] > 0
+        assert all(rec.actions > 0 for rec in res.log)
+
     def test_epsball_dead_zone_keeps_start(self):
         qmap = scalar_quadratic()
         g = np.array([0.5])

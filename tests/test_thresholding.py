@@ -7,6 +7,7 @@ from liftkit.thresholding import ThresholdConfig, evt, shrink, soft, soft_plus, 
 from helpers import (
     dense_evt,
     dense_svt,
+    metric_sqrt,
     oracle_from_dense,
     random_complex,
     random_spd_metric,
@@ -229,3 +230,85 @@ class TestEVT:
             if out.rank:
                 eigs = np.linalg.eigvalsh(out.to_dense())
                 assert np.min(eigs) >= -1e-10
+
+
+def hermitian_with_spectrum(rng, lam, metric):
+    """Hermitian w whose eigenvalues in the metric are exactly ``lam``."""
+    n = len(lam)
+    q, _ = np.linalg.qr(random_complex(rng, n * n).reshape(n, n))
+    _, inv_root = metric_sqrt(metric.to_dense())
+    return inv_root @ (q * lam) @ q.conj().T @ inv_root
+
+
+def matrix_with_spectrum(rng, sig, m1, m2):
+    """n2 x n1 matrix whose singular values in the metrics are exactly ``sig``."""
+    n1, n2 = m1.dim, m2.dim
+    y, _ = np.linalg.qr(random_complex(rng, n2 * n2).reshape(n2, n2))
+    z, _ = np.linalg.qr(random_complex(rng, n1 * n1).reshape(n1, n1))
+    _, inv_root1 = metric_sqrt(m1.to_dense())
+    _, inv_root2 = metric_sqrt(m2.to_dense())
+    return inv_root2 @ (y[:, : len(sig)] * sig) @ z[:, : len(sig)].conj().T @ inv_root1
+
+
+DELTA = 1e-8
+# a tight cluster around the level 0.3 below a well-separated leading value;
+# everything past the fifth value is at most 0.2 in magnitude
+CLUSTER = [1.0, 0.3002, 0.3001, 0.2999, 0.2998]
+# a level within tol/2 of 0.45, above (+1) or below (-1) it
+NEAR = [1.0, 0.7, 0.45, 0.35, 0.3]
+
+
+def near_level(sign):
+    # tol = delta times the norm estimate, which is the leading value 1.0
+    return 0.45 + sign * 0.5 * DELTA
+
+
+class TestClusteredSpectraAtFullRankCap:
+    """ell == rank_cap (the solver's default 5/5): the deflation probe that
+    guards a cut for ell < rank_cap never runs, so the cut alone decides."""
+
+    CASES = [
+        ("cluster", CLUSTER, 0.3, 3),
+        ("tau just above a value", NEAR, near_level(+1), 2),
+        ("tau just below a value", NEAR, near_level(-1), 3),
+    ]
+
+    @staticmethod
+    def config(tau, engine):
+        return ThresholdConfig(tau=tau, ell=5, k=10, delta=DELTA, engine=engine, rank_cap=5)
+
+    @staticmethod
+    def check(out, expected_values, rank):
+        assert out.rank == rank
+        assert np.max(np.abs(np.sort(out.values)[::-1] - expected_values)) <= (
+            DELTA * out.norm_estimate
+        )
+
+    @pytest.mark.parametrize("engine", ["lanczos", "subspace"])
+    @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+    def test_evt_matches_dense(self, engine, case):
+        _, top, tau, rank = case
+        rng = np.random.default_rng(40)
+        n = 24
+        lam = np.concatenate([top, rng.uniform(-0.2, 0.2, size=n - len(top))])
+        m = random_spd_metric(rng, n)
+        w = hermitian_with_spectrum(rng, lam, m)
+        out = evt(oracle_from_dense(w, m, m), self.config(tau, engine), rng=rng)
+        expected = dense_evt(w, m.to_dense(), tau)
+        self.check(out, np.sort(lam[lam > tau])[::-1] - tau, rank)
+        assert np.max(np.abs(out.to_dense() - expected)) <= 1e-8
+
+    @pytest.mark.parametrize("engine", ["lanczos", "subspace"])
+    @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+    def test_svt_matches_dense(self, engine, case):
+        _, top, tau, rank = case
+        rng = np.random.default_rng(41)
+        n1, n2 = 20, 24
+        sig = np.concatenate([top, np.sort(rng.uniform(0.0, 0.2, size=n1 - len(top)))[::-1]])
+        m1 = random_spd_metric(rng, n1)
+        m2 = random_spd_metric(rng, n2)
+        w = matrix_with_spectrum(rng, sig, m1, m2)
+        out = svt(oracle_from_dense(w, m1, m2), self.config(tau, engine), rng=rng)
+        expected = dense_svt(w, m1.to_dense(), m2.to_dense(), tau)
+        self.check(out, sig[sig > tau] - tau, rank)
+        assert np.max(np.abs(out.to_dense() - expected)) <= 1e-8
