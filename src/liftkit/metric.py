@@ -184,6 +184,10 @@ class ReweightedMetric(Metric):
         self.transformed = np.stack(
             [base.apply(d) for d in directions], axis=0
         ) if directions.shape[0] else directions.copy()
+        # per-call constants: conjugated rows and the inverse's shrink factors
+        self._transformed_conj = self.transformed.conj()
+        self._directions_conj = directions.conj()
+        self._factors = 1.0 - 1.0 / (1.0 - weights)
         super().__init__(base.dim)
 
     @property
@@ -194,7 +198,7 @@ class ReweightedMetric(Metric):
         self._check(x)
         out = self.base.apply(x)
         if self.count:
-            coeff = self.transformed.conj() @ x  # phi_k^* H x
+            coeff = self._transformed_conj @ x  # phi_k^* H x
             out = out - (self.weights * coeff) @ self.transformed
         return out
 
@@ -202,9 +206,8 @@ class ReweightedMetric(Metric):
         self._check(b)
         out = self.base.apply_inv(b)
         if self.count:
-            coeff = self.directions.conj() @ b  # phi_k^* b
-            factors = 1.0 - 1.0 / (1.0 - self.weights)
-            out = out - (factors * coeff) @ self.directions
+            coeff = self._directions_conj @ b  # phi_k^* b
+            out = out - (self._factors * coeff) @ self.directions
         return out
 
     def transform(self, u, adjoint=False):
@@ -212,12 +215,11 @@ class ReweightedMetric(Metric):
         self._check(u)
         if not self.count:
             return u
-        factors = 1.0 - 1.0 / (1.0 - self.weights)
         if adjoint:
-            coeff = self.transformed.conj() @ u
-            return u - (factors * coeff) @ self.directions
-        coeff = self.directions.conj() @ u
-        return u - (factors * coeff) @ self.transformed
+            coeff = self._transformed_conj @ u
+            return u - (self._factors * coeff) @ self.directions
+        coeff = self._directions_conj @ u
+        return u - (self._factors * coeff) @ self.transformed
 
 
 def project_out(vec, basis, applied):

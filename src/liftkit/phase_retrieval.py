@@ -4,8 +4,10 @@ adjoint actions, noise, and the recovery driver.
 Images are row-major complex arrays of shape (n2, n1).  Measurements are the
 squared moduli of zero-padded 2-D DFTs of the pointwise mask-image products,
 stacked mask-major into one real vector.  The DFT is the unnormalized forward
-transform; its adjoint is the conjugate transpose (full-size inverse scaled
-by m2*m1, cropped to the image shape).
+transform; its adjoint is the conjugate transpose, an unscaled inverse DFT
+restricted to the image shape.  Both run as row-column transforms pruned of
+the zero padding (Markel 1971): the forward transforms rows only where the
+image has them, the adjoint inverse-transforms rows only where it keeps them.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import fft, ifft
 
 from .errors import ConfigError
 from .metric import EuclideanMetric, Metric, SobolevMetric
@@ -116,18 +119,31 @@ def default_metric(shape, kind="euclidean", mu=SOBOLEV_DEFAULT_MU):
 
 
 def _masked_spectra(problem, image):
-    """Padded DFTs of every mask-image product, shape (count, m2, m1)."""
+    """Padded DFTs of every mask-image product, shape (count, m2, m1).
+
+    The n2 image rows are transformed to length m1 first; only then is every
+    column transformed to length m2, so the m2 - n2 zero rows of the padding
+    are never row-transformed.
+    """
     stack = problem.masks.array * image[None, :, :]
-    return np.fft.fft2(stack, s=(problem.m2, problem.m1), axes=(-2, -1))
+    rows = fft(stack, n=problem.m1, axis=-1, overwrite_x=True)
+    return fft(rows, n=problem.m2, axis=-2, overwrite_x=True)
 
 
 def _sandwich(problem, coeff, image):
-    """D^* F^H diag(coeff) F D applied to an image (coeff per DFT bin)."""
-    spectra = _masked_spectra(problem, image)
-    back = np.fft.ifft2(coeff * spectra, axes=(-2, -1)) * (problem.m2 * problem.m1)
+    """D^* F^H diag(coeff) F D applied to an image (coeff per DFT bin).
+
+    F^H is the unscaled inverse DFT restricted to the image: the columns are
+    inverse-transformed first, then only the n2 kept rows, of which the first
+    n1 entries are kept.
+    """
     n2, n1 = problem.shape
-    cropped = back[:, :n2, :n1]
-    return np.sum(np.conj(problem.masks.array) * cropped, axis=0)
+    spectra = _masked_spectra(problem, image)
+    spectra *= coeff
+    cols = ifft(spectra, axis=-2, norm="forward", overwrite_x=True)
+    back = ifft(cols[:, :n2, :], axis=-1, norm="forward", overwrite_x=True)[:, :, :n1]
+    back *= np.conj(problem.masks.array)
+    return np.sum(back, axis=0)
 
 
 def forward(problem, image):

@@ -21,6 +21,25 @@ def _sidecar(path):
     return str(path) + ".json"
 
 
+def _read_header(path, what):
+    """The parsed JSON sidecar of ``path``; ConfigError if missing or not JSON."""
+    sidecar = _sidecar(path)
+    try:
+        with open(sidecar, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} header {sidecar}: {exc}") from exc
+
+
+def _check_size(path, expected):
+    try:
+        size = os.path.getsize(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    if size != expected:
+        raise ConfigError(f"{path}: expected {expected} bytes, found {size}")
+
+
 def write_images(path, array):
     """Write a complex image or mask stack; a 2-D input is a count-1 stack."""
     array = np.asarray(array, dtype=complex)
@@ -41,18 +60,14 @@ def write_images(path, array):
 
 def read_images(path):
     """Read a complex stack written by write_images; returns (count, h, w)."""
-    with open(_sidecar(path), "r", encoding="utf-8") as fh:
-        header = json.load(fh)
+    header = _read_header(path, "image")
     try:
         height = int(header["height"])
         width = int(header["width"])
         count = int(header["count"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed image header {_sidecar(path)}") from exc
-    expected = count * height * width * 2 * 8
-    size = os.path.getsize(path)
-    if size != expected:
-        raise ConfigError(f"{path}: expected {expected} bytes, found {size}")
+    _check_size(path, count * height * width * 2 * 8)
     raw = np.fromfile(path, dtype="<f8").reshape(count, height, width, 2)
     return raw[..., 0] + 1j * raw[..., 1]
 
@@ -72,14 +87,10 @@ def write_data(path, g, dims):
 
 def read_data(path):
     """Read a measurement vector; returns (g, (L, M2, M1))."""
-    with open(_sidecar(path), "r", encoding="utf-8") as fh:
-        header = json.load(fh)
+    header = _read_header(path, "data")
     try:
         dims = (int(header["L"]), int(header["M2"]), int(header["M1"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed data header {_sidecar(path)}") from exc
-    expected = dims[0] * dims[1] * dims[2] * 8
-    size = os.path.getsize(path)
-    if size != expected:
-        raise ConfigError(f"{path}: expected {expected} bytes, found {size}")
+    _check_size(path, dims[0] * dims[1] * dims[2] * 8)
     return np.fromfile(path, dtype="<f8"), dims

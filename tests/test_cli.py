@@ -215,6 +215,17 @@ class TestSolveAndEval:
         report = json.loads(out)
         assert "uncovered_pixels" in report
 
+    def test_eval_non_json_header_exit_two(self, solved, tmp_path, capsys):
+        bad = tmp_path / "recovered"
+        shutil.copy(solved / "run" / "recovered", bad)
+        (tmp_path / "recovered.json").write_text("height=8 width=8\n")
+        code = main(["eval", "--recovered", str(bad), "--reference", str(solved / "truth")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and str(tmp_path / "recovered.json") in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_solve_with_config_file(self, solved, tmp_path, capsys):
         cfg = {
             "mode": "solve",

@@ -262,6 +262,42 @@ class TestTransform:
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
 
+class TestReweightedConstants:
+    """apply, apply_inv and transform keep their per-call formulas bit for bit."""
+
+    @staticmethod
+    def reference(m, x, op):
+        factors = 1.0 - 1.0 / (1.0 - m.weights)
+        if op == "apply":
+            coeff = m.transformed.conj() @ x
+            return m.base.apply(x) - (m.weights * coeff) @ m.transformed
+        if op == "apply_inv":
+            coeff = m.directions.conj() @ x
+            return m.base.apply_inv(x) - (factors * coeff) @ m.directions
+        if op == "adjoint":
+            coeff = m.transformed.conj() @ x
+            return x - (factors * coeff) @ m.directions
+        coeff = m.directions.conj() @ x
+        return x - (factors * coeff) @ m.transformed
+
+    @pytest.mark.parametrize("base_kind", ["euclidean", "sobolev"])
+    def test_bitwise_equal_to_per_call_formulas(self, base_kind):
+        rng = np.random.default_rng(17)
+        if base_kind == "euclidean":
+            base = EuclideanMetric(12)
+        else:
+            base = SobolevMetric((3, 4), (0.25, 1.0, 1.0))
+        m = make_reweighted(base, rng, 3)
+        for _ in range(5):
+            x = random_complex(rng, 12)
+            assert np.array_equal(m.apply(x), self.reference(m, x, "apply"))
+            assert np.array_equal(m.apply_inv(x), self.reference(m, x, "apply_inv"))
+            assert np.array_equal(m.transform(x), self.reference(m, x, "transform"))
+            assert np.array_equal(
+                m.transform(x, adjoint=True), self.reference(m, x, "adjoint")
+            )
+
+
 class TestOrthonormalize:
     def test_orthonormal_set_is_fixed_up_to_phase(self):
         m = EuclideanMetric(3)
@@ -357,7 +393,7 @@ class TestProjectOut:
 class TestSolverFailure:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_cap_exhaustion_raises(self):
-        # an indefinite "metric" makes CG fail; exercised through a stub
+        # a non-finite right-hand side makes the DCT inverse refuse the solve
         m = SobolevMetric((2, 2), (1.0, 0.0, 0.0))
         bad = np.array([np.nan] * 4, dtype=complex)
         with pytest.raises((MetricSolveError, ValueError)):

@@ -4,6 +4,7 @@ import pytest
 from liftkit.errors import ConfigError
 from liftkit.lowrank import HermitianFactored
 from liftkit.metric import EuclideanMetric, SobolevMetric
+from liftkit import phase_retrieval
 from liftkit.operators import lifted_apply_quadratic
 from liftkit.phase_retrieval import (
     MaskedFourierBilinear,
@@ -143,6 +144,90 @@ class TestSymAdjoint:
             lhs = metric.inner(ae, f)
             rhs = metric.inner(e, af)
             assert lhs == pytest.approx(rhs, abs=1e-8 * max(1.0, abs(lhs)))
+
+
+def full_grid_spectra(problem, image):
+    """Unpruned reference: 2-D DFT of each mask-image product on the padded grid."""
+    stack = problem.masks.array * image[None, :, :]
+    return np.fft.fft2(stack, s=(problem.m2, problem.m1), axes=(-2, -1))
+
+
+def full_grid_sandwich(problem, coeff, image):
+    """Unpruned reference: full-size inverse scaled by m2*m1, then cropped."""
+    spectra = full_grid_spectra(problem, image)
+    back = np.fft.ifft2(coeff * spectra, axes=(-2, -1)) * (problem.m2 * problem.m1)
+    n2, n1 = problem.shape
+    return np.sum(np.conj(problem.masks.array) * back[:, :n2, :n1], axis=0)
+
+
+class TestPrunedKernels:
+    """The pruned row-column transforms against the full-grid 2-D FFT formula."""
+
+    # (image shape, m2, m1): square 2n padding, odd rectangular sizes, no padding
+    LAYOUTS = [((6, 6), 12, 12), ((3, 5), 7, 6), ((4, 5), 4, 5)]
+
+    @staticmethod
+    def case(shape, m2, m1, seed):
+        rng = np.random.default_rng(seed)
+        masks = make_gaussian_masks(shape, 3, seed=seed)
+        masks = MaskSet(array=masks.array + 0.5j * rng.standard_normal(masks.array.shape))
+        problem = PRProblem(
+            masks=masks, m2=m2, m1=m1, metric=EuclideanMetric(shape[0] * shape[1])
+        )
+        image = random_complex(rng, shape[0] * shape[1]).reshape(shape)
+        return rng, problem, image
+
+    @pytest.mark.parametrize("shape,m2,m1", LAYOUTS)
+    def test_spectra_match_full_grid(self, shape, m2, m1):
+        _, problem, image = self.case(shape, m2, m1, seed=30)
+        masks_before, image_before = problem.masks.array.copy(), image.copy()
+        got = phase_retrieval._masked_spectra(problem, image)
+        ref = full_grid_spectra(problem, image)
+        assert got.shape == (3, m2, m1)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert np.array_equal(problem.masks.array, masks_before)
+        assert np.array_equal(image, image_before)
+
+    @pytest.mark.parametrize("shape,m2,m1", LAYOUTS)
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_sandwich_matches_full_grid(self, shape, m2, m1, kind):
+        rng, problem, image = self.case(shape, m2, m1, seed=31)
+        # real coefficients are the quadratic adjoint's, complex the bilinear's
+        coeff = rng.standard_normal((3, m2, m1))
+        if kind == "complex":
+            coeff = coeff + 1j * rng.standard_normal((3, m2, m1))
+        before = (coeff.copy(), problem.masks.array.copy(), image.copy())
+        got = phase_retrieval._sandwich(problem, coeff, image)
+        ref = full_grid_sandwich(problem, coeff, image)
+        assert got.shape == shape
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        for after, kept in zip((coeff, problem.masks.array, image), before):
+            assert np.array_equal(after, kept)
+
+    def test_each_adjoint_requests_one_forward_transform(self, monkeypatch):
+        # perfbench counts FFT flops per call of _masked_spectra and _sandwich,
+        # so one adjoint must reach _masked_spectra through the module exactly once
+        rng, problem, image = self.case((3, 4), 6, 8, seed=32)
+        calls = []
+        inner = phase_retrieval._masked_spectra
+
+        def counting(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(phase_retrieval, "_masked_spectra", counting)
+        y = random_complex(rng, problem.data_dim)
+        bmap = MaskedFourierBilinear(problem)
+        vec = image.ravel()
+        for action in (
+            lambda: sym_adjoint_action(problem, y.real, image),
+            lambda: MaskedFourierMap(problem).sym_adjoint_action(y.real, vec),
+            lambda: bmap.partial_adjoint_left(y, vec),
+            lambda: bmap.partial_adjoint_right(y, vec),
+        ):
+            calls.clear()
+            action()
+            assert len(calls) == 1
 
 
 class TestLiftedConsistency:

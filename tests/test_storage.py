@@ -47,6 +47,42 @@ class TestImageFormat:
             storage.read_images(path)
 
 
+class TestBadFiles:
+    """Unreadable headers and bodies raise ConfigError naming the file."""
+
+    @pytest.mark.parametrize("text", ["not json {", '["height", 2, "width", 2]'])
+    def test_image_header_not_an_object(self, tmp_path, text):
+        path = tmp_path / "img"
+        storage.write_images(path, np.ones((2, 2), dtype=complex))
+        (tmp_path / "img.json").write_text(text)
+        with pytest.raises(ConfigError, match="img.json"):
+            storage.read_images(path)
+
+    @pytest.mark.parametrize("text", ["not json {", "[1, 2, 2]"])
+    def test_data_header_not_an_object(self, tmp_path, text):
+        path = tmp_path / "vec"
+        storage.write_data(path, np.zeros(4), (1, 2, 2))
+        (tmp_path / "vec.json").write_text(text)
+        with pytest.raises(ConfigError, match="vec.json"):
+            storage.read_data(path)
+
+    def test_missing_sidecar(self, tmp_path):
+        storage.write_images(tmp_path / "img", np.ones((2, 2), dtype=complex))
+        storage.write_data(tmp_path / "vec", np.zeros(4), (1, 2, 2))
+        (tmp_path / "img.json").unlink()
+        (tmp_path / "vec.json").unlink()
+        with pytest.raises(ConfigError, match="img.json"):
+            storage.read_images(tmp_path / "img")
+        with pytest.raises(ConfigError, match="vec.json"):
+            storage.read_data(tmp_path / "vec")
+
+    def test_missing_body(self, tmp_path):
+        storage.write_images(tmp_path / "img", np.ones((2, 2), dtype=complex))
+        (tmp_path / "img").unlink()
+        with pytest.raises(ConfigError, match="img"):
+            storage.read_images(tmp_path / "img")
+
+
 class TestDataFormat:
     def test_pinned_byte_layout(self, tmp_path):
         path = tmp_path / "vec"
