@@ -31,6 +31,7 @@ class BenchRow:
     reweighted: bool
     seconds: float
     avg_restarts: float
+    avg_actions: float
     final_rank: int
     final_fidelity: float
 
@@ -81,6 +82,7 @@ def run_benchmark(iterations=1000, size=16, mask_count=8, seed=7, settings=DEFAU
         _, result = recover(problem, cfg)
         elapsed = time.perf_counter() - start
         restarts = float(np.mean([r.restarts for r in result.log]))
+        actions = float(np.mean([r.actions for r in result.log]))
         rows.append(
             BenchRow(
                 label=_label(engine, ell, k, reweighted),
@@ -90,6 +92,7 @@ def run_benchmark(iterations=1000, size=16, mask_count=8, seed=7, settings=DEFAU
                 reweighted=reweighted,
                 seconds=elapsed,
                 avg_restarts=restarts,
+                avg_actions=actions,
                 final_rank=result.log[-1].rank,
                 final_fidelity=result.log[-1].fidelity,
             )
@@ -98,12 +101,15 @@ def run_benchmark(iterations=1000, size=16, mask_count=8, seed=7, settings=DEFAU
 
 
 def format_table(rows):
-    header = f"{'setting':<22}{'time (s)':>10}{'avg restarts':>14}{'rank':>6}{'fidelity':>12}"
+    header = (
+        f"{'setting':<22}{'time (s)':>10}{'avg restarts':>14}{'avg actions':>13}"
+        f"{'rank':>6}{'fidelity':>12}"
+    )
     lines = [header, "-" * len(header)]
     for row in rows:
         restarts = "-" if row.engine in ("dense", "subspace") else f"{row.avg_restarts:.2f}"
         lines.append(
-            f"{row.label:<22}{row.seconds:>10.2f}{restarts:>14}{row.final_rank:>6}"
-            f"{row.final_fidelity:>12.2e}"
+            f"{row.label:<22}{row.seconds:>10.2f}{restarts:>14}{row.avg_actions:>13.2f}"
+            f"{row.final_rank:>6}{row.final_fidelity:>12.2e}"
         )
     return "\n".join(lines)

@@ -282,6 +282,8 @@ def cmd_gen_masks(args):
 def cmd_gen_data(args):
     out_dir = _ensure_dir(args.out)
     image = storage.read_images(args.image)[0]
+    if not np.all(np.isfinite(image)):
+        raise ConfigError(f"image {args.image} has non-finite pixels")
     mask_array = storage.read_images(args.masks)
     if mask_array.shape[1:] != image.shape:
         raise ConfigError("image and masks have different shapes")
@@ -309,6 +311,8 @@ def cmd_gen_data(args):
 def _solve_problem(masks_path, data_path, settings, seed, out_dir, sink=None):
     mask_array = storage.read_images(masks_path)
     g, (count, m2, m1) = storage.read_data(data_path)
+    if not np.all(np.isfinite(g)):
+        raise ConfigError(f"data vector {data_path} has non-finite entries")
     if count != mask_array.shape[0]:
         raise ConfigError("data vector and mask stack disagree on the mask count")
     masks = MaskSet(array=mask_array, kind="custom")
@@ -541,7 +545,8 @@ def build_parser():
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--engine", choices=["lanczos", "subspace", "dense"], default=None)
     p.add_argument("--ell", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=int, default=None,
+                   help="most columns per Lanczos pass; a pass stops at its first certified column")
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--rank-cap", dest="rank_cap", type=int, default=None)
     p.add_argument("--max-iter", dest="max_iter", type=int, default=None)

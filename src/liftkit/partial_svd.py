@@ -100,18 +100,20 @@ class BidiagonalSystem:
         return self.aug_values.size + self.diag.size
 
     def to_dense(self):
-        kk = self.size
-        mat = np.zeros((kk, kk), dtype=complex)
-        la = self.aug_values.size
-        if la:
-            mat[:la, :la] = np.diag(self.aug_values)
-            if self.diag.size:
-                mat[:la, la] = self.aug_coupling
-        for i, b in enumerate(self.diag):
-            mat[la + i, la + i] = b
-        for i, g in enumerate(self.superdiag):
-            mat[la + i, la + i + 1] = g
-        return mat
+        return _arrow_matrix(self.aug_values, self.aug_coupling, self.diag, self.superdiag)
+
+
+def _arrow_matrix(aug_values, coupling, diag, superdiag):
+    """Dense projected system: retained values with their coupling column,
+    followed by the upper bidiagonal block."""
+    la, kk = len(aug_values), len(aug_values) + len(diag)
+    mat = np.zeros((kk, kk), dtype=np.result_type(coupling, float))
+    idx = np.arange(kk)
+    mat[idx, idx] = np.concatenate([aug_values, diag])
+    if la and len(diag):
+        mat[:la, la] = coupling
+    mat[idx[la:-1], idx[la:-1] + 1] = superdiag
+    return mat
 
 
 @dataclass(eq=False)
@@ -298,13 +300,22 @@ class LanczosFactorization:
 
 
 class _GrowingFactorization:
-    """Mutable Golub-Kahan state with full reorthogonalization."""
+    """Mutable Golub-Kahan state with full reorthogonalization.
 
-    def __init__(self, oracle, rng):
+    The bases and their metric images are rows of arrays preallocated for
+    ``cap`` columns, so the projections read them without copying.
+    """
+
+    def __init__(self, oracle, rng, cap):
         self.oracle = oracle
         self.m1, self.m2 = oracle.metrics
         self.rng = rng
-        self.E, self.HE, self.F, self.HF = [], [], [], []
+        n1, n2 = oracle.dims
+        self.E = np.empty((cap, n1), dtype=complex)
+        self.HE = np.empty((cap, n1), dtype=complex)
+        self.F = np.empty((cap, n2), dtype=complex)
+        self.HF = np.empty((cap, n2), dtype=complex)
+        self.ne = self.nf = 0
         self.betas, self.gammas = [], []
         self.aug_values = np.zeros(0)
         self.aug_coupling = np.zeros(0, dtype=complex)
@@ -315,33 +326,37 @@ class _GrowingFactorization:
         return BREAKDOWN_REL * max(self.scale, 1e-300)
 
     def seed(self, u_mat, v_mat, values):
-        self.E = [u_mat[:, j].copy() for j in range(u_mat.shape[1])]
-        self.HE = [self.m1.apply(e) for e in self.E]
-        self.F = [v_mat[:, j].copy() for j in range(v_mat.shape[1])]
-        self.HF = [self.m2.apply(f) for f in self.F]
+        r = len(values)
+        self.E[:r] = u_mat.T
+        self.F[:r] = v_mat.T
+        for j in range(r):
+            self.HE[j] = self.m1.apply(self.E[j])
+            self.HF[j] = self.m2.apply(self.F[j])
+        self.ne = self.nf = r
         self.aug_values = np.asarray(values, dtype=float).copy()
-        self.aug_coupling = np.zeros(len(values), dtype=complex)
-        self.scale = max(self.scale, float(values[0]) if len(values) else 0.0)
+        self.aug_coupling = np.zeros(r, dtype=complex)
+        self.scale = max(self.scale, float(values[0]) if r else 0.0)
 
     def add_e(self, vec):
-        vec, _ = project_out(vec.astype(complex), self.E, self.HE)
+        vec, _ = project_out(vec.astype(complex), self.E[: self.ne], self.HE[: self.ne])
         nrm = self.m1.norm(vec)
         if nrm <= self.tol():
             return False
-        vec = vec / nrm
-        self.E.append(vec)
-        self.HE.append(self.m1.apply(vec))
+        self.E[self.ne] = vec / nrm
+        self.HE[self.ne] = self.m1.apply(self.E[self.ne])
+        self.ne += 1
         return True
 
     def add_f_from_image(self, q, collect=None):
         """Append the normalized image q; its projection coefficients go into ``collect``."""
-        q, coeff = project_out(q.astype(complex), self.F, self.HF)
+        basis, applied = self.F[: self.nf], self.HF[: self.nf]
+        q, coeff = project_out(q.astype(complex), basis, applied)
         if collect is not None:
             collect += coeff
         beta = self.m2.norm(q)
         if beta <= self.tol():
             # stalled left direction: continue in a fresh random direction
-            f, _ = project_out(_random_unit(self.rng, q.shape[0], self.m2), self.F, self.HF)
+            f, _ = project_out(_random_unit(self.rng, q.shape[0], self.m2), basis, applied)
             nrm = self.m2.norm(f)
             if nrm == 0.0:
                 return 0.0, None
@@ -349,29 +364,32 @@ class _GrowingFactorization:
             beta = 0.0
         else:
             f = q / beta
-        self.F.append(f)
-        self.HF.append(self.m2.apply(f))
+        self.F[self.nf] = f
+        self.HF[self.nf] = self.m2.apply(f)
+        self.nf += 1
         return beta, f
 
-    def advance(self, p, gamma, k):
-        """Append recursion columns, starting from the continuation p / gamma,
-        until k columns exist or the Krylov space is exhausted.  Returns the
-        next continuation pair (p, gamma).  The first column links to no
-        earlier one; its image's coefficients against a seeded left basis
-        form the coupling row of the restarted system."""
+    def advance(self, p, gamma, k, stop=None):
+        """Append recursion columns, starting from the continuation p / gamma.
+
+        k caps the pass: it ends at k columns, when the Krylov space is
+        exhausted, or after any column for which ``stop(self, gamma)`` holds,
+        gamma being the norm of that column's continuation.  Returns the next
+        continuation pair (p, gamma).  The first column links to no earlier
+        one; its image's coefficients against a seeded left basis form the
+        coupling row of the restarted system."""
         n1 = self.oracle.dims[0]
-        while len(self.E) < k:
+        while self.ne < k:
             if gamma <= self.tol() or not self.add_e(p / gamma):
                 self.exact = True
                 return np.zeros(n1, dtype=complex), 0.0
-            e = self.E[-1]
+            e = self.E[self.ne - 1]
             q = self.oracle.right(e)
             if self.betas:
-                q = q - gamma * self.F[-1]
+                q = q - gamma * self.F[self.nf - 1]
             beta, f = self.add_f_from_image(q, None if self.betas else self.aug_coupling)
             if f is None:
-                self.E.pop()
-                self.HE.pop()
+                self.ne -= 1
                 self.exact = True
                 return np.zeros(n1, dtype=complex), 0.0
             if self.betas:
@@ -381,6 +399,8 @@ class _GrowingFactorization:
             p = self.oracle.left(f) - beta * e
             gamma = self.m1.norm(p)
             self.scale = max(self.scale, gamma)
+            if stop is not None and self.ne < k and stop(self, gamma):
+                break
         return p, gamma
 
     def factorization(self, p, gamma):
@@ -390,32 +410,24 @@ class _GrowingFactorization:
             aug_values=self.aug_values,
             aug_coupling=self.aug_coupling,
         )
-        e_mat = (
-            np.stack(self.E, axis=1)
-            if self.E
-            else np.zeros((self.oracle.dims[0], 0), dtype=complex)
-        )
-        f_mat = (
-            np.stack(self.F, axis=1)
-            if self.F
-            else np.zeros((self.oracle.dims[1], 0), dtype=complex)
-        )
         return LanczosFactorization(
             system=sys,
-            right_basis=e_mat,
-            left_basis=f_mat,
+            right_basis=self.E[: self.ne].T,
+            left_basis=self.F[: self.nf].T,
             p_last=p,
             gamma_last=0.0 if self.exact else float(gamma),
             exact=self.exact,
         )
 
 
-def lanczos_bidiagonalize(oracle, start_direction, k):
+def lanczos_bidiagonalize(oracle, start_direction, k, stop=None):
     """Golub-Kahan bidiagonalization in the oracle's metrics.
 
-    Runs k recursion steps with full reorthogonalization, terminating early
-    when the Krylov subspace becomes invariant (the singular values are then
-    exact).  The continuation vector and its norm are returned for restarts.
+    Runs at most k recursion steps with full reorthogonalization,
+    terminating early when the Krylov subspace becomes invariant (the
+    singular values are then exact) or when ``stop`` holds after a step (see
+    ``_GrowingFactorization.advance``).  The continuation vector and its
+    norm are returned for restarts.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -424,9 +436,9 @@ def lanczos_bidiagonalize(oracle, start_direction, k):
     nrm = m1.norm(start)
     if nrm == 0.0:
         raise ValueError("start direction must be nonzero")
-    state = _GrowingFactorization(oracle, np.random.default_rng(0))
     k = min(k, oracle.dims[0], oracle.dims[1])
-    p, gamma = state.advance(start / nrm, 1.0, k)
+    state = _GrowingFactorization(oracle, np.random.default_rng(0), k)
+    p, gamma = state.advance(start / nrm, 1.0, k, stop)
     return state.factorization(p, gamma)
 
 
@@ -460,54 +472,90 @@ def augmented_restart(
 ):
     """Restarted bidiagonalization seeded with the leading Ritz vectors.
 
-    Each cycle keeps the ell leading triples plus the retained continuation
-    vector, records the coupling row to the seeded left basis, extends to k
-    columns by the plain recursion, and refactorizes.  Convergence is judged
-    by the last-row residual estimate relative to the running norm estimate;
-    with ``stop_below`` set, a triple certified below that level ends the
-    restarts early.  All k Ritz triples of the final cycle are returned
-    (callers needing only converged triples should consult ``residuals``).
+    k caps the length of a pass: after each column the projected system is
+    checked, and the pass ends at the first column where the ell leading
+    Ritz triples are converged (last-row residual estimate at most delta
+    times the running norm estimate) or, with ``stop_below`` set, a triple
+    is certified below that level (``_certified_cut``).  A pass from a
+    random vector holds at least ell + 1 columns first, so its Krylov space
+    can reach the leading values.  Only a pass that reaches k columns
+    uncertified is restarted: it keeps the ell leading triples plus the
+    retained continuation vector, records the coupling row to the seeded
+    left basis and extends by the same rule.  A Krylov space that is
+    exhausted before it is certified continues from a random direction
+    instead, since values outside an invariant space never enter it.  All
+    Ritz triples of the final pass are returned (callers needing only
+    converged triples should consult ``residuals``); ``exact`` means they
+    are the whole spectrum.
     """
     if ell < 1 or delta <= 0:
         raise ValueError("need ell >= 1 and delta > 0")
     n1, n2 = oracle.dims
     m1 = oracle.metrics[0]
     rng = rng if rng is not None else np.random.default_rng(0)
-    ell = min(ell, n1, n2)
-    k = min(max(k, ell + 1), n1, n2)
+    mindim = min(n1, n2)
+    ell = min(ell, mindim)
+    k = min(max(k, ell + 1), mindim)
     if k <= ell:
         k = ell  # tiny spaces: a single full pass is the whole decomposition
 
+    norm_est = float(oracle.norm_estimate or 0.0)
+    floor = ell + 1 if start is None else 0
+
+    def certified(values, residuals):
+        tol = delta * max(norm_est, values[0], 1e-300)
+        if values.size >= ell and np.all(residuals[:ell] <= tol):
+            return True
+        return (
+            stop_below is not None
+            and _certified_cut(values, residuals, stop_below, tol) is not None
+        )
+
+    def stop(state, gamma):
+        if state.ne < floor:
+            return False
+        # the coupling's phases are unitary row and column scalings: they
+        # change neither the values nor the moduli of the last row
+        small = _arrow_matrix(
+            state.aug_values, np.abs(state.aug_coupling), state.betas, state.gammas
+        )
+        y_small, sig, _ = np.linalg.svd(small)
+        return certified(sig, gamma * np.abs(y_small[-1, :]))
+
     if start is None:
         start = _random_unit(rng, n1, m1)
-    fac = lanczos_bidiagonalize(oracle, start, k)
+    fac = lanczos_bidiagonalize(oracle, start, k, stop)
     psvd = ritz_factorize(fac.system, fac.right_basis, fac.left_basis, fac.gamma_last)
-    norm_est = max(float(oracle.norm_estimate or 0.0), psvd.norm_estimate)
+    norm_est = max(norm_est, psvd.norm_estimate)
 
     restarts = 0
     while True:
-        want = min(ell, psvd.count)
-        tol = delta * max(norm_est, 1e-300)
-        ok = fac.exact or (want > 0 and np.all(psvd.residuals[:want] <= tol))
-        if not ok and stop_below is not None:
-            ok = _certified_cut(psvd.values, psvd.residuals, stop_below, tol) is not None
-        done = bool(ok) or psvd.count == 0
+        done = psvd.count == 0 or certified(psvd.values, psvd.residuals)
         if done or restarts >= max_restarts:
             psvd.converged = done
-            psvd.exact = fac.exact
+            psvd.exact = fac.exact and psvd.count >= mindim
             psvd.restarts = restarts
             psvd.norm_estimate = norm_est
             return psvd
 
         restarts += 1
-        state = _GrowingFactorization(oracle, rng)
+        want = min(ell, psvd.count)
+        cap = max(k, want + 1)
+        state = _GrowingFactorization(oracle, rng, cap)
         state.scale = norm_est
         state.seed(
             psvd.right_vectors[:, :want], psvd.left_vectors[:, :want], psvd.values[:want]
         )
-        # the continuation vector always adds a column, even when k == ell;
-        # an exhausted one leaves the seeded triples as an exact factorization
-        p, gamma = state.advance(fac.p_last, m1.norm(fac.p_last), max(k, want + 1))
+        floor = 0
+        p = fac.p_last
+        if fac.exact:
+            # an invariant Krylov space holds no further values; look outside
+            # the kept triples from a random direction
+            p = _random_unit(rng, n1, m1)
+            floor = ell + 1
+        # the continuation always adds a column, even when k == ell; an
+        # exhausted one leaves the seeded triples as an exact factorization
+        p, gamma = state.advance(p, m1.norm(p), cap, stop)
         fac = state.factorization(p, gamma)
         psvd = ritz_factorize(fac.system, fac.right_basis, fac.left_basis, fac.gamma_last)
         norm_est = max(norm_est, psvd.norm_estimate)

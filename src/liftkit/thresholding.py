@@ -46,8 +46,9 @@ def shrink(z, gamma, metric):
 class ThresholdConfig:
     """Settings for the tensor-free thresholding operators.
 
-    ``ell`` is the initial subspace size, ``k`` the bidiagonalization length
-    (k > ell), ``delta`` the relative convergence tolerance, ``rank_cap`` the
+    ``ell`` is the initial subspace size, ``k`` the cap on the columns of
+    one bidiagonalization pass (k > ell; a pass stops at its first certified
+    column), ``delta`` the relative convergence tolerance, ``rank_cap`` the
     largest subspace the adaptation may grow to.
     """
 
@@ -192,8 +193,10 @@ def _adaptive_triples(oracle, cfg, rng, warm_start):
         if cut is not None:
             if not psvd.exact and ell < cap:
                 # the cut claims completeness; make sure nothing above the
-                # level is hidden from the computed subspace
-                sigma_next = _deflated_leading(oracle, psvd, cut + 1, cfg, rng)
+                # level is hidden from the computed subspace.  An unconverged
+                # cut triple is no singular triple, so it is not deflated.
+                span = cut + 1 if psvd.residuals[cut] <= tol else cut
+                sigma_next = _deflated_leading(oracle, psvd, span, cfg, rng)
                 if sigma_next is None or sigma_next > cfg.tau - tol:
                     ell = min(2 * ell, cap)
                     k = min(max(2 * ell, k), mindim)

@@ -150,6 +150,19 @@ class TestGenData:
         ratio = np.linalg.norm(noisy - clean) / np.linalg.norm(clean)
         assert ratio == pytest.approx(0.05, abs=1e-12)
 
+    def test_nan_pixel_exit_two(self, tmp_path, capsys):
+        image, masks = self.make_inputs(tmp_path, capsys)
+        img = storage.read_images(image)[0]
+        img[3, 4] = np.nan
+        storage.write_images(image, img)
+        code = main(["gen-data", "--image", str(image), "--masks", str(masks),
+                     "--out", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and str(image) in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "d" / "data").exists()
+
 
 @pytest.fixture(scope="module")
 def solved(tmp_path_factory):
@@ -250,6 +263,19 @@ class TestSolveAndEval:
         code = main(["solve", "--config", str(cfg_path), "--masks", str(solved / "masks"),
                      "--data", str(solved / "data"), "--out", str(tmp_path / "r")])
         assert code == 2
+
+    def test_inf_datum_exit_two(self, solved, tmp_path, capsys):
+        g, dims = storage.read_data(solved / "data")
+        g[7] = np.inf
+        storage.write_data(tmp_path / "data", g, dims)
+        code = main(["solve", "--masks", str(solved / "masks"), "--data",
+                     str(tmp_path / "data"), "--out", str(tmp_path / "r"),
+                     "--max-iter", "5", "--seed", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and str(tmp_path / "data") in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_missing_inputs_exit_two(self, tmp_path):
         code = main(["solve", "--out", str(tmp_path / "r")])

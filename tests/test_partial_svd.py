@@ -113,6 +113,20 @@ class TestLanczos:
         with pytest.raises(ValueError):
             lanczos_bidiagonalize(euclid_oracle(np.eye(2)), np.zeros(2, dtype=complex), 2)
 
+    def test_matches_list_reference(self):
+        rng = np.random.default_rng(20)
+        w = random_complex(rng, 9 * 8).reshape(9, 8)
+        m1 = random_spd_metric(rng, 8)
+        m2 = random_spd_metric(rng, 9)
+        start = random_complex(rng, 8)
+        fac = lanczos_bidiagonalize(oracle_from_dense(w, m1, m2), start, 6)
+        es, fs, betas, gammas = list_bidiagonalize(w, m1.to_dense(), m2.to_dense(), start, 6)
+        sig0 = np.linalg.norm(w, 2)
+        assert np.allclose(fac.right_basis, es, atol=1e-10)
+        assert np.allclose(fac.left_basis, fs, atol=1e-10)
+        assert np.allclose(fac.system.diag, betas, atol=1e-10 * sig0)
+        assert np.allclose(fac.system.superdiag, gammas, atol=1e-10 * sig0)
+
     def test_projected_system_matches_actions(self):
         rng = np.random.default_rng(5)
         w = random_complex(rng, 56).reshape(8, 7)
@@ -124,6 +138,36 @@ class TestLanczos:
         projected = f_mat.conj().T @ m2.to_dense() @ w @ m1.to_dense() @ e_mat
         sig0 = np.linalg.norm(w, 2)
         assert np.allclose(projected, fac.system.to_dense(), atol=1e-8 * sig0)
+
+
+def list_bidiagonalize(w, h1, h2, start, k):
+    """Golub-Kahan with CGS2 over Python lists of basis vectors, the form the
+    engine had before its bases moved into preallocated arrays."""
+
+    def project(vec, basis, h):
+        for _ in range(2):
+            for b in basis:
+                vec = vec - np.vdot(h @ b, vec) * b
+        return vec
+
+    def norm(vec, h):
+        return np.sqrt(np.real(np.vdot(vec, h @ vec)))
+
+    es, fs, betas, gammas = [], [], [], []
+    p, gamma = start / norm(start, h1), 1.0
+    for _ in range(k):
+        e = project(p / gamma, es, h1)
+        es.append(e / norm(e, h1))
+        q = w @ (h1 @ es[-1])
+        if fs:
+            q = q - gamma * fs[-1]
+            gammas.append(gamma)
+        q = project(q, fs, h2)
+        betas.append(norm(q, h2))
+        fs.append(q / betas[-1])
+        p = w.conj().T @ (h2 @ fs[-1]) - betas[-1] * es[-1]
+        gamma = norm(p, h1)
+    return np.stack(es, axis=1), np.stack(fs, axis=1), np.array(betas), np.array(gammas)
 
 
 class TestRitzFactorize:
@@ -194,6 +238,18 @@ class TestAugmentedRestart:
         sig = np.linalg.svd(w, compute_uv=False)
         assert np.allclose(out.values[:2], sig[:2], rtol=1e-8)
         assert np.all(out.values[2:] <= 1e-8 * sig[0])
+
+    def test_exhausted_start_continues_outside(self):
+        # a start on a singular vector exhausts the Krylov space after one
+        # column; the values outside it are then sought from a random direction
+        w = np.diag([3.0, 2.0, 1.0, 0.5])
+        e0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        fac = lanczos_bidiagonalize(euclid_oracle(w), e0, 3)
+        assert fac.exact and fac.system.size == 1
+        out = augmented_restart(euclid_oracle(w), 2, 3, 1e-10, rng=np.random.default_rng(19), start=e0)
+        assert out.converged and not out.exact
+        assert out.restarts >= 1
+        assert np.allclose(out.values[:2], [3.0, 2.0], atol=1e-9)
 
     def test_max_restarts_flag(self):
         rng = np.random.default_rng(11)

@@ -1,7 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from liftkit.metric import EuclideanMetric
+from liftkit.lowrank import FactoredTensor, HermitianFactored
+from liftkit.metric import EuclideanMetric, ReweightedMetric, orthonormalize
+from liftkit.partial_svd import (
+    _certified_cut,
+    _random_unit,
+    augmented_restart,
+    lanczos_bidiagonalize,
+    ritz_factorize,
+)
 from liftkit.thresholding import ThresholdConfig, evt, shrink, soft, soft_plus, svt
 
 from helpers import (
@@ -232,12 +242,29 @@ class TestEVT:
                 assert np.min(eigs) >= -1e-10
 
 
+def operator_with_factors(rng, values, m1, m2=None):
+    """Operator whose values in the metrics are exactly ``values``, with its
+    metric-orthonormal right and left vectors; Hermitian when m2 is None."""
+    count = len(values)
+    _, inv_root1 = metric_sqrt(m1.to_dense())
+    z, _ = np.linalg.qr(random_complex(rng, m1.dim * m1.dim).reshape(m1.dim, m1.dim))
+    right = inv_root1 @ z[:, :count]
+    left = right
+    if m2 is not None:
+        _, inv_root2 = metric_sqrt(m2.to_dense())
+        y, _ = np.linalg.qr(random_complex(rng, m2.dim * m2.dim).reshape(m2.dim, m2.dim))
+        left = inv_root2 @ y[:, :count]
+    return (left * np.asarray(values)) @ right.conj().T, right, left
+
+
+def perturbed(rng, vecs, scale=1e-3):
+    noise = [random_complex(rng, vecs.shape[0]) for _ in range(vecs.shape[1])]
+    return vecs + scale * np.stack(noise, axis=1)
+
+
 def hermitian_with_spectrum(rng, lam, metric):
     """Hermitian w whose eigenvalues in the metric are exactly ``lam``."""
-    n = len(lam)
-    q, _ = np.linalg.qr(random_complex(rng, n * n).reshape(n, n))
-    _, inv_root = metric_sqrt(metric.to_dense())
-    return inv_root @ (q * lam) @ q.conj().T @ inv_root
+    return operator_with_factors(rng, lam, metric)[0]
 
 
 def matrix_with_spectrum(rng, sig, m1, m2):
@@ -311,4 +338,179 @@ class TestClusteredSpectraAtFullRankCap:
         out = svt(oracle_from_dense(w, m1, m2), self.config(tau, engine), rng=rng)
         expected = dense_svt(w, m1.to_dense(), m2.to_dense(), tau)
         self.check(out, sig[sig > tau] - tau, rank)
+        assert np.max(np.abs(out.to_dense() - expected)) <= 1e-8
+
+
+# leading values and level; the other values lie in [-0.2, 0.2] (evt) or
+# [0, 0.2] (svt)
+STEP_SPECTRA = {
+    "separated": ([1.0, 0.7, 0.45, 0.35, 0.3], 0.4),
+    "clustered": ([1.0, 0.5003, 0.5001, 0.4999, 0.4997], 0.5),
+    "degenerate below the level": ([1.0, 0.6, 0.3, 0.3, 0.3], 0.45),
+    "level just above a value": (NEAR, near_level(+1)),
+    "level just below a value": (NEAR, near_level(-1)),
+}
+
+
+class TestStepRule:
+    """Each Golub-Kahan pass stops at its first certified step; the results
+    must still equal the dense reference."""
+
+    @staticmethod
+    def metric(rng, n, kind):
+        base = random_spd_metric(rng, n)
+        if kind == "spd":
+            return base
+        dirs = orthonormalize([random_complex(rng, n) for _ in range(3)], base)
+        return ReweightedMetric(base, np.stack(dirs, axis=0), rng.uniform(0.2, 0.8, size=3))
+
+    @pytest.mark.parametrize("kind", ["evt", "svt"])
+    @pytest.mark.parametrize("spectrum", list(STEP_SPECTRA))
+    def test_matches_dense(self, spectrum, kind):
+        top, tau = STEP_SPECTRA[spectrum]
+        hermitian = kind == "evt"
+        rng = np.random.default_rng(50)
+        above = [j for j in range(len(top)) if top[j] > tau]
+        starts = {"cold": None, "warm": above, "warm missing one": [j for j in above if j != 1]}
+        cases = itertools.product(("spd", "reweighted"), starts, (5, 2), range(3))
+        for metric_kind, start, ell, draw in cases:
+            n1 = 24 if hermitian else 20
+            m1 = self.metric(rng, n1, metric_kind)
+            if hermitian:
+                m2 = m1
+                rest = rng.uniform(-0.2, 0.2, size=n1 - len(top))
+            else:
+                m2 = self.metric(rng, 24, metric_kind)
+                rest = np.sort(rng.uniform(0.0, 0.2, size=n1 - len(top)))[::-1]
+            values = np.concatenate([top, rest])
+            w, right, left = operator_with_factors(rng, values, m1, None if hermitian else m2)
+            warm = None
+            keep = starts[start]
+            if keep is not None:
+                warm_values = values[keep] - tau
+                if hermitian:
+                    warm = HermitianFactored(perturbed(rng, right[:, keep]), warm_values)
+                else:
+                    warm = FactoredTensor(
+                        perturbed(rng, right[:, keep]), perturbed(rng, left[:, keep]), warm_values
+                    )
+            cfg = ThresholdConfig(tau=tau, ell=ell, k=10, delta=DELTA, rank_cap=5)
+            oracle = oracle_from_dense(w, m1, m2)
+            if hermitian:
+                out = evt(oracle, cfg, rng=rng, warm_start=warm)
+                expected = dense_evt(w, m1.to_dense(), tau)
+            else:
+                out = svt(oracle, cfg, rng=rng, warm_start=warm)
+                expected = dense_svt(w, m1.to_dense(), m2.to_dense(), tau)
+            err = np.max(np.abs(out.to_dense() - expected))
+            assert err <= 1e-8, (
+                f"{metric_kind} metric, {start} start, ell={ell}, draw {draw}: {err:.2e}"
+            )
+
+    def test_probe_after_an_unconverged_cut(self):
+        # a warm start missing 0.5003 lets a short pass cut at an unconverged
+        # triple; the probe behind the cut must still find the hidden values
+        top, tau = STEP_SPECTRA["clustered"]
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            m1, m2 = random_spd_metric(rng, 20), random_spd_metric(rng, 24)
+            rest = np.sort(rng.uniform(0.0, 0.2, size=20 - len(top)))[::-1]
+            w, right, left = operator_with_factors(rng, np.concatenate([top, rest]), m1, m2)
+            keep = [0, 2]
+            warm = FactoredTensor(
+                perturbed(rng, right[:, keep]), perturbed(rng, left[:, keep]),
+                np.asarray(top)[keep] - tau,
+            )
+            cfg = ThresholdConfig(tau=tau, ell=2, k=10, delta=DELTA, rank_cap=5)
+            out = svt(oracle_from_dense(w, m1, m2), cfg, rng=rng, warm_start=warm)
+            expected = dense_svt(w, m1.to_dense(), m2.to_dense(), tau)
+            assert np.max(np.abs(out.to_dense() - expected)) <= 1e-8, seed
+
+    def test_cold_pass_holds_ell_plus_one_columns(self):
+        # sigma_1 = 1 is above the level, but from some of these random
+        # starts a one-column pass would already certify nothing above it
+        rng = np.random.default_rng(51)
+        n1, n2, ell, tau = 48, 56, 3, 0.9
+        m1, m2 = random_spd_metric(rng, n1), random_spd_metric(rng, n2)
+        values = np.concatenate([[1.0], rng.uniform(0.0, 0.6, size=n1 - 1)])
+        w, _, _ = operator_with_factors(rng, values, m1, m2)
+        certifiable = 0
+        for seed in range(20):
+            start = _random_unit(np.random.default_rng(seed), n1, m1)
+            one = lanczos_bidiagonalize(oracle_from_dense(w, m1, m2), start, 1)
+            first = ritz_factorize(one.system, one.right_basis, one.left_basis, one.gamma_last)
+            tol = DELTA * first.values[0]
+            certifiable += _certified_cut(first.values, first.residuals, tau, tol) is not None
+            oracle = oracle_from_dense(w, m1, m2)
+            out = augmented_restart(
+                oracle, ell, 10, DELTA, rng=np.random.default_rng(seed), stop_below=tau
+            )
+            assert out.count >= ell + 1
+            assert oracle.calls >= 2 * (ell + 1)
+        assert certifiable > 0
+
+    def test_restart_after_exhaustion_holds_ell_plus_one_columns(self):
+        # the start spans an invariant space holding 1.0 only; 0.95 lies
+        # outside it, so a random restart must build ell + 1 columns first
+        rng = np.random.default_rng(54)
+        n1, n2, ell, tau = 48, 56, 5, 0.9
+        m1, m2 = random_spd_metric(rng, n1), random_spd_metric(rng, n2)
+        values = np.concatenate([[1.0, 0.95], rng.uniform(0.0, 0.6, size=n1 - 2)])
+        w, right, _ = operator_with_factors(rng, values, m1, m2)
+        for seed in range(10):
+            out = augmented_restart(
+                oracle_from_dense(w, m1, m2), ell, 10, DELTA,
+                rng=np.random.default_rng(seed), start=right[:, 0], stop_below=tau,
+            )
+            assert out.restarts >= 1 and not out.exact
+            assert out.count >= ell + 1
+            assert out.values[1] == pytest.approx(0.95, abs=1e-8)
+
+    def test_warm_pass_stops_before_the_cap(self):
+        rng = np.random.default_rng(52)
+        n, tau = 40, 0.3
+        m = random_spd_metric(rng, n)
+        values = np.concatenate([[1.0, 0.6], rng.uniform(-0.1, 0.1, size=n - 2)])
+        w, right, _ = operator_with_factors(rng, values, m)
+        warm = HermitianFactored(perturbed(rng, right[:, :2]), values[:2] - tau)
+        cfg = ThresholdConfig(tau=tau, ell=5, k=10, delta=DELTA, rank_cap=5)
+        oracle = oracle_from_dense(w, m, m)
+        out = evt(oracle, cfg, rng=rng, warm_start=warm)
+        assert out.rank == 2
+        assert oracle.calls < 2 * cfg.k
+        assert np.max(np.abs(out.to_dense() - dense_evt(w, m.to_dense(), tau))) <= 1e-8
+
+
+class TestInvariantKrylovSpace:
+    """A warm start inside an invariant subspace spans an exhausted Krylov
+    space; the value 0.8 outside it is above the level and must be kept."""
+
+    @staticmethod
+    def problem(hermitian):
+        rng = np.random.default_rng(53)
+        n = 64
+        rest = rng.uniform(-0.3, 0.3, size=n - 2) if hermitian else rng.uniform(0.0, 0.3, size=n - 2)
+        m = EuclideanMetric(n)
+        w, right, left = operator_with_factors(
+            rng, np.concatenate([[1.0, 0.8], rest]), m, None if hermitian else m
+        )
+        return w, m, right[:, :1], left[:, :1]
+
+    @pytest.mark.parametrize("ell", [5, 2])
+    def test_evt_matches_dense(self, ell):
+        w, m, right, _ = self.problem(hermitian=True)
+        cfg = ThresholdConfig(tau=0.5, ell=ell, k=10, rank_cap=5)
+        warm = HermitianFactored(right, np.array([1.0]))
+        out = evt(oracle_from_dense(w, m, m), cfg, rng=np.random.default_rng(0), warm_start=warm)
+        assert out.rank == 2
+        assert np.max(np.abs(out.to_dense() - dense_evt(w, m.to_dense(), 0.5))) <= 1e-8
+
+    @pytest.mark.parametrize("ell", [5, 2])
+    def test_svt_matches_dense(self, ell):
+        w, m, right, left = self.problem(hermitian=False)
+        cfg = ThresholdConfig(tau=0.5, ell=ell, k=10, rank_cap=5)
+        warm = FactoredTensor(right, left, np.array([1.0]))
+        out = svt(oracle_from_dense(w, m, m), cfg, rng=np.random.default_rng(0), warm_start=warm)
+        assert out.rank == 2
+        expected = dense_svt(w, m.to_dense(), m.to_dense(), 0.5)
         assert np.max(np.abs(out.to_dense() - expected)) <= 1e-8
