@@ -67,7 +67,7 @@ def run_benchmark(iterations=1000, size=16, mask_count=8, seed=7, settings=DEFAU
     rows = []
     for engine, ell, k, reweighted in settings:
         cfg = SolverConfig(
-            engine=engine if engine != "subspace" else "subspace",
+            engine=engine,
             ell=ell if ell is not None else 5,
             k=k if k is not None else 10,
             rank_cap=ell if ell is not None else 5,

@@ -20,11 +20,12 @@ import numpy as np
 from . import storage
 from .bench import format_table, run_benchmark
 from .errors import ConfigError, NumericalError
-from .metric import EuclideanMetric, SobolevMetric
+from .metric import EuclideanMetric
 from .phase_retrieval import (
     PRProblem,
     add_noise,
     coverage_map,
+    default_metric,
     error_up_to_phase,
     forward,
     make_gaussian_masks,
@@ -33,7 +34,8 @@ from .phase_retrieval import (
     recover,
     synthetic_image,
 )
-from .solver import Fidelity, ReweightSettings, SolverConfig
+from .solver import FIDELITY_KINDS, Fidelity, ReweightSettings, SolverConfig
+from .thresholding import ENGINES
 
 SOLVER_DEFAULTS = {
     "tau": None,
@@ -79,7 +81,7 @@ RUN_CONFIG_SCHEMA = {
                 "tau": {"type": ["number", "null"], "exclusiveMinimum": 0},
                 "sigma": {"type": ["number", "null"], "exclusiveMinimum": 0},
                 "theta": {"type": "number", "minimum": 0, "maximum": 1},
-                "fidelity": {"enum": ["exact", "tikhonov", "epsball"]},
+                "fidelity": {"enum": list(FIDELITY_KINDS)},
                 "alpha": {"type": "number", "minimum": 0},
                 "eps": {"type": "number", "minimum": 0},
                 "reweight": {
@@ -92,7 +94,7 @@ RUN_CONFIG_SCHEMA = {
                         "max_promoted": {"type": "integer", "minimum": 1},
                     },
                 },
-                "engine": {"enum": ["lanczos", "subspace", "dense"]},
+                "engine": {"enum": list(ENGINES)},
                 "ell": {"type": "integer", "minimum": 1},
                 "k": {"type": "integer", "minimum": 2},
                 "delta": {"type": "number", "exclusiveMinimum": 0},
@@ -162,28 +164,11 @@ def _merge_solver_settings(config_doc, args):
                 merged["reweight"].update(value)
             else:
                 merged[key] = value
-    flag_map = {
-        "tau": "tau",
-        "sigma": "sigma",
-        "theta": "theta",
-        "fidelity": "fidelity",
-        "alpha": "alpha",
-        "eps": "eps",
-        "engine": "engine",
-        "ell": "ell",
-        "k": "k",
-        "delta": "delta",
-        "rank_cap": "rank_cap",
-        "max_iter": "max_iter",
-        "tol": "tol",
-        "metric": "metric",
-    }
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
-        if value is not None:
+    # every setting but the reweight group has a flag of the same name
+    for key in SOLVER_DEFAULTS:
+        value = getattr(args, key, None)
+        if value is not None and key != "reweight":
             merged[key] = value
-    if getattr(args, "mu", None) is not None:
-        merged["mu"] = args.mu
     if getattr(args, "no_reweight", False):
         merged["reweight"]["enabled"] = False
     for attr, key in (
@@ -222,12 +207,6 @@ def _build_solver_config(settings, seed):
         tol=settings["tol"],
         seed=seed,
     )
-
-
-def _build_metric(kind, mu, shape):
-    if kind == "euclidean":
-        return EuclideanMetric(shape[0] * shape[1])
-    return SobolevMetric(shape, tuple(mu))
 
 
 def _parse_shape(text):
@@ -292,9 +271,7 @@ def cmd_gen_data(args):
     m2 = args.m2 or 2 * n2
     m1 = args.m1 or 2 * n1
     problem = PRProblem(masks=masks, m2=m2, m1=m1, metric=EuclideanMetric(n2 * n1))
-    g = forward(problem, image)
-    if args.noise > 0:
-        g = add_noise(g, args.noise, seed=args.seed)
+    g = add_noise(forward(problem, image), args.noise, seed=args.seed)
     storage.write_data(os.path.join(out_dir, "data"), g, (masks.count, m2, m1))
     config = {
         "image": os.path.abspath(args.image),
@@ -309,6 +286,7 @@ def cmd_gen_data(args):
 
 
 def _solve_problem(masks_path, data_path, settings, seed, out_dir, sink=None):
+    cfg = _build_solver_config(settings, seed)
     mask_array = storage.read_images(masks_path)
     g, (count, m2, m1) = storage.read_data(data_path)
     if not np.all(np.isfinite(g)):
@@ -316,9 +294,8 @@ def _solve_problem(masks_path, data_path, settings, seed, out_dir, sink=None):
     if count != mask_array.shape[0]:
         raise ConfigError("data vector and mask stack disagree on the mask count")
     masks = MaskSet(array=mask_array, kind="custom")
-    metric = _build_metric(settings["metric"], settings["mu"], masks.shape)
+    metric = default_metric(masks.shape, settings["metric"], settings["mu"])
     problem = PRProblem(masks=masks, m2=m2, m1=m1, metric=metric, g=g)
-    cfg = _build_solver_config(settings, seed)
 
     rows = []
 
@@ -462,9 +439,7 @@ def cmd_demo(args):
         m1=2 * shape[1],
         metric=EuclideanMetric(shape[0] * shape[1]),
     )
-    g = forward(problem, image)
-    if args.noise > 0:
-        g = add_noise(g, args.noise, seed=args.seed + 2)
+    g = add_noise(forward(problem, image), args.noise, seed=args.seed + 2)
     storage.write_data(os.path.join(out_dir, "data"), g, (masks.count, problem.m2, problem.m1))
 
     settings = json.loads(json.dumps(SOLVER_DEFAULTS))
@@ -537,13 +512,13 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--metric", choices=["euclidean", "sobolev"], default=None)
     p.add_argument("--mu", type=float, nargs=3, default=None, metavar=("MU_I", "MU_D1", "MU_D2"))
-    p.add_argument("--fidelity", choices=["exact", "tikhonov", "epsball"], default=None)
+    p.add_argument("--fidelity", choices=FIDELITY_KINDS, default=None)
     p.add_argument("--alpha", type=float, default=None, help="regularization weight")
     p.add_argument("--eps", type=float, default=None, help="norm-ball radius")
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--engine", choices=["lanczos", "subspace", "dense"], default=None)
+    p.add_argument("--engine", choices=ENGINES, default=None)
     p.add_argument("--ell", type=int, default=None)
     p.add_argument("--k", type=int, default=None,
                    help="most columns per Lanczos pass; a pass stops at its first certified column")

@@ -46,16 +46,6 @@ class FactoredTensor:
             values=np.zeros(0),
         )
 
-    @classmethod
-    def from_triples(cls, values, right_vectors, left_vectors):
-        values = np.asarray(values, dtype=float)
-        order = np.argsort(-values)
-        right = np.stack([right_vectors[i] for i in order], axis=1) if len(order) else None
-        left = np.stack([left_vectors[i] for i in order], axis=1) if len(order) else None
-        if right is None:
-            raise ValueError("use FactoredTensor.empty for rank zero")
-        return cls(right=right.astype(complex), left=left.astype(complex), values=values[order])
-
     @property
     def rank(self):
         return self.values.shape[0]
@@ -118,15 +108,6 @@ class HermitianFactored:
     @classmethod
     def empty(cls, n):
         return cls(factors=np.zeros((n, 0), dtype=complex), values=np.zeros(0))
-
-    @classmethod
-    def from_pairs(cls, values, vectors):
-        values = np.asarray(values, dtype=float)
-        order = np.argsort(-values)
-        if not len(order):
-            raise ValueError("use HermitianFactored.empty for rank zero")
-        factors = np.stack([vectors[i] for i in order], axis=1)
-        return cls(factors=factors.astype(complex), values=values[order])
 
     @property
     def rank(self):

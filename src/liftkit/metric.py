@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.fft import dctn, idctn
 
-from .errors import MetricSolveError
+from .errors import ConfigError, MetricSolveError
 
 
 class SobolevStencil:
@@ -120,9 +120,9 @@ class SobolevMetric(Metric):
     def __init__(self, shape, mu):
         mu = tuple(float(m) for m in mu)
         if len(mu) != 3:
-            raise ValueError("mu must be (mu_I, mu_D1, mu_D2)")
+            raise ConfigError("mu must be (mu_I, mu_D1, mu_D2)")
         if mu[0] <= 0 or mu[1] < 0 or mu[2] < 0:
-            raise ValueError(f"weights must satisfy mu_I > 0, mu_D1, mu_D2 >= 0, got {mu}")
+            raise ConfigError(f"weights must satisfy mu_I > 0, mu_D1, mu_D2 >= 0, got {mu}")
         self.grid_shape = (int(shape[0]), int(shape[1]))
         self.mu = mu
         self.stencil = SobolevStencil(self.grid_shape)

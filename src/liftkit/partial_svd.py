@@ -51,26 +51,6 @@ class ActionOracle:
         """Oracle for a symmetric tensor: left and right actions coincide."""
         return cls(action, action, (dim, dim), (metric, metric), norm_estimate)
 
-    @classmethod
-    def from_tensor(cls, w, metrics):
-        """Oracle backed by an existing factored tensor."""
-        m1, m2 = metrics
-        sigma0 = float(w.values[0]) if w.rank else 0.0
-        return cls(
-            lambda e: w.right_action(m1, e),
-            lambda f: w.left_action(m2, f),
-            (w.right.shape[0], w.left.shape[0]),
-            metrics,
-            norm_estimate=sigma0,
-        )
-
-    @classmethod
-    def from_hermitian(cls, w, metric):
-        lam0 = float(np.max(np.abs(w.values))) if w.rank else 0.0
-        return cls.hermitian(
-            lambda e: w.action(metric, e), w.dim, metric, norm_estimate=lam0
-        )
-
 
 @dataclass(eq=False)
 class BidiagonalSystem:

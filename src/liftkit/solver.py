@@ -10,7 +10,6 @@ formed; only its forward image is combined linearly.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass, field, replace
 
@@ -32,10 +31,9 @@ from .operators import (
     reweighted_composed_left,
     reweighted_composed_right,
 )
+# augmented_restart is unused here; perfbench/tracer.py wraps it at this owner
 from .partial_svd import ActionOracle, augmented_restart
-from .thresholding import ThresholdConfig, _warm_vector, evt, svt
-
-log = logging.getLogger(__name__)
+from .thresholding import ThresholdConfig, evt, svt
 
 FIDELITY_KINDS = ("exact", "tikhonov", "epsball")
 
@@ -106,7 +104,6 @@ class SolverConfig:
     seed: int = 0
     validate_steps: bool = True
     normalize_data: bool = True
-    norm_iters: int = 30
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
@@ -119,6 +116,20 @@ class SolverConfig:
             raise ConfigError("sigma must be positive")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be positive")
+        if self.tol < 0:
+            raise ConfigError("tol must be nonnegative")
+        self.threshold_config(0.0)
+
+    def threshold_config(self, tau):
+        """The threshold-engine settings at level tau; raises ConfigError on bad ones."""
+        return ThresholdConfig(
+            tau=tau,
+            ell=self.ell,
+            k=self.k,
+            delta=self.delta,
+            engine=self.engine,
+            rank_cap=self.rank_cap,
+        )
 
 
 @dataclass(eq=False)
@@ -205,63 +216,47 @@ def _threshold_oracle(state, cfg, problem):
 def primal_step(state, cfg, problem, rng=None):
     """Threshold the implicit argument w - tau A^*(y) at level tau*alpha_reg.
 
-    The result carries the oracle's action count as ``actions``.
+    The result carries the thresholding statistics, ``actions`` among them.
     """
     oracle = _threshold_oracle(state, cfg, problem)
-    tcfg = ThresholdConfig(
-        tau=cfg.tau * cfg.alpha_reg,
-        ell=cfg.ell,
-        k=cfg.k,
-        delta=cfg.delta,
-        engine=cfg.engine,
-        rank_cap=cfg.rank_cap,
-    )
     warm = state.w if state.w.rank else None
     threshold = evt if isinstance(problem, QuadraticMap) else svt
-    out = threshold(oracle, tcfg, rng=rng, warm_start=warm)
-    object.__setattr__(out, "actions", oracle.calls)
-    return out
+    tcfg = cfg.threshold_config(cfg.tau * cfg.alpha_reg)
+    return threshold(oracle, tcfg, rng=rng, warm_start=warm)
 
 
-def reweight_step(state, cfg, base1, base2, rng=None):
+def _base_frame(factors, metric):
+    """Metric-orthonormal basis Q of the factors' span and R = Q^* H X, so X = Q R."""
+    q = np.stack(orthonormalize(list(factors.T), metric), axis=1)
+    hq = np.stack([metric.apply(col) for col in q.T], axis=1)
+    return q, hq.conj().T @ factors
+
+
+def reweight_step(state, cfg, base1, base2):
     """Rebuild the reweighted metrics from the current iterate.
 
     Promotes the leading directions of the unweighted (base-metric) spectral
     decomposition of w with weights proportional to its value profile; an
-    empty iterate clears all promotions.  On an inner decomposition failure
-    the current metrics are kept.
+    empty iterate clears all promotions.  The iterate is held as at most
+    ``rank_cap`` factored triples, so the decomposition is exact: with
+    X1 = Q1 R1 and X2 = Q2 R2 base-orthonormal, w = Q2 (R2 diag(values) R1^*) Q1^*
+    and one SVD of that small core gives it.
     """
     w = state.w
     if w.rank == 0:
         return base1, base2
     hermitian = isinstance(w, HermitianFactored)
-    count = min(w.rank, cfg.reweight.max_promoted)
-    if hermitian:
-        oracle = ActionOracle.from_hermitian(w, base1)
-    else:
-        oracle = ActionOracle.from_tensor(w, (base1, base2))
-    mindim = min(oracle.dims)
-    k = min(max(2 * count, count + 2), mindim)
-    start = _warm_vector(w)
-    psvd = augmented_restart(oracle, min(count, mindim), k, cfg.delta, rng=rng, start=start)
-    if not psvd.converged or psvd.count == 0 or psvd.values[0] <= 0:
-        log.warning("reweighting skipped: inner decomposition did not converge")
-        return state.metric1, state.metric2
-    top = float(psvd.values[0])
-    keep = []
-    for j in range(min(count, psvd.count)):
-        if psvd.values[j] > 1e-12 * top:
-            keep.append(j)
-    weights = np.array([cfg.reweight.weight * psvd.values[j] / top for j in keep])
-    weights = np.minimum(weights, 1.0 - 1e-9)
-    right_dirs = orthonormalize([psvd.right_vectors[:, j] for j in keep], base1)
-    weights_r = weights[: len(right_dirs)]
-    metric1 = ReweightedMetric(base1, np.stack(right_dirs, axis=0), weights_r)
+    q1, r1 = _base_frame(w.factors if hermitian else w.right, base1)
+    q2, r2 = (q1, r1) if hermitian else _base_frame(w.left, base2)
+    y_small, sig, zh_small = np.linalg.svd((r2 * w.values) @ r1.conj().T, full_matrices=False)
+    sig = sig[: cfg.reweight.max_promoted]
+    sig = sig[sig > 1e-12 * sig[0]]
+    weights = np.minimum(cfg.reweight.weight * sig / sig[0], 1.0 - 1e-9)
+    count = sig.size
+    metric1 = ReweightedMetric(base1, (q1 @ zh_small[:count].conj().T).T, weights)
     if hermitian:
         return metric1, metric1
-    left_dirs = orthonormalize([psvd.left_vectors[:, j] for j in keep], base2)
-    metric2 = ReweightedMetric(base2, np.stack(left_dirs, axis=0), weights[: len(left_dirs)])
-    return metric1, metric2
+    return metric1, ReweightedMetric(base2, (q2 @ y_small[:, :count]).T, weights)
 
 
 def _empty_primal(problem):
@@ -286,7 +281,7 @@ def _resolve_steps(problem, cfg, forward_backward=False):
     need_estimate = cfg.tau is None or cfg.sigma is None or cfg.validate_steps
     est = 0.0
     if need_estimate:
-        est = operator_norm(problem, iters=cfg.norm_iters, seed=cfg.seed).value * 1.05
+        est = operator_norm(problem, seed=cfg.seed).value * 1.05
     # reweighting shrinks the promoted norms, inflating the operator norm in
     # the new metric by up to 1/(1 - weight); reserve that headroom
     inflation = 1.0
@@ -323,9 +318,9 @@ def _record(state, n, fidelity, ms, sink, records):
         rank=w.rank,
         fidelity=fidelity,
         values=tuple(float(v) for v in w.values),
-        restarts=getattr(w, "restarts", 0),
+        restarts=w.restarts,
         ms=ms,
-        actions=getattr(w, "actions", 0),
+        actions=w.actions,
     )
     records.append(rec)
     if sink is not None:
@@ -367,14 +362,14 @@ def _run(problem, g, cfg, sink, update_dual):
         state.w_prev = state.w
         state.w = w_new
         state.n = n + 1
-        state.norm_carry = max(state.norm_carry, getattr(w_new, "norm_estimate", 0.0))
+        state.norm_carry = max(state.norm_carry, w_new.norm_estimate)
         img_prev = img_curr
         img_curr = _lifted(problem, state.w)
         if state.w.rank and not np.all(np.isfinite(state.w.values)):
             raise NumericalError(f"primal values became non-finite at iteration {n}")
         fidelity = float(np.linalg.norm(img_curr - g_work))
         if cfg.reweight.enabled and state.n % cfg.reweight.period == 0:
-            state.metric1, state.metric2 = reweight_step(state, cfg, base1, base2, rng=rng)
+            state.metric1, state.metric2 = reweight_step(state, cfg, base1, base2)
         ms = (time.perf_counter() - t0) * 1e3
         _record(state, state.n, fidelity, ms, sink, records)
         if fidelity <= cfg.tol * g_norm:

@@ -10,6 +10,7 @@ same scheme with real samples only and the sidecar ``{"L": .., "M2": ..,
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -31,7 +32,11 @@ def _read_header(path, what):
         raise ConfigError(f"cannot read {what} header {sidecar}: {exc}") from exc
 
 
-def _check_size(path, expected):
+def _check_size(path, dims, item_bytes):
+    """ConfigError unless the header sizes are positive and the body holds them."""
+    if min(dims) < 1:
+        raise ConfigError(f"header {_sidecar(path)} declares non-positive sizes {dims}")
+    expected = math.prod(dims) * item_bytes
     try:
         size = os.path.getsize(path)
     except OSError as exc:
@@ -67,7 +72,7 @@ def read_images(path):
         count = int(header["count"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed image header {_sidecar(path)}") from exc
-    _check_size(path, count * height * width * 2 * 8)
+    _check_size(path, (count, height, width), 2 * 8)
     raw = np.fromfile(path, dtype="<f8").reshape(count, height, width, 2)
     return raw[..., 0] + 1j * raw[..., 1]
 
@@ -92,5 +97,5 @@ def read_data(path):
         dims = (int(header["L"]), int(header["M2"]), int(header["M1"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed data header {_sidecar(path)}") from exc
-    _check_size(path, dims[0] * dims[1] * dims[2] * 8)
+    _check_size(path, dims, 8)
     return np.fromfile(path, dtype="<f8"), dims

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EngineError
+from .errors import ConfigError, EngineError
 from .lowrank import DEFAULT_RANK_CAP, FactoredTensor, HermitianFactored, svd_to_evd
 from .partial_svd import _certified_cut, augmented_restart, subspace_iterate
 
@@ -49,7 +49,8 @@ class ThresholdConfig:
     ``ell`` is the initial subspace size, ``k`` the cap on the columns of
     one bidiagonalization pass (k > ell; a pass stops at its first certified
     column), ``delta`` the relative convergence tolerance, ``rank_cap`` the
-    largest subspace the adaptation may grow to.
+    largest subspace the adaptation may grow to.  These checks are the one
+    owner of the engine-setting rules; ``SolverConfig`` validates through them.
     """
 
     tau: float
@@ -58,20 +59,18 @@ class ThresholdConfig:
     delta: float = 1e-8
     engine: str = "lanczos"
     rank_cap: int = DEFAULT_RANK_CAP
-    max_restarts: int = 200
-    max_sweeps: int = 300
 
     def __post_init__(self):
         if self.tau < 0:
-            raise ValueError("threshold level must be nonnegative")
+            raise ConfigError("threshold level must be nonnegative")
         if not 0 < self.ell < self.k:
-            raise ValueError("need 0 < ell < k")
+            raise ConfigError(f"need 0 < ell < k, got ell={self.ell}, k={self.k}")
         if self.delta <= 0:
-            raise ValueError("delta must be positive")
+            raise ConfigError("delta must be positive")
         if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}")
+            raise ConfigError(f"unknown engine {self.engine!r}")
         if self.rank_cap < 1:
-            raise ValueError("rank cap must be positive")
+            raise ConfigError("rank cap must be positive")
 
 
 def _warm_vector(warm_start):
@@ -93,16 +92,6 @@ def _warm_columns(warm_start):
     if isinstance(warm_start, HermitianFactored):
         return [warm_start.factors[:, j] for j in range(warm_start.rank)]
     return [warm_start.left[:, j] for j in range(warm_start.rank)]
-
-
-@dataclass(eq=False)
-class _Thresholded:
-    values: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
-    restarts: int
-    sweeps: int
-    norm_estimate: float
 
 
 def _deflated_leading(oracle, psvd, span, cfg, rng):
@@ -146,8 +135,8 @@ def _adaptive_triples(oracle, cfg, rng, warm_start):
     certified below the threshold level behind a converged prefix (or the
     rank is exhausted).
 
-    Returns the converged triples to keep (already filtered to values above
-    the level) plus engine statistics.
+    Returns the last engine result, the indices of its converged triples
+    above the level, and the restarts summed over the engine calls.
     """
     n1, n2 = oracle.dims
     mindim = min(n1, n2)
@@ -158,33 +147,18 @@ def _adaptive_triples(oracle, cfg, rng, warm_start):
 
     start_vec = _warm_vector(warm_start)
     start_cols = _warm_columns(warm_start)
-    total_restarts = 0
-    total_sweeps = 0
+    restarts = 0
 
     while True:
         if cfg.engine == "subspace":
             psvd = subspace_iterate(
-                oracle,
-                ell,
-                cfg.delta,
-                max_sweeps=cfg.max_sweeps,
-                rng=rng,
-                start=start_cols,
-                stop_below=cfg.tau,
+                oracle, ell, cfg.delta, rng=rng, start=start_cols, stop_below=cfg.tau
             )
         else:
             psvd = augmented_restart(
-                oracle,
-                ell,
-                k,
-                cfg.delta,
-                max_restarts=cfg.max_restarts,
-                rng=rng,
-                start=start_vec,
-                stop_below=cfg.tau,
+                oracle, ell, k, cfg.delta, rng=rng, start=start_vec, stop_below=cfg.tau
             )
-        total_restarts += psvd.restarts
-        total_sweeps += psvd.sweeps
+        restarts += psvd.restarts
 
         values = psvd.values
         tol = cfg.delta * max(psvd.norm_estimate, 1e-300)
@@ -231,51 +205,36 @@ def _adaptive_triples(oracle, cfg, rng, warm_start):
                     f"no singular triple converged (ell={ell}, k={k})", partial=psvd
                 )
             keep = np.flatnonzero(conv[:prefix] & (values[:prefix] > cfg.tau))
-
-        return _Thresholded(
-            values=values[keep],
-            right=psvd.right_vectors[:, keep],
-            left=psvd.left_vectors[:, keep],
-            restarts=total_restarts,
-            sweeps=total_sweeps,
-            norm_estimate=psvd.norm_estimate,
-        )
+        return psvd, keep, restarts
 
 
-def _dense_triples(oracle, hermitian=False):
+def _dense_triples(oracle, hermitian):
     """Materialize the oracle and decompose it exactly (benchmark baseline).
 
-    Only intended for small problems; for non-Euclidean metrics the dense
-    metric square roots are formed explicitly.
+    Returns values sorted descending (signed eigenvalues when ``hermitian``)
+    with their right and left vectors.  Only intended for small problems; for
+    non-Euclidean metrics the dense metric square roots are formed explicitly.
     """
-    n1, n2 = oracle.dims
+    n1 = oracle.dims[0]
     m1, m2 = oracle.metrics
     eye = np.eye(n1, dtype=complex)
-    wh1 = np.stack([oracle.right(eye[:, j]) for j in range(n1)], axis=1)
-    euclid = m1.kind == "euclidean" and m2.kind == "euclidean"
-    if euclid:
-        mat = wh1
-        if hermitian:
-            mat = 0.5 * (mat + mat.conj().T)
-            lam, vecs = np.linalg.eigh(mat)
-            order = np.argsort(-lam)
-            return lam[order], vecs[:, order], vecs[:, order]
-        y, sig, zh = np.linalg.svd(mat)
-        return sig, zh.conj().T, y
-    h1 = m1.to_dense()
-    h2 = m2.to_dense()
-    w = wh1 @ np.linalg.inv(h1)
-    r1, ri1 = _dense_sqrt(h1)
-    r2, ri2 = _dense_sqrt(h2)
-    mat = r2 @ w @ r1.conj().T
+    mat = np.stack([oracle.right(eye[:, j]) for j in range(n1)], axis=1)  # w H1
+    weighted = m1.kind != "euclidean" or m2.kind != "euclidean"
+    if weighted:
+        h1 = m1.to_dense()
+        r1, ri1 = _dense_sqrt(h1)
+        r2, ri2 = _dense_sqrt(m2.to_dense())
+        mat = r2 @ (mat @ np.linalg.inv(h1)) @ r1.conj().T
     if hermitian:
-        mat = 0.5 * (mat + mat.conj().T)
-        lam, vecs = np.linalg.eigh(mat)
+        lam, vecs = np.linalg.eigh(0.5 * (mat + mat.conj().T))
         order = np.argsort(-lam)
-        back = ri1 @ vecs[:, order]
-        return lam[order], back, back
-    y, sig, zh = np.linalg.svd(mat)
-    return sig, ri1 @ zh.conj().T, ri2 @ y
+        values, right, left = lam[order], vecs[:, order], vecs[:, order]
+    else:
+        y, values, zh = np.linalg.svd(mat, full_matrices=False)
+        right, left = zh.conj().T, y
+    if weighted:
+        right, left = ri1 @ right, ri2 @ left
+    return values, right, left
 
 
 def _dense_sqrt(h):
@@ -286,76 +245,57 @@ def _dense_sqrt(h):
     return root, inv_root
 
 
+def _threshold(oracle, cfg, rng, warm_start, hermitian):
+    """Soft-threshold the oracle's spectrum at cfg.tau; the path behind svt and evt.
+
+    Symmetric oracles have their singular triples converted to signed
+    eigenvalues.  The result carries ``restarts`` (summed over engine calls),
+    ``norm_estimate`` (nonnegative) and ``actions`` (the oracle calls made here).
+    """
+    calls = oracle.calls
+    if cfg.engine == "dense":
+        values, right, left = _dense_triples(oracle, hermitian)
+        restarts, norm = 0, float(np.max(np.abs(values), initial=0.0))
+    else:
+        psvd, keep, restarts = _adaptive_triples(oracle, cfg, rng, warm_start)
+        values = psvd.values[keep]
+        right, left = psvd.right_vectors[:, keep], psvd.left_vectors[:, keep]
+        norm = psvd.norm_estimate
+        if hermitian:
+            metric = oracle.metrics[0]
+            values = np.array(
+                [svd_to_evd(s, right[:, i], left[:, i], metric) for i, s in enumerate(values)]
+            )
+    keep = values > cfg.tau
+    values, right, left = values[keep] - cfg.tau, right[:, keep], left[:, keep]
+    if hermitian:
+        order = np.argsort(-values)
+        # a C-ordered copy: the layout fixes the summation order of every
+        # later action on these factors, and so the warm start's bits
+        out = HermitianFactored(factors=np.ascontiguousarray(right[:, order]), values=values[order])
+    else:
+        out = FactoredTensor(right=right, left=left, values=values)
+    out = out.pruned()
+    stats = {"restarts": restarts, "norm_estimate": norm, "actions": oracle.calls - calls}
+    for name, value in stats.items():
+        object.__setattr__(out, name, value)
+    return out
+
+
 def svt(oracle, cfg, rng=None, warm_start=None):
     """Tensor-free singular value thresholding.
 
     Returns the factored form of the argument with every singular value soft
     thresholded at cfg.tau; the result may be empty.  Engine statistics are
-    attached as ``restarts``/``sweeps`` attributes on the returned object.
+    attached as described in ``_threshold``.
     """
-    n1, n2 = oracle.dims
-    if cfg.engine == "dense":
-        sig, right, left = _dense_triples(oracle, hermitian=False)
-        keep = sig > cfg.tau
-        if not np.any(keep):
-            out = FactoredTensor.empty(n1, n2)
-        else:
-            out = FactoredTensor(
-                right=right[:, keep], left=left[:, keep], values=sig[keep] - cfg.tau
-            ).pruned()
-        stats = _Thresholded(out.values, out.right, out.left, 0, 0, sig[0] if len(sig) else 0.0)
-    else:
-        stats = _adaptive_triples(oracle, cfg, rng, warm_start)
-        if stats.values.size == 0:
-            out = FactoredTensor.empty(n1, n2)
-        else:
-            out = FactoredTensor(
-                right=stats.right, left=stats.left, values=stats.values - cfg.tau
-            ).pruned()
-    object.__setattr__(out, "restarts", stats.restarts)
-    object.__setattr__(out, "sweeps", stats.sweeps)
-    object.__setattr__(out, "norm_estimate", stats.norm_estimate)
-    return out
+    return _threshold(oracle, cfg, rng, warm_start, hermitian=False)
 
 
 def evt(oracle, cfg, rng=None, warm_start=None):
     """Tensor-free positive eigenvalue thresholding for symmetric oracles.
 
-    Singular triples are converted to signed eigenpairs; values at or below
-    cfg.tau (including every negative eigenvalue) are annihilated, so the
-    result is positive semidefinite by construction.
+    Values at or below cfg.tau (including every negative eigenvalue) are
+    annihilated, so the result is positive semidefinite by construction.
     """
-    n = oracle.dims[0]
-    metric = oracle.metrics[0]
-    if cfg.engine == "dense":
-        lam, vecs, _ = _dense_triples(oracle, hermitian=True)
-        keep = lam > cfg.tau
-        if not np.any(keep):
-            out = HermitianFactored.empty(n)
-        else:
-            out = HermitianFactored(
-                factors=vecs[:, keep], values=lam[keep] - cfg.tau
-            ).pruned()
-        object.__setattr__(out, "restarts", 0)
-        object.__setattr__(out, "sweeps", 0)
-        object.__setattr__(out, "norm_estimate", float(lam[0]) if len(lam) else 0.0)
-        return out
-
-    stats = _adaptive_triples(oracle, cfg, rng, warm_start)
-    lams = []
-    vecs = []
-    for i in range(stats.values.size):
-        lam = svd_to_evd(
-            stats.values[i], stats.right[:, i], stats.left[:, i], metric
-        )
-        if lam > cfg.tau:
-            lams.append(lam - cfg.tau)
-            vecs.append(stats.right[:, i])
-    if not lams:
-        out = HermitianFactored.empty(n)
-    else:
-        out = HermitianFactored.from_pairs(lams, vecs).pruned()
-    object.__setattr__(out, "restarts", stats.restarts)
-    object.__setattr__(out, "sweeps", stats.sweeps)
-    object.__setattr__(out, "norm_estimate", stats.norm_estimate)
-    return out
+    return _threshold(oracle, cfg, rng, warm_start, hermitian=True)

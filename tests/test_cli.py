@@ -295,6 +295,42 @@ class TestSolveAndEval:
         assert ra == rb
 
 
+SOLVE = ["solve", "--masks", "{dir}/masks", "--data", "{dir}/data", "--out", "{tmp}/r",
+         "--max-iter", "5"]
+GEN_DATA = ["gen-data", "--masks", "{dir}/masks", "--out", "{tmp}/d"]
+BAD_INPUTS = {
+    "ell-equals-k": SOLVE + ["--ell", "5", "--k", "5"],
+    "ell-zero": SOLVE + ["--ell", "0"],
+    "k-one": SOLVE + ["--k", "1", "--ell", "1"],
+    "delta-zero": SOLVE + ["--delta", "0"],
+    "rank-cap-zero": SOLVE + ["--rank-cap", "0"],
+    "sobolev-mu-zero": SOLVE + ["--metric", "sobolev", "--mu", "0", "1", "1"],
+    "negative-tol": SOLVE + ["--tol", "-1"],
+    "gen-data-count-zero": GEN_DATA + ["--image", "{tmp}/empty"],
+    "eval-count-zero": ["eval", "--recovered", "{tmp}/empty", "--reference", "{dir}/truth"],
+    "negative-noise": GEN_DATA + ["--image", "{dir}/truth", "--noise", "-1"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exit_two(solved, tmp_path, capsys, monkeypatch, argv):
+    """Bad flags and headers end in exit code 2 and one error line, and a
+    solve is rejected before the solver runs."""
+    (tmp_path / "empty").write_bytes(b"")
+    (tmp_path / "empty.json").write_text('{"height": 8, "width": 8, "count": 0}')
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran on a rejected configuration")
+
+    monkeypatch.setattr("liftkit.cli.recover", no_solve)
+    code = main([arg.format(dir=solved, tmp=tmp_path) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "d" / "data").exists()
+
+
 class TestDemo:
     def test_demo_roundtrip(self, tmp_path, capsys):
         code, out = run(

@@ -3,7 +3,7 @@ import pytest
 
 from liftkit.errors import ConfigError, NumericalError
 from liftkit.lowrank import FactoredTensor, HermitianFactored
-from liftkit.metric import EuclideanMetric
+from liftkit.metric import EuclideanMetric, ReweightedMetric, SobolevMetric, orthonormalize
 from liftkit.solver import (
     Fidelity,
     ReweightSettings,
@@ -19,8 +19,12 @@ from liftkit.solver import (
 from helpers import (
     DenseBilinear,
     DenseQuadratic,
+    dense_weighted_evd,
+    dense_weighted_svd,
     random_complex,
+    random_factored,
     random_hermitian_factored,
+    random_spd_metric,
 )
 
 
@@ -130,7 +134,7 @@ class TestReweightStep:
         w = HermitianFactored(factors=u[:, None], values=np.array([2.0]))
         qmap = scalar_quadratic()
         state = SolverState(w=w, w_prev=w, y=np.zeros(1), metric1=base, metric2=base)
-        m1, _ = reweight_step(state, self.base_cfg(0.5), base, base, rng=rng)
+        m1, _ = reweight_step(state, self.base_cfg(0.5), base, base)
         assert m1.count == 1
         assert m1.weights[0] == pytest.approx(0.5, abs=1e-10)
         overlap = abs(np.vdot(m1.directions[0], u))
@@ -143,9 +147,63 @@ class TestReweightStep:
         w = random_hermitian_factored(rng, n, 2, base)
         w = HermitianFactored(factors=w.factors, values=np.array([2.0, 1.0]))
         state = SolverState(w=w, w_prev=w, y=np.zeros(1), metric1=base, metric2=base)
-        m1, _ = reweight_step(state, self.base_cfg(0.5), base, base, rng=rng)
+        m1, _ = reweight_step(state, self.base_cfg(0.5), base, base)
         assert m1.count == 2
         assert np.allclose(m1.weights, [0.5, 0.25], atol=1e-8)
+
+
+    @staticmethod
+    def base_metrics(kind, rng):
+        if kind == "spd":
+            return random_spd_metric(rng, 10), random_spd_metric(rng, 12)
+        mu = (0.25, 1.0, 0.5)
+        return SobolevMetric((2, 5), mu), SobolevMetric((3, 4), mu)
+
+    @staticmethod
+    def reweighted(base, rng):
+        dirs = orthonormalize([random_complex(rng, base.dim) for _ in range(2)], base)
+        return ReweightedMetric(base, np.stack(dirs), [0.4, 0.2])
+
+    @staticmethod
+    def assert_promotes(metric, base, weights, vectors):
+        """Same weights, and the same base-metric projector per direction."""
+        h = base.to_dense()
+        assert metric.base is base
+        assert np.max(np.abs(metric.weights - weights)) <= 1e-10
+        for d, ref in zip(metric.directions, vectors.T):
+            got = np.outer(d, d.conj()) @ h
+            assert np.max(np.abs(got - np.outer(ref, ref.conj()) @ h)) <= 1e-10
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("kind", ["spd", "sobolev"])
+    @pytest.mark.parametrize("hermitian", [False, True], ids=["general", "hermitian"])
+    def test_matches_dense_decomposition(self, hermitian, kind, rank):
+        """Factors orthonormal in the current reweighted metrics, as the solver
+        hands them over; the promotions come from the base-metric spectrum."""
+        rng = np.random.default_rng(7 + rank)
+        base1, base2 = self.base_metrics(kind, rng)
+        cfg = self.base_cfg(0.5)
+        if hermitian:
+            base2 = base1
+            cur = self.reweighted(base1, rng)
+            w = random_hermitian_factored(rng, base1.dim, rank, cur, signed=True)
+            lam, vecs = dense_weighted_evd(w.to_dense(), base1.to_dense())
+            order = np.argsort(-np.abs(lam))[:rank]
+            sig, right = np.abs(lam[order]), vecs[:, order]
+            state = SolverState(w=w, w_prev=w, y=np.zeros(1), metric1=cur, metric2=cur)
+        else:
+            cur1, cur2 = self.reweighted(base1, rng), self.reweighted(base2, rng)
+            w = random_factored(rng, base1.dim, base2.dim, rank, cur1, cur2)
+            sig, right, left = dense_weighted_svd(w.to_dense(), base1.to_dense(), base2.to_dense())
+            sig, right, left = sig[:rank], right[:, :rank], left[:, :rank]
+            state = SolverState(w=w, w_prev=w, y=np.zeros(1), metric1=cur1, metric2=cur2)
+        m1, m2 = reweight_step(state, cfg, base1, base2)
+        weights = 0.5 * sig / sig[0]
+        self.assert_promotes(m1, base1, weights, right)
+        if hermitian:
+            assert m2 is m1
+        else:
+            self.assert_promotes(m2, base2, weights, left)
 
 
 class TestRunPrimalDual:

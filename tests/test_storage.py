@@ -83,6 +83,20 @@ class TestBadFiles:
             storage.read_images(tmp_path / "img")
 
 
+    @pytest.mark.parametrize("key", ["height", "width", "count", "L", "M2", "M1"])
+    def test_nonpositive_header_size(self, tmp_path, key):
+        """A zero size with the empty body it implies is still rejected."""
+        if key in ("L", "M2", "M1"):
+            header, read = {"L": 1, "M2": 1, "M1": 1}, storage.read_data
+        else:
+            header, read = {"height": 1, "width": 1, "count": 1}, storage.read_images
+        header[key] = 0
+        (tmp_path / "f").write_bytes(b"")
+        (tmp_path / "f.json").write_text(json.dumps(header))
+        with pytest.raises(ConfigError, match="f.json"):
+            read(tmp_path / "f")
+
+
 class TestDataFormat:
     def test_pinned_byte_layout(self, tmp_path):
         path = tmp_path / "vec"

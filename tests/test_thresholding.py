@@ -12,7 +12,7 @@ from liftkit.partial_svd import (
     lanczos_bidiagonalize,
     ritz_factorize,
 )
-from liftkit.thresholding import ThresholdConfig, evt, shrink, soft, soft_plus, svt
+from liftkit.thresholding import ENGINES, ThresholdConfig, evt, shrink, soft, soft_plus, svt
 
 from helpers import (
     dense_evt,
@@ -132,7 +132,7 @@ class TestSVT:
         out = svt(euclid_oracle(w), cfg, rng=rng)
         assert np.linalg.norm(out.to_dense() - w) <= 1e-8 * np.linalg.norm(w)
 
-    @pytest.mark.parametrize("engine", ["lanczos", "subspace"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_matches_dense_oracle_weighted(self, engine):
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -212,7 +212,7 @@ class TestEVT:
         out = evt(oracle_from_dense(w, m, m), cfg, rng=rng)
         assert out.rank == 0
 
-    @pytest.mark.parametrize("engine", ["lanczos", "subspace"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_matches_dense_oracle_weighted(self, engine):
         rng = np.random.default_rng(8)
         for _ in range(10):
@@ -514,3 +514,31 @@ class TestInvariantKrylovSpace:
         assert out.rank == 2
         expected = dense_svt(w, m.to_dense(), m.to_dense(), 0.5)
         assert np.max(np.abs(out.to_dense() - expected)) <= 1e-8
+
+
+class TestThresholdStatistics:
+    """svt and evt carry the same statistics under every engine: the summed
+    restarts, a nonnegative norm estimate and the oracle calls of this call."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("hermitian", [False, True], ids=["svt", "evt"])
+    def test_statistics_attached(self, engine, hermitian):
+        rng = np.random.default_rng(61)
+        n = 12
+        m1 = random_spd_metric(rng, n)
+        # the largest magnitude is a negative eigenvalue, so the norm is not lam[0]
+        values = [-2.0, 1.0, 0.7, 0.5, 0.3, 0.2, 0.1, -0.1, 0.05, -0.05, 0.01, 0.0]
+        m2 = m1 if hermitian else random_spd_metric(rng, n)
+        w = operator_with_factors(rng, values, m1, None if hermitian else m2)[0]
+        oracle = oracle_from_dense(w, m1, m2)
+        for _ in range(3):
+            oracle.right(random_complex(rng, n))
+            oracle.left(random_complex(rng, n))
+        used = oracle.calls
+        cfg = ThresholdConfig(tau=0.4, ell=2, k=4, engine=engine, rank_cap=6)
+        out = (evt if hermitian else svt)(oracle, cfg, rng=rng)
+        assert out.actions == oracle.calls - used > 0
+        assert isinstance(out.restarts, int) and out.restarts >= 0
+        assert out.norm_estimate >= 0
+        if engine == "dense":
+            assert out.norm_estimate == pytest.approx(2.0, rel=1e-10)
