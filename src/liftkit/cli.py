@@ -56,6 +56,9 @@ SOLVER_DEFAULTS = {
     "mu": [0.25, 1.0, 1.0],
 }
 
+# Types, enums and shapes only: the bounds of the solver settings belong to
+# SolverConfig, ThresholdConfig and ReweightSettings, which the solve builds
+# before it reads any file.  The seed and eps bounds have no other owner.
 RUN_CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -78,29 +81,29 @@ RUN_CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "tau": {"type": ["number", "null"], "exclusiveMinimum": 0},
-                "sigma": {"type": ["number", "null"], "exclusiveMinimum": 0},
-                "theta": {"type": "number", "minimum": 0, "maximum": 1},
+                "tau": {"type": ["number", "null"]},
+                "sigma": {"type": ["number", "null"]},
+                "theta": {"type": "number"},
                 "fidelity": {"enum": list(FIDELITY_KINDS)},
-                "alpha": {"type": "number", "minimum": 0},
+                "alpha": {"type": "number"},
                 "eps": {"type": "number", "minimum": 0},
                 "reweight": {
                     "type": "object",
                     "additionalProperties": False,
                     "properties": {
                         "enabled": {"type": "boolean"},
-                        "weight": {"type": "number", "minimum": 0, "maximum": 1},
-                        "period": {"type": "integer", "minimum": 1},
-                        "max_promoted": {"type": "integer", "minimum": 1},
+                        "weight": {"type": "number"},
+                        "period": {"type": "integer"},
+                        "max_promoted": {"type": "integer"},
                     },
                 },
                 "engine": {"enum": list(ENGINES)},
-                "ell": {"type": "integer", "minimum": 1},
-                "k": {"type": "integer", "minimum": 2},
-                "delta": {"type": "number", "exclusiveMinimum": 0},
-                "rank_cap": {"type": "integer", "minimum": 1},
-                "max_iter": {"type": "integer", "minimum": 1},
-                "tol": {"type": "number", "minimum": 0},
+                "ell": {"type": "integer"},
+                "k": {"type": "integer"},
+                "delta": {"type": "number"},
+                "rank_cap": {"type": "integer"},
+                "max_iter": {"type": "integer"},
+                "tol": {"type": "number"},
                 "metric": {"enum": ["euclidean", "sobolev"]},
                 "mu": {
                     "type": "array",
@@ -560,10 +563,19 @@ def build_parser():
     return parser
 
 
+def _check_args(args):
+    """Reject what numpy or the benchmark would only fail on deep inside a command."""
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {args.seed}")
+    if getattr(args, "size", 1) < 1:
+        raise ConfigError(f"size must be positive, got {args.size}")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,11 @@
 Two engines work purely through left/right operator actions in arbitrary
 metrics: subspace iteration with Ritz acceleration, and Golub-Kahan
 bidiagonalization with augmented restarts.  Both return leading singular
-triples together with per-triple residual estimates.
+triples together with per-triple residual estimates, and both stop by one
+rule, ``_stopped``.  The Golub-Kahan engine runs its first pass, each thick
+restart and each re-entry after an exhausted Krylov space through one loop
+over one ``LanczosFactorization``.  Every random draw of an engine comes from
+the ``rng`` its caller passes.
 """
 
 from __future__ import annotations
@@ -121,15 +125,15 @@ def _random_unit(rng, n, metric):
     return v / metric.norm(v)
 
 
-def _empty_psvd(n1, n2, values=None, converged=True, exact=True):
-    r = 0 if values is None else len(values)
+def _empty_psvd(n1, n2, **stats):
     return PartialSVD(
-        right_vectors=np.zeros((n1, r), dtype=complex),
-        left_vectors=np.zeros((n2, r), dtype=complex),
-        values=np.zeros(r) if values is None else np.asarray(values, dtype=float),
-        residuals=np.zeros(r),
-        converged=converged,
-        exact=exact,
+        right_vectors=np.zeros((n1, 0), dtype=complex),
+        left_vectors=np.zeros((n2, 0), dtype=complex),
+        values=np.zeros(0),
+        residuals=np.zeros(0),
+        converged=True,
+        exact=True,
+        **stats,
     )
 
 
@@ -151,16 +155,28 @@ def _certified_cut(values, residuals, level, tol):
     return None
 
 
+def _stopped(values, residuals, ell, delta, norm_est, stop_below):
+    """The engines' one stopping rule, for nonempty Ritz values sorted descending.
+
+    At ``tol = delta * max(norm_est, values[0])``, the ell leading triples
+    are converged (their residuals are at most tol), or, with ``stop_below``
+    set, a triple is certified below that level (``_certified_cut``).
+    """
+    tol = delta * max(norm_est, values[0], 1e-300)
+    if values.size >= ell and np.all(residuals[:ell] <= tol):
+        return True
+    return stop_below is not None and _certified_cut(values, residuals, stop_below, tol) is not None
+
+
 def subspace_iterate(oracle, ell, delta, max_sweeps=300, rng=None, start=None, stop_below=None):
     """Orthogonal iteration with Ritz acceleration for the leading triples.
 
     Alternates left and right operator actions over an ell-dimensional
     subspace pair, reorthonormalizing in the respective metrics, and rotates
-    by the SVD of the small cross matrix.  Converged means the residual
-    ``|w^* H2 v_m - sigma_m u_m|_{H1}`` is below delta times the running
-    norm estimate for every requested triple; with ``stop_below`` set, a
-    triple certified below that level (``_certified_cut``) also stops the
-    iteration.
+    by the SVD of the small cross matrix.  It stops by ``_stopped`` with
+    every triple of the subspace required, the residual of triple m being
+    ``|w^* H2 v_m - sigma_m u_m|_{H1}``.  An operator that maps the subspace
+    to zero returns no triples.
     """
     if ell < 1 or delta <= 0:
         raise ValueError("need ell >= 1 and delta > 0")
@@ -191,12 +207,7 @@ def subspace_iterate(oracle, ell, delta, max_sweeps=300, rng=None, start=None, s
             residuals = np.array(
                 [m1.norm(images[m] - values[m] * u_mat[:, m]) for m in range(len(values))]
             )
-            tol = delta * max(norm_est, 1e-300)
-            done = np.all(residuals <= tol) or (
-                stop_below is not None
-                and _certified_cut(values, residuals, stop_below, tol) is not None
-            )
-            if done:
+            if _stopped(values, residuals, values.size, delta, norm_est, stop_below):
                 return PartialSVD(
                     right_vectors=u_mat,
                     left_vectors=v_mat,
@@ -209,30 +220,10 @@ def subspace_iterate(oracle, ell, delta, max_sweeps=300, rng=None, start=None, s
                 )
 
         e_cols = orthonormalize(images, m1)
-        if not e_cols:
-            # zero operator on the probed subspace
-            out = _empty_psvd(n1, n2, values=np.zeros(ell))
-            out.right_vectors = np.stack(
-                orthonormalize(
-                    [rng.standard_normal(n1) + 1j * rng.standard_normal(n1) for _ in range(ell)],
-                    m1,
-                ),
-                axis=1,
-            )
-            out.left_vectors = np.stack(v_cols, axis=1)
-            out.sweeps = sweep
-            out.sweep_history = history
-            return out
-
         raw = [oracle.right(e) for e in e_cols]
         f_cols = orthonormalize(raw, m2)
         if not f_cols:
-            out = _empty_psvd(n1, n2, values=np.zeros(len(e_cols)))
-            out.right_vectors = np.stack(e_cols, axis=1)
-            out.left_vectors = np.stack(v_cols[: len(e_cols)], axis=1)
-            out.sweeps = sweep
-            out.sweep_history = history
-            return out
+            return _empty_psvd(n1, n2, sweeps=sweep, sweep_history=history)
 
         hf = [m2.apply(f) for f in f_cols]
         cross = np.asarray(hf).conj() @ np.asarray(raw).T
@@ -266,27 +257,22 @@ def subspace_iterate(oracle, ell, delta, max_sweeps=300, rng=None, start=None, s
     )
 
 
-@dataclass(eq=False)
 class LanczosFactorization:
-    """Result of a bidiagonalization run: bases, projected system, and the
-    retained continuation vector for augmented restarts."""
+    """Golub-Kahan factorization in the oracle's metrics, with full
+    reorthogonalization; the state of one pass of the recursion.
 
-    system: BidiagonalSystem
-    right_basis: np.ndarray  # (n1, c)
-    left_basis: np.ndarray   # (n2, c)
-    p_last: np.ndarray
-    gamma_last: float
-    exact: bool
-
-
-class _GrowingFactorization:
-    """Mutable Golub-Kahan state with full reorthogonalization.
-
-    The bases and their metric images are rows of arrays preallocated for
-    ``cap`` columns, so the projections read them without copying.
+    A pass starts empty, or seeded with Ritz triples (a thick restart), and
+    ``advance`` appends columns.  ``system`` is the projected arrow-bidiagonal
+    system, ``right_basis`` and ``left_basis`` its bases, and ``p_last`` /
+    ``gamma_last`` the continuation vector and its norm, which the next pass
+    starts from; both are zero once the Krylov space is exhausted, and
+    ``exact`` is then set.  The bases and their metric images are rows of
+    arrays preallocated for ``cap`` columns, so the projections read them
+    without copying.  A stalled left direction continues from a random one
+    drawn from ``rng``.
     """
 
-    def __init__(self, oracle, rng, cap):
+    def __init__(self, oracle, rng, cap, scale):
         self.oracle = oracle
         self.m1, self.m2 = oracle.metrics
         self.rng = rng
@@ -300,7 +286,26 @@ class _GrowingFactorization:
         self.aug_values = np.zeros(0)
         self.aug_coupling = np.zeros(0, dtype=complex)
         self.exact = False
-        self.scale = float(oracle.norm_estimate or 0.0)
+        self.scale = scale
+        self.p_last = np.zeros(n1, dtype=complex)
+        self.gamma_last = 0.0
+
+    @property
+    def system(self):
+        return BidiagonalSystem(
+            diag=np.asarray(self.betas, dtype=float),
+            superdiag=np.asarray(self.gammas, dtype=float),
+            aug_values=self.aug_values,
+            aug_coupling=self.aug_coupling,
+        )
+
+    @property
+    def right_basis(self):
+        return self.E[: self.ne].T
+
+    @property
+    def left_basis(self):
+        return self.F[: self.nf].T
 
     def tol(self):
         return BREAKDOWN_REL * max(self.scale, 1e-300)
@@ -354,15 +359,14 @@ class _GrowingFactorization:
 
         k caps the pass: it ends at k columns, when the Krylov space is
         exhausted, or after any column for which ``stop(self, gamma)`` holds,
-        gamma being the norm of that column's continuation.  Returns the next
-        continuation pair (p, gamma).  The first column links to no earlier
+        gamma being the norm of that column's continuation, which is kept as
+        ``p_last`` / ``gamma_last``.  The first column links to no earlier
         one; its image's coefficients against a seeded left basis form the
         coupling row of the restarted system."""
-        n1 = self.oracle.dims[0]
         while self.ne < k:
             if gamma <= self.tol() or not self.add_e(p / gamma):
                 self.exact = True
-                return np.zeros(n1, dtype=complex), 0.0
+                return
             e = self.E[self.ne - 1]
             q = self.oracle.right(e)
             if self.betas:
@@ -371,7 +375,7 @@ class _GrowingFactorization:
             if f is None:
                 self.ne -= 1
                 self.exact = True
-                return np.zeros(n1, dtype=complex), 0.0
+                return
             if self.betas:
                 self.gammas.append(gamma)
             self.betas.append(beta)
@@ -381,45 +385,34 @@ class _GrowingFactorization:
             self.scale = max(self.scale, gamma)
             if stop is not None and self.ne < k and stop(self, gamma):
                 break
-        return p, gamma
-
-    def factorization(self, p, gamma):
-        sys = BidiagonalSystem(
-            diag=np.asarray(self.betas, dtype=float),
-            superdiag=np.asarray(self.gammas, dtype=float),
-            aug_values=self.aug_values,
-            aug_coupling=self.aug_coupling,
-        )
-        return LanczosFactorization(
-            system=sys,
-            right_basis=self.E[: self.ne].T,
-            left_basis=self.F[: self.nf].T,
-            p_last=p,
-            gamma_last=0.0 if self.exact else float(gamma),
-            exact=self.exact,
-        )
+        self.p_last, self.gamma_last = p, float(gamma)
 
 
-def lanczos_bidiagonalize(oracle, start_direction, k, stop=None):
-    """Golub-Kahan bidiagonalization in the oracle's metrics.
+def _fresh_start(vec, metric):
+    """Continuation pair (p, gamma) of a pass from the direction vec."""
+    vec = np.asarray(vec, dtype=complex)
+    nrm = metric.norm(vec)
+    if nrm == 0.0:
+        raise ValueError("start direction must be nonzero")
+    return vec / nrm, 1.0
+
+
+def lanczos_bidiagonalize(oracle, start_direction, k):
+    """One Golub-Kahan pass in the oracle's metrics from ``start_direction``.
 
     Runs at most k recursion steps with full reorthogonalization,
     terminating early when the Krylov subspace becomes invariant (the
-    singular values are then exact) or when ``stop`` holds after a step (see
-    ``_GrowingFactorization.advance``).  The continuation vector and its
-    norm are returned for restarts.
+    singular values are then exact).  Returns the ``LanczosFactorization``,
+    whose continuation vector and norm a restart would start from.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    m1 = oracle.metrics[0]
-    start = np.asarray(start_direction, dtype=complex)
-    nrm = m1.norm(start)
-    if nrm == 0.0:
-        raise ValueError("start direction must be nonzero")
     k = min(k, oracle.dims[0], oracle.dims[1])
-    state = _GrowingFactorization(oracle, np.random.default_rng(0), k)
-    p, gamma = state.advance(start / nrm, 1.0, k, stop)
-    return state.factorization(p, gamma)
+    fac = LanczosFactorization(
+        oracle, np.random.default_rng(0), k, float(oracle.norm_estimate or 0.0)
+    )
+    fac.advance(*_fresh_start(start_direction, oracle.metrics[0]), k)
+    return fac
 
 
 def ritz_factorize(system, right_basis, left_basis, gamma_last=0.0):
@@ -452,21 +445,22 @@ def augmented_restart(
 ):
     """Restarted bidiagonalization seeded with the leading Ritz vectors.
 
-    k caps the length of a pass: after each column the projected system is
-    checked, and the pass ends at the first column where the ell leading
-    Ritz triples are converged (last-row residual estimate at most delta
-    times the running norm estimate) or, with ``stop_below`` set, a triple
-    is certified below that level (``_certified_cut``).  A pass from a
+    One loop runs every pass: the first, from ``start`` or a random vector;
+    each thick restart, which keeps the ell leading Ritz triples, records the
+    coupling row to the seeded left basis and goes on from the continuation
+    vector; and the re-entry after an exhausted Krylov space, which keeps the
+    triples likewise but goes on from a random direction, since values
+    outside an invariant space never enter it.  k caps the length of a pass:
+    after each column the projected system is checked, and the pass ends at
+    the first column where ``_stopped`` holds (the ell leading triples
+    converged, or a triple certified below ``stop_below``).  A pass from a
     random vector holds at least ell + 1 columns first, so its Krylov space
-    can reach the leading values.  Only a pass that reaches k columns
-    uncertified is restarted: it keeps the ell leading triples plus the
-    retained continuation vector, records the coupling row to the seeded
-    left basis and extends by the same rule.  A Krylov space that is
-    exhausted before it is certified continues from a random direction
-    instead, since values outside an invariant space never enter it.  All
-    Ritz triples of the final pass are returned (callers needing only
-    converged triples should consult ``residuals``); ``exact`` means they
-    are the whole spectrum.
+    can reach the leading values.  Only a pass that ends uncertified is
+    followed by another.  Every random draw comes from ``rng``.  All Ritz
+    triples of the final pass are returned (callers needing only converged
+    triples should consult ``residuals``); ``exact`` means they are the whole
+    spectrum.  Callers pass ell and k as set; they are clamped to the
+    oracle's size here.
     """
     if ell < 1 or delta <= 0:
         raise ValueError("need ell >= 1 and delta > 0")
@@ -480,37 +474,30 @@ def augmented_restart(
         k = ell  # tiny spaces: a single full pass is the whole decomposition
 
     norm_est = float(oracle.norm_estimate or 0.0)
-    floor = ell + 1 if start is None else 0
 
-    def certified(values, residuals):
-        tol = delta * max(norm_est, values[0], 1e-300)
-        if values.size >= ell and np.all(residuals[:ell] <= tol):
-            return True
-        return (
-            stop_below is not None
-            and _certified_cut(values, residuals, stop_below, tol) is not None
-        )
-
-    def stop(state, gamma):
-        if state.ne < floor:
+    def stop(fac, gamma):
+        if fac.ne < floor:
             return False
         # the coupling's phases are unitary row and column scalings: they
         # change neither the values nor the moduli of the last row
-        small = _arrow_matrix(
-            state.aug_values, np.abs(state.aug_coupling), state.betas, state.gammas
-        )
+        small = _arrow_matrix(fac.aug_values, np.abs(fac.aug_coupling), fac.betas, fac.gammas)
         y_small, sig, _ = np.linalg.svd(small)
-        return certified(sig, gamma * np.abs(y_small[-1, :]))
+        return _stopped(sig, gamma * np.abs(y_small[-1, :]), ell, delta, norm_est, stop_below)
 
-    if start is None:
-        start = _random_unit(rng, n1, m1)
-    fac = lanczos_bidiagonalize(oracle, start, k, stop)
-    psvd = ritz_factorize(fac.system, fac.right_basis, fac.left_basis, fac.gamma_last)
-    norm_est = max(norm_est, psvd.norm_estimate)
-
-    restarts = 0
+    floor = ell + 1 if start is None else 0
+    p, gamma = _fresh_start(start if start is not None else _random_unit(rng, n1, m1), m1)
+    cap, kept, restarts = k, None, 0
     while True:
-        done = psvd.count == 0 or certified(psvd.values, psvd.residuals)
+        fac = LanczosFactorization(oracle, rng, cap, norm_est)
+        if kept is not None:
+            fac.seed(*kept)
+        fac.advance(p, gamma, cap, stop)
+        psvd = ritz_factorize(fac.system, fac.right_basis, fac.left_basis, fac.gamma_last)
+        norm_est = max(norm_est, psvd.norm_estimate)
+
+        done = psvd.count == 0 or _stopped(
+            psvd.values, psvd.residuals, ell, delta, norm_est, stop_below
+        )
         if done or restarts >= max_restarts:
             psvd.converged = done
             psvd.exact = fac.exact and psvd.count >= mindim
@@ -520,25 +507,16 @@ def augmented_restart(
 
         restarts += 1
         want = min(ell, psvd.count)
-        cap = max(k, want + 1)
-        state = _GrowingFactorization(oracle, rng, cap)
-        state.scale = norm_est
-        state.seed(
-            psvd.right_vectors[:, :want], psvd.left_vectors[:, :want], psvd.values[:want]
-        )
-        floor = 0
-        p = fac.p_last
-        if fac.exact:
-            # an invariant Krylov space holds no further values; look outside
-            # the kept triples from a random direction
-            p = _random_unit(rng, n1, m1)
-            floor = ell + 1
+        kept = (psvd.right_vectors[:, :want], psvd.left_vectors[:, :want], psvd.values[:want])
         # the continuation always adds a column, even when k == ell; an
         # exhausted one leaves the seeded triples as an exact factorization
-        p, gamma = state.advance(p, m1.norm(p), cap, stop)
-        fac = state.factorization(p, gamma)
-        psvd = ritz_factorize(fac.system, fac.right_basis, fac.left_basis, fac.gamma_last)
-        norm_est = max(norm_est, psvd.norm_estimate)
+        cap = max(k, want + 1)
+        if fac.exact:
+            floor = ell + 1
+            p, gamma = _fresh_start(_random_unit(rng, n1, m1), m1)
+        else:
+            floor = 0
+            p, gamma = fac.p_last, fac.gamma_last
 
 
 def estimate_operator_norm(oracle, iters, rng=None, start=None):

@@ -116,15 +116,7 @@ def _deflated_leading(oracle, psvd, span, cfg, rng):
         return oracle.left(f) - u @ (s * (v.conj().T @ m2.apply(f)))
 
     deflated = ActionOracle(right, left, oracle.dims, oracle.metrics)
-    mindim = min(oracle.dims)
-    probe = augmented_restart(
-        deflated,
-        1,
-        min(4, mindim) if mindim > 1 else 1,
-        cfg.delta,
-        max_restarts=25,
-        rng=rng,
-    )
+    probe = augmented_restart(deflated, 1, 4, cfg.delta, max_restarts=25, rng=rng)
     if not probe.converged:
         return None
     return float(probe.values[0]) if probe.count else 0.0
@@ -135,28 +127,28 @@ def _adaptive_triples(oracle, cfg, rng, warm_start):
     certified below the threshold level behind a converged prefix (or the
     rank is exhausted).
 
+    Each engine call starts from one warm iterate: the caller's, the last
+    result after a growth, or none after a probe finds a hidden value.
     Returns the last engine result, the indices of its converged triples
     above the level, and the restarts summed over the engine calls.
     """
-    n1, n2 = oracle.dims
-    mindim = min(n1, n2)
-    cap = min(cfg.rank_cap, mindim)
+    # the rank can grow no further than the smaller dimension; the engines
+    # clamp ell and k to it themselves
+    cap = min(cfg.rank_cap, *oracle.dims)
     ell = min(cfg.ell, cap)
-    k = min(max(cfg.k, ell + 1), mindim)
+    k = cfg.k
     rng = rng if rng is not None else np.random.default_rng(0)
-
-    start_vec = _warm_vector(warm_start)
-    start_cols = _warm_columns(warm_start)
+    warm = warm_start
     restarts = 0
 
     while True:
         if cfg.engine == "subspace":
             psvd = subspace_iterate(
-                oracle, ell, cfg.delta, rng=rng, start=start_cols, stop_below=cfg.tau
+                oracle, ell, cfg.delta, rng=rng, start=_warm_columns(warm), stop_below=cfg.tau
             )
         else:
             psvd = augmented_restart(
-                oracle, ell, k, cfg.delta, rng=rng, start=start_vec, stop_below=cfg.tau
+                oracle, ell, k, cfg.delta, rng=rng, start=_warm_vector(warm), stop_below=cfg.tau
             )
         restarts += psvd.restarts
 
@@ -173,11 +165,10 @@ def _adaptive_triples(oracle, cfg, rng, warm_start):
                 sigma_next = _deflated_leading(oracle, psvd, span, cfg, rng)
                 if sigma_next is None or sigma_next > cfg.tau - tol:
                     ell = min(2 * ell, cap)
-                    k = min(max(2 * ell, k), mindim)
+                    k = max(2 * ell, k)
                     # the warm start is biased toward the found triples; a
                     # fresh random start restores overlap with hidden ones
-                    start_vec = None
-                    start_cols = None
+                    warm = None
                     continue
             keep = np.flatnonzero(values[:cut] > cfg.tau)
         elif psvd.exact:
@@ -185,12 +176,8 @@ def _adaptive_triples(oracle, cfg, rng, warm_start):
         elif ell < cap:
             # no value certified below the level yet: enlarge the subspace
             ell = min(2 * ell, cap)
-            k = min(max(2 * ell, k), mindim)
-            if cfg.engine == "subspace":
-                start_cols = [psvd.left_vectors[:, j] for j in range(psvd.count)]
-            else:
-                vec = psvd.right_vectors @ psvd.values
-                start_vec = vec if np.linalg.norm(vec) > 0 else None
+            k = max(2 * ell, k)
+            warm = FactoredTensor(psvd.right_vectors, psvd.left_vectors, psvd.values)
             continue
         else:
             # rank growth capped: accept the converged prefix (inexact regime)

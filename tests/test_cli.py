@@ -309,6 +309,15 @@ BAD_INPUTS = {
     "gen-data-count-zero": GEN_DATA + ["--image", "{tmp}/empty"],
     "eval-count-zero": ["eval", "--recovered", "{tmp}/empty", "--reference", "{dir}/truth"],
     "negative-noise": GEN_DATA + ["--image", "{dir}/truth", "--noise", "-1"],
+    "gen-masks-negative-seed": ["gen-masks", "--kind", "rademacher", "--shape", "8x8",
+                                "--count", "2", "--out", "{tmp}/m", "--seed", "-1"],
+    "gen-data-negative-seed": GEN_DATA + ["--image", "{dir}/truth", "--noise", "0.1",
+                                          "--seed", "-1"],
+    "solve-negative-seed": SOLVE + ["--seed", "-1"],
+    "demo-negative-seed": ["demo", "--out", "{tmp}/demo", "--shape", "8x8", "--seed", "-1"],
+    "bench-negative-seed": ["bench-svt", "--iterations", "2", "--seed", "-1"],
+    "bench-size-zero": ["bench-svt", "--iterations", "2", "--size", "0"],
+    "bench-size-negative": ["bench-svt", "--iterations", "2", "--size", "-2"],
 }
 
 
@@ -383,3 +392,34 @@ class TestEntryPointAndFlags:
         manifest = json.loads((tmp_path / "tik" / "manifest.json").read_text())
         assert manifest["config"]["solver"]["fidelity"] == "tikhonov"
         assert manifest["config"]["solver"]["alpha"] == 2.0
+
+
+BAD_SOLVER_SETTINGS = {
+    "ell-equals-k": {"ell": 5, "k": 5},
+    "delta-zero": {"delta": 0},
+    "rank-cap-zero": {"rank_cap": 0},
+    "theta-two": {"theta": 2},
+    "max-iter-zero": {"max_iter": 0},
+    "reweight-weight": {"reweight": {"weight": 1.5}},
+}
+
+
+@pytest.mark.parametrize(
+    "settings", BAD_SOLVER_SETTINGS.values(), ids=BAD_SOLVER_SETTINGS.keys()
+)
+def test_bad_config_file_settings_exit_two(solved, tmp_path, capsys, monkeypatch, settings):
+    """The config classes own the setting bounds; a config file that breaks
+    one ends like the flag would, before the solver runs."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran on a rejected configuration")
+
+    monkeypatch.setattr("liftkit.cli.recover", no_solve)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"solver": settings}))
+    code = main(["solve", "--config", str(cfg_path), "--masks", str(solved / "masks"),
+                 "--data", str(solved / "data"), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err

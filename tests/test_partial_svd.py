@@ -55,6 +55,7 @@ class TestSubspaceIterate:
     def test_zero_operator(self):
         out = subspace_iterate(euclid_oracle(np.zeros((4, 3))), 2, 1e-8)
         assert out.converged
+        assert out.count == 0 and out.exact
         assert np.allclose(out.values, 0.0)
 
     def test_max_sweeps_flag(self):
@@ -250,6 +251,19 @@ class TestAugmentedRestart:
         assert out.converged and not out.exact
         assert out.restarts >= 1
         assert np.allclose(out.values[:2], [3.0, 2.0], atol=1e-9)
+
+    def test_stalled_first_pass_draws_from_the_callers_rng(self):
+        # e_2 maps to zero, so the first pass stalls at its first column and
+        # continues in a fresh left direction, which the caller's rng draws
+        w = np.diag([1.0, 0.0, 0.0, 0.0])
+        e2 = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+        outs = [
+            augmented_restart(euclid_oracle(w), 1, 3, 1e-10, rng=np.random.default_rng(seed), start=e2)
+            for seed in (1, 2)
+        ]
+        for out in outs:
+            assert out.converged and out.values[0] == pytest.approx(1.0, abs=1e-10)
+        assert not np.allclose(outs[0].left_vectors, outs[1].left_vectors)
 
     def test_max_restarts_flag(self):
         rng = np.random.default_rng(11)
