@@ -524,7 +524,8 @@ def build_parser():
     p.add_argument("--engine", choices=ENGINES, default=None)
     p.add_argument("--ell", type=int, default=None)
     p.add_argument("--k", type=int, default=None,
-                   help="most columns per Lanczos pass; a pass stops at its first certified column")
+                   help="most columns per Lanczos pass, one oracle action each (the recovery's "
+                        "tensor is Hermitian); a pass stops at its first certified column")
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--rank-cap", dest="rank_cap", type=int, default=None)
     p.add_argument("--max-iter", dest="max_iter", type=int, default=None)

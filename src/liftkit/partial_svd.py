@@ -1,13 +1,16 @@
 """Partial singular value decompositions of implicitly given tensors.
 
-Two engines work purely through left/right operator actions in arbitrary
-metrics: subspace iteration with Ritz acceleration, and Golub-Kahan
-bidiagonalization with augmented restarts.  Both return leading singular
-triples together with per-triple residual estimates, and both stop by one
-rule, ``_stopped``.  The Golub-Kahan engine runs its first pass, each thick
-restart and each re-entry after an exhausted Krylov space through one loop
-over one ``LanczosFactorization``.  Every random draw of an engine comes from
-the ``rng`` its caller passes.
+Two engines work purely through operator actions in arbitrary metrics:
+subspace iteration with Ritz acceleration, and a Krylov engine with
+augmented (thick) restarts.  Both return leading triples together with
+per-triple residual estimates, and both stop by one rule, ``_stopped``.  The
+Krylov engine runs its first pass, each thick restart and each re-entry after
+an exhausted Krylov space through one loop over one pass state: Golub-Kahan
+bidiagonalization (``LanczosFactorization``, two actions per column) for a
+general oracle, or, for an oracle the caller declares Hermitian, Hermitian
+Lanczos (one action per column), which returns signed eigenvalues, largest
+first.  Every random draw of an engine comes from the ``rng`` its caller
+passes.
 """
 
 from __future__ import annotations
@@ -70,7 +73,9 @@ class BidiagonalSystem:
         self.diag = np.asarray(self.diag, dtype=float)
         self.superdiag = np.asarray(self.superdiag, dtype=float)
         self.aug_values = np.asarray(self.aug_values, dtype=float)
-        self.aug_coupling = np.asarray(self.aug_coupling, dtype=complex)
+        self.aug_coupling = np.asarray(
+            self.aug_coupling, dtype=np.result_type(self.aug_coupling, float)
+        )
         for arr in (self.diag, self.superdiag, self.aug_values):
             if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):
                 raise ValueError("bidiagonal entries must be finite and nonnegative")
@@ -85,6 +90,29 @@ class BidiagonalSystem:
 
     def to_dense(self):
         return _arrow_matrix(self.aug_values, self.aug_coupling, self.diag, self.superdiag)
+
+    def decompose(self):
+        """Left vectors, singular values (descending) and right vectors as rows."""
+        return np.linalg.svd(self.to_dense())
+
+
+class _SymmetricSystem:
+    """Projected system of a Hermitian pass, real symmetric and held as its
+    upper triangle: tridiagonal, preceded after a restart by the retained
+    values with their coupling column (arrow shape)."""
+
+    def __init__(self, upper):
+        self.upper = upper
+
+    @property
+    def size(self):
+        return self.upper.shape[0]
+
+    def decompose(self):
+        """Eigenvectors, eigenvalues (descending) and the eigenvectors as rows."""
+        lam, y = np.linalg.eigh(self.upper, UPLO="U")
+        y = y[:, ::-1]
+        return y, lam[::-1], y.T
 
 
 def _arrow_matrix(aug_values, coupling, diag, superdiag):
@@ -155,17 +183,22 @@ def _certified_cut(values, residuals, level, tol):
     return None
 
 
-def _stopped(values, residuals, ell, delta, norm_est, stop_below):
+def _stopped(values, residuals, ell, delta, norm_est, stop_below, empty_after=0):
     """The engines' one stopping rule, for nonempty Ritz values sorted descending.
 
     At ``tol = delta * max(norm_est, values[0])``, the ell leading triples
     are converged (their residuals are at most tol), or, with ``stop_below``
-    set, a triple is certified below that level (``_certified_cut``).
+    set, a triple is certified below that level (``_certified_cut``).  A cut
+    at index 0, which leaves nothing above the level, counts only once there
+    are more than ``empty_after`` values.
     """
     tol = delta * max(norm_est, values[0], 1e-300)
     if values.size >= ell and np.all(residuals[:ell] <= tol):
         return True
-    return stop_below is not None and _certified_cut(values, residuals, stop_below, tol) is not None
+    if stop_below is None:
+        return False
+    cut = _certified_cut(values, residuals, stop_below, tol)
+    return cut is not None and (cut > 0 or values.size > empty_after)
 
 
 def subspace_iterate(oracle, ell, delta, max_sweeps=300, rng=None, start=None, stop_below=None):
@@ -257,55 +290,42 @@ def subspace_iterate(oracle, ell, delta, max_sweeps=300, rng=None, start=None, s
     )
 
 
-class LanczosFactorization:
-    """Golub-Kahan factorization in the oracle's metrics, with full
-    reorthogonalization; the state of one pass of the recursion.
+class _KrylovPass:
+    """What both pass states share: the right basis, seeding and the loop
+    that appends columns.
 
     A pass starts empty, or seeded with Ritz triples (a thick restart), and
-    ``advance`` appends columns.  ``system`` is the projected arrow-bidiagonal
-    system, ``right_basis`` and ``left_basis`` its bases, and ``p_last`` /
-    ``gamma_last`` the continuation vector and its norm, which the next pass
-    starts from; both are zero once the Krylov space is exhausted, and
-    ``exact`` is then set.  The bases and their metric images are rows of
-    arrays preallocated for ``cap`` columns, so the projections read them
-    without copying.  A stalled left direction continues from a random one
-    drawn from ``rng``.
+    ``advance`` appends columns; each state supplies ``_column``, which
+    extends the projected system by one column, and ``_continuation``.  The
+    right basis and its metric images are rows of arrays preallocated for
+    ``cap`` columns, so the projections read them without copying.
+    ``p_last`` / ``gamma_last`` are the continuation vector and its norm,
+    which the next pass starts from; both are zero once the Krylov space is
+    exhausted or the right basis spans the whole space, and ``exact`` is
+    then set.
     """
 
     def __init__(self, oracle, rng, cap, scale):
         self.oracle = oracle
-        self.m1, self.m2 = oracle.metrics
+        self.m1 = oracle.metrics[0]
         self.rng = rng
-        n1, n2 = oracle.dims
+        n1 = oracle.dims[0]
         self.E = np.empty((cap, n1), dtype=complex)
         self.HE = np.empty((cap, n1), dtype=complex)
-        self.F = np.empty((cap, n2), dtype=complex)
-        self.HF = np.empty((cap, n2), dtype=complex)
-        self.ne = self.nf = 0
-        self.betas, self.gammas = [], []
+        self.ne = 0
         self.aug_values = np.zeros(0)
-        self.aug_coupling = np.zeros(0, dtype=complex)
         self.exact = False
         self.scale = scale
         self.p_last = np.zeros(n1, dtype=complex)
         self.gamma_last = 0.0
 
     @property
-    def system(self):
-        return BidiagonalSystem(
-            diag=np.asarray(self.betas, dtype=float),
-            superdiag=np.asarray(self.gammas, dtype=float),
-            aug_values=self.aug_values,
-            aug_coupling=self.aug_coupling,
-        )
-
-    @property
     def right_basis(self):
         return self.E[: self.ne].T
 
     @property
-    def left_basis(self):
-        return self.F[: self.nf].T
+    def spans_space(self):
+        return self.ne == self.E.shape[1]
 
     def tol(self):
         return BREAKDOWN_REL * max(self.scale, 1e-300)
@@ -313,14 +333,11 @@ class LanczosFactorization:
     def seed(self, u_mat, v_mat, values):
         r = len(values)
         self.E[:r] = u_mat.T
-        self.F[:r] = v_mat.T
         for j in range(r):
             self.HE[j] = self.m1.apply(self.E[j])
-            self.HF[j] = self.m2.apply(self.F[j])
-        self.ne = self.nf = r
+        self.ne = r
         self.aug_values = np.asarray(values, dtype=float).copy()
-        self.aug_coupling = np.zeros(r, dtype=complex)
-        self.scale = max(self.scale, float(values[0]) if r else 0.0)
+        self.scale = max(self.scale, float(np.max(np.abs(values))) if r else 0.0)
 
     def add_e(self, vec):
         vec, _ = project_out(vec.astype(complex), self.E[: self.ne], self.HE[: self.ne])
@@ -331,6 +348,76 @@ class LanczosFactorization:
         self.HE[self.ne] = self.m1.apply(self.E[self.ne])
         self.ne += 1
         return True
+
+    def advance(self, p, gamma, k, stop=None):
+        """Append columns, starting from the continuation p / gamma.
+
+        k caps the pass: it ends at k columns, when the Krylov space is
+        exhausted, once the right basis spans the whole space (the projected
+        system then holds exactly, so no action is spent on a
+        continuation), or after any column for which ``stop(self, gamma)``
+        holds, gamma being the norm of that column's continuation, which is
+        kept as ``p_last`` / ``gamma_last``."""
+        while self.ne < k:
+            if gamma <= self.tol() or not self.add_e(p / gamma) or not self._column(gamma):
+                self.exact = True
+                return
+            if self.spans_space:
+                self.exact = True
+                return
+            p = self._continuation()
+            gamma = self.m1.norm(p)
+            self.scale = max(self.scale, gamma)
+            if stop is not None and self.ne < k and stop(self, gamma):
+                break
+        self.p_last, self.gamma_last = p, float(gamma)
+
+
+class LanczosFactorization(_KrylovPass):
+    """Golub-Kahan factorization in the oracle's metrics, with full
+    reorthogonalization; the state of one pass of the recursion.
+
+    ``system`` is the projected arrow-bidiagonal system, ``right_basis`` and
+    ``left_basis`` its bases; the left basis lives in preallocated rows like
+    the right one.  A stalled left direction continues from a random one
+    drawn from ``rng``.
+    """
+
+    def __init__(self, oracle, rng, cap, scale):
+        super().__init__(oracle, rng, cap, scale)
+        self.m2 = oracle.metrics[1]
+        n2 = oracle.dims[1]
+        self.F = np.empty((cap, n2), dtype=complex)
+        self.HF = np.empty((cap, n2), dtype=complex)
+        self.nf = 0
+        self.betas, self.gammas = [], []
+        self.aug_coupling = np.zeros(0, dtype=complex)
+
+    @property
+    def system(self):
+        return BidiagonalSystem(self.betas, self.gammas, self.aug_values, self.aug_coupling)
+
+    @property
+    def left_basis(self):
+        return self.F[: self.nf].T
+
+    def estimates(self, gamma):
+        """Ritz values and residual estimates of the columns so far, gamma
+        being the norm of the last column's continuation."""
+        # the coupling's phases are unitary row and column scalings: they
+        # change neither the values nor the moduli of the last row
+        small = BidiagonalSystem(self.betas, self.gammas, self.aug_values, np.abs(self.aug_coupling))
+        y_small, sig, _ = small.decompose()
+        return sig, gamma * np.abs(y_small[-1, :])
+
+    def seed(self, u_mat, v_mat, values):
+        super().seed(u_mat, v_mat, values)
+        r = len(values)
+        self.F[:r] = v_mat.T
+        for j in range(r):
+            self.HF[j] = self.m2.apply(self.F[j])
+        self.nf = r
+        self.aug_coupling = np.zeros(r, dtype=complex)
 
     def add_f_from_image(self, q, collect=None):
         """Append the normalized image q; its projection coefficients go into ``collect``."""
@@ -354,38 +441,91 @@ class LanczosFactorization:
         self.nf += 1
         return beta, f
 
-    def advance(self, p, gamma, k, stop=None):
-        """Append recursion columns, starting from the continuation p / gamma.
+    def _column(self, gamma):
+        """The left half-step of the newest right column; False when no left
+        direction remains.  The first column links to no earlier one; its
+        image's coefficients against a seeded left basis form the coupling
+        row of the restarted system."""
+        q = self.oracle.right(self.E[self.ne - 1])
+        if self.betas:
+            q = q - gamma * self.F[self.nf - 1]
+        beta, f = self.add_f_from_image(q, None if self.betas else self.aug_coupling)
+        if f is None:
+            self.ne -= 1
+            return False
+        if self.betas:
+            self.gammas.append(gamma)
+        self.betas.append(beta)
+        self.scale = max(self.scale, beta)
+        return True
 
-        k caps the pass: it ends at k columns, when the Krylov space is
-        exhausted, or after any column for which ``stop(self, gamma)`` holds,
-        gamma being the norm of that column's continuation, which is kept as
-        ``p_last`` / ``gamma_last``.  The first column links to no earlier
-        one; its image's coefficients against a seeded left basis form the
-        coupling row of the restarted system."""
-        while self.ne < k:
-            if gamma <= self.tol() or not self.add_e(p / gamma):
-                self.exact = True
-                return
-            e = self.E[self.ne - 1]
-            q = self.oracle.right(e)
-            if self.betas:
-                q = q - gamma * self.F[self.nf - 1]
-            beta, f = self.add_f_from_image(q, None if self.betas else self.aug_coupling)
-            if f is None:
-                self.ne -= 1
-                self.exact = True
-                return
-            if self.betas:
-                self.gammas.append(gamma)
-            self.betas.append(beta)
-            self.scale = max(self.scale, beta)
-            p = self.oracle.left(f) - beta * e
-            gamma = self.m1.norm(p)
-            self.scale = max(self.scale, gamma)
-            if stop is not None and self.ne < k and stop(self, gamma):
-                break
-        self.p_last, self.gamma_last = p, float(gamma)
+    def _continuation(self):
+        return self.oracle.left(self.F[self.nf - 1]) - self.betas[-1] * self.E[self.ne - 1]
+
+
+class _HermitianLanczos(_KrylovPass):
+    """Hermitian Lanczos in the oracle's first metric, with full
+    reorthogonalization; the pass state for an oracle whose right action
+    e -> w H1 e is self-adjoint in H1 (w Hermitian).
+
+    Each column costs one right action.  ``system`` is real symmetric
+    tridiagonal, preceded after a thick restart by the retained Ritz values
+    and their coupling column; its upper triangle fills a preallocated array
+    column by column.  The left basis is the right one.  The coupling's
+    phases are a unitary scaling of the retained vectors; they are moved into
+    those vectors, which keeps the system real.
+    """
+
+    def __init__(self, oracle, rng, cap, scale):
+        super().__init__(oracle, rng, cap, scale)
+        self.T = np.zeros((cap, cap))
+        self.first = 0
+        self.q = None
+
+    @property
+    def system(self):
+        return _SymmetricSystem(self.T[: self.ne, : self.ne])
+
+    left_basis = _KrylovPass.right_basis
+
+    def estimates(self, gamma):
+        """Ritz values and residual estimates of the columns so far, gamma
+        being the norm of the last column's continuation."""
+        y_small, lam, _ = self.system.decompose()
+        return lam, gamma * np.abs(y_small[-1, :])
+
+    def seed(self, u_mat, v_mat, values):
+        super().seed(u_mat, v_mat, values)
+        r = len(values)
+        self.T[np.arange(r), np.arange(r)] = self.aug_values
+        self.first = r
+
+    def _column(self, gamma):
+        """The newest column's entries of the system.  The first column's
+        coefficients against the seeded basis form the coupling row; later
+        columns follow the three-term recurrence, and ``add_e``
+        reorthogonalizes each new column (CGS2)."""
+        j = self.ne - 1
+        q = self.oracle.right(self.E[j])
+        if j > self.first:
+            self.T[j - 1, j] = gamma
+            q = q - gamma * self.E[j - 1]
+            alpha = np.vdot(self.HE[j], q)
+            q = q - alpha * self.E[j]
+        else:
+            q, coeff = project_out(q, self.E[: self.ne], self.HE[: self.ne])
+            alpha = coeff[j]
+            phase = np.exp(1j * np.angle(coeff[:j]))
+            self.E[:j] *= phase[:, None]
+            self.HE[:j] *= phase[:, None]
+            self.T[:j, j] = np.abs(coeff[:j])
+        self.T[j, j] = alpha.real
+        self.scale = max(self.scale, abs(alpha.real))
+        self.q = q
+        return True
+
+    def _continuation(self):
+        return self.q
 
 
 def _fresh_start(vec, metric):
@@ -401,9 +541,10 @@ def lanczos_bidiagonalize(oracle, start_direction, k):
     """One Golub-Kahan pass in the oracle's metrics from ``start_direction``.
 
     Runs at most k recursion steps with full reorthogonalization,
-    terminating early when the Krylov subspace becomes invariant (the
-    singular values are then exact).  Returns the ``LanczosFactorization``,
-    whose continuation vector and norm a restart would start from.
+    terminating early when the Krylov subspace becomes invariant or the
+    right basis spans the whole space (the singular values are then exact).
+    Returns the ``LanczosFactorization``, whose continuation vector and norm
+    a restart would start from.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -416,51 +557,62 @@ def lanczos_bidiagonalize(oracle, start_direction, k):
 
 
 def ritz_factorize(system, right_basis, left_basis, gamma_last=0.0):
-    """Dense SVD of the projected system with basis rotation.
+    """Dense decomposition of the projected system with basis rotation.
 
-    Residual estimates are the classical last-row couplings scaled by the
-    continuation norm; they are exact for the returned triples.
+    A bidiagonal system gives singular triples; a Hermitian pass's
+    tridiagonal system gives eigenpairs, signed values descending, whose
+    right and left vectors coincide.  Residual estimates are the classical
+    last-row couplings scaled by the continuation norm; they are exact for
+    the returned triples.  The norm estimate is the largest value modulus.
     """
     kk = system.size
     n1 = right_basis.shape[0]
     n2 = left_basis.shape[0]
     if kk == 0:
         return _empty_psvd(n1, n2)
-    y_small, sig, zh_small = np.linalg.svd(system.to_dense())
+    y_small, values, zh_small = system.decompose()
     u_mat = right_basis @ zh_small.conj().T
     v_mat = left_basis @ y_small
     residuals = float(gamma_last) * np.abs(y_small[-1, :])
     return PartialSVD(
         right_vectors=u_mat,
         left_vectors=v_mat,
-        values=sig,
+        values=values,
         residuals=residuals,
         converged=False,
-        norm_estimate=float(sig[0]) if sig.size else 0.0,
+        norm_estimate=float(np.max(np.abs(values))),
     )
 
 
 def augmented_restart(
-    oracle, ell, k, delta, max_restarts=200, rng=None, start=None, stop_below=None
+    oracle, ell, k, delta, max_restarts=200, rng=None, start=None, stop_below=None,
+    hermitian=False,
 ):
-    """Restarted bidiagonalization seeded with the leading Ritz vectors.
+    """Restarted Krylov engine seeded with the leading Ritz vectors.
 
-    One loop runs every pass: the first, from ``start`` or a random vector;
-    each thick restart, which keeps the ell leading Ritz triples, records the
-    coupling row to the seeded left basis and goes on from the continuation
-    vector; and the re-entry after an exhausted Krylov space, which keeps the
-    triples likewise but goes on from a random direction, since values
-    outside an invariant space never enter it.  k caps the length of a pass:
-    after each column the projected system is checked, and the pass ends at
-    the first column where ``_stopped`` holds (the ell leading triples
-    converged, or a triple certified below ``stop_below``).  A pass from a
-    random vector holds at least ell + 1 columns first, so its Krylov space
-    can reach the leading values.  Only a pass that ends uncertified is
-    followed by another.  Every random draw comes from ``rng``.  All Ritz
-    triples of the final pass are returned (callers needing only converged
-    triples should consult ``residuals``); ``exact`` means they are the whole
-    spectrum.  Callers pass ell and k as set; they are clamped to the
-    oracle's size here.
+    For a general oracle a pass is a Golub-Kahan bidiagonalization and the
+    triples are singular triples.  ``hermitian`` declares the right action
+    self-adjoint in the first metric (w Hermitian); a pass is then Hermitian
+    Lanczos, one action per column, and the triples are eigenpairs with
+    signed values, largest first.  One loop runs every pass: the first, from
+    ``start`` or a random vector; each thick restart, which keeps the ell
+    leading Ritz triples, records the coupling row to the seeded basis and
+    goes on from the continuation vector; and the re-entry after an
+    exhausted Krylov space, which keeps the triples likewise but goes on
+    from a random direction, since values outside an invariant space never
+    enter it.  k caps the columns of a pass: after each column the projected
+    system is checked, and the pass ends at the first column where
+    ``_stopped`` holds (the ell leading triples converged, or a triple
+    certified below ``stop_below``).  A pass from a random vector holds at
+    least ell + 1 columns first, so its Krylov space can reach the leading
+    values; a cut at index 0, which keeps nothing, waits for as many columns
+    from any start, since a warm start may lie in directions below the
+    level.  Only a pass that ends uncertified is followed by another.
+    Every random draw comes from ``rng``.  All Ritz triples of the final pass
+    are returned (callers needing only converged triples should consult
+    ``residuals``); ``exact`` means they are the whole spectrum, as they are
+    once a pass's basis spans the whole space.  Callers pass ell and k as
+    set; they are clamped to the oracle's size here.
     """
     if ell < 1 or delta <= 0:
         raise ValueError("need ell >= 1 and delta > 0")
@@ -472,32 +624,30 @@ def augmented_restart(
     k = min(max(k, ell + 1), mindim)
     if k <= ell:
         k = ell  # tiny spaces: a single full pass is the whole decomposition
+    state = _HermitianLanczos if hermitian else LanczosFactorization
 
     norm_est = float(oracle.norm_estimate or 0.0)
 
+    def certified(values, residuals):
+        # a start may lie in directions below the level, so a cut that
+        # keeps nothing waits for ell + 1 columns, as a random start does
+        return _stopped(values, residuals, ell, delta, norm_est, stop_below, empty_after=ell)
+
     def stop(fac, gamma):
-        if fac.ne < floor:
-            return False
-        # the coupling's phases are unitary row and column scalings: they
-        # change neither the values nor the moduli of the last row
-        small = _arrow_matrix(fac.aug_values, np.abs(fac.aug_coupling), fac.betas, fac.gammas)
-        y_small, sig, _ = np.linalg.svd(small)
-        return _stopped(sig, gamma * np.abs(y_small[-1, :]), ell, delta, norm_est, stop_below)
+        return fac.ne >= floor and certified(*fac.estimates(gamma))
 
     floor = ell + 1 if start is None else 0
     p, gamma = _fresh_start(start if start is not None else _random_unit(rng, n1, m1), m1)
     cap, kept, restarts = k, None, 0
     while True:
-        fac = LanczosFactorization(oracle, rng, cap, norm_est)
+        fac = state(oracle, rng, cap, norm_est)
         if kept is not None:
             fac.seed(*kept)
         fac.advance(p, gamma, cap, stop)
         psvd = ritz_factorize(fac.system, fac.right_basis, fac.left_basis, fac.gamma_last)
         norm_est = max(norm_est, psvd.norm_estimate)
 
-        done = psvd.count == 0 or _stopped(
-            psvd.values, psvd.residuals, ell, delta, norm_est, stop_below
-        )
+        done = psvd.count == 0 or certified(psvd.values, psvd.residuals)
         if done or restarts >= max_restarts:
             psvd.converged = done
             psvd.exact = fac.exact and psvd.count >= mindim

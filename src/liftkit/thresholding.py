@@ -47,9 +47,11 @@ class ThresholdConfig:
     """Settings for the tensor-free thresholding operators.
 
     ``ell`` is the initial subspace size, ``k`` the cap on the columns of
-    one bidiagonalization pass (k > ell; a pass stops at its first certified
-    column), ``delta`` the relative convergence tolerance, ``rank_cap`` the
-    largest subspace the adaptation may grow to.  These checks are the one
+    one Krylov pass of the lanczos engine (k > ell; a pass stops at its first
+    certified column), ``delta`` the relative convergence tolerance,
+    ``rank_cap`` the largest subspace the adaptation may grow to.  A column
+    of ``svt``'s Golub-Kahan pass costs two oracle actions, a column of
+    ``evt``'s Hermitian Lanczos pass one.  These checks are the one
     owner of the engine-setting rules; ``SolverConfig`` validates through them.
     """
 
@@ -94,9 +96,10 @@ def _warm_columns(warm_start):
     return [warm_start.left[:, j] for j in range(warm_start.rank)]
 
 
-def _deflated_leading(oracle, psvd, span, cfg, rng):
-    """Leading singular value of the oracle with the first ``span`` computed
-    triples removed; None when the check itself does not converge.
+def _deflated_leading(oracle, psvd, span, cfg, rng, hermitian):
+    """Leading singular value (largest eigenvalue, for a Hermitian oracle)
+    of the oracle with the first ``span`` computed triples removed; None when
+    the check itself does not converge.
 
     Guards the early threshold cut against singular values hidden from the
     Krylov space (near-degenerate clusters can conceal one member while a
@@ -116,16 +119,20 @@ def _deflated_leading(oracle, psvd, span, cfg, rng):
         return oracle.left(f) - u @ (s * (v.conj().T @ m2.apply(f)))
 
     deflated = ActionOracle(right, left, oracle.dims, oracle.metrics)
-    probe = augmented_restart(deflated, 1, 4, cfg.delta, max_restarts=25, rng=rng)
+    probe = augmented_restart(
+        deflated, 1, 4, cfg.delta, max_restarts=25, rng=rng, hermitian=hermitian
+    )
     if not probe.converged:
         return None
     return float(probe.values[0]) if probe.count else 0.0
 
 
-def _adaptive_triples(oracle, cfg, rng, warm_start):
+def _adaptive_triples(oracle, cfg, rng, warm_start, hermitian):
     """Run the configured engine, growing the subspace until a value is
     certified below the threshold level behind a converged prefix (or the
-    rank is exhausted).
+    rank is exhausted).  With ``hermitian`` the lanczos engine's triples are
+    eigenpairs with signed values; the subspace engine's are singular
+    triples either way.
 
     Each engine call starts from one warm iterate: the caller's, the last
     result after a growth, or none after a probe finds a hidden value.
@@ -148,7 +155,8 @@ def _adaptive_triples(oracle, cfg, rng, warm_start):
             )
         else:
             psvd = augmented_restart(
-                oracle, ell, k, cfg.delta, rng=rng, start=_warm_vector(warm), stop_below=cfg.tau
+                oracle, ell, k, cfg.delta, rng=rng, start=_warm_vector(warm),
+                stop_below=cfg.tau, hermitian=hermitian,
             )
         restarts += psvd.restarts
 
@@ -162,7 +170,7 @@ def _adaptive_triples(oracle, cfg, rng, warm_start):
                 # level is hidden from the computed subspace.  An unconverged
                 # cut triple is no singular triple, so it is not deflated.
                 span = cut + 1 if psvd.residuals[cut] <= tol else cut
-                sigma_next = _deflated_leading(oracle, psvd, span, cfg, rng)
+                sigma_next = _deflated_leading(oracle, psvd, span, cfg, rng, hermitian)
                 if sigma_next is None or sigma_next > cfg.tau - tol:
                     ell = min(2 * ell, cap)
                     k = max(2 * ell, k)
@@ -177,7 +185,10 @@ def _adaptive_triples(oracle, cfg, rng, warm_start):
             # no value certified below the level yet: enlarge the subspace
             ell = min(2 * ell, cap)
             k = max(2 * ell, k)
-            warm = FactoredTensor(psvd.right_vectors, psvd.left_vectors, psvd.values)
+            # weighted by the values above zero: a large negative eigenvalue
+            # would otherwise steer the next start below the level
+            weights = np.maximum(psvd.values, 0.0)
+            warm = FactoredTensor(psvd.right_vectors, psvd.left_vectors, weights)
             continue
         else:
             # rank growth capped: accept the converged prefix (inexact regime)
@@ -235,20 +246,21 @@ def _dense_sqrt(h):
 def _threshold(oracle, cfg, rng, warm_start, hermitian):
     """Soft-threshold the oracle's spectrum at cfg.tau; the path behind svt and evt.
 
-    Symmetric oracles have their singular triples converted to signed
-    eigenvalues.  The result carries ``restarts`` (summed over engine calls),
-    ``norm_estimate`` (nonnegative) and ``actions`` (the oracle calls made here).
+    For symmetric oracles the lanczos engine returns signed eigenvalues; the
+    subspace engine's singular triples are converted.  The result carries
+    ``restarts`` (summed over engine calls), ``norm_estimate`` (nonnegative)
+    and ``actions`` (the oracle calls made here).
     """
     calls = oracle.calls
     if cfg.engine == "dense":
         values, right, left = _dense_triples(oracle, hermitian)
         restarts, norm = 0, float(np.max(np.abs(values), initial=0.0))
     else:
-        psvd, keep, restarts = _adaptive_triples(oracle, cfg, rng, warm_start)
+        psvd, keep, restarts = _adaptive_triples(oracle, cfg, rng, warm_start, hermitian)
         values = psvd.values[keep]
         right, left = psvd.right_vectors[:, keep], psvd.left_vectors[:, keep]
         norm = psvd.norm_estimate
-        if hermitian:
+        if hermitian and cfg.engine == "subspace":
             metric = oracle.metrics[0]
             values = np.array(
                 [svd_to_evd(s, right[:, i], left[:, i], metric) for i, s in enumerate(values)]

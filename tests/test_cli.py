@@ -318,6 +318,9 @@ BAD_INPUTS = {
     "bench-negative-seed": ["bench-svt", "--iterations", "2", "--seed", "-1"],
     "bench-size-zero": ["bench-svt", "--iterations", "2", "--size", "0"],
     "bench-size-negative": ["bench-svt", "--iterations", "2", "--size", "-2"],
+    "solve-data-count-mismatch": SOLVE + ["--data", "{tmp}/four-masks"],
+    "solve-dft-below-image": SOLVE + ["--data", "{tmp}/small-dft"],
+    "gen-data-dft-below-image": GEN_DATA + ["--image", "{dir}/truth", "--m2", "4"],
 }
 
 
@@ -327,6 +330,9 @@ def test_bad_input_exit_two(solved, tmp_path, capsys, monkeypatch, argv):
     solve is rejected before the solver runs."""
     (tmp_path / "empty").write_bytes(b"")
     (tmp_path / "empty.json").write_text('{"height": 8, "width": 8, "count": 0}')
+    # data for 4 masks where the stack holds 6, and DFT sizes below the 8x8 image
+    storage.write_data(tmp_path / "four-masks", np.ones(4 * 16 * 16), (4, 16, 16))
+    storage.write_data(tmp_path / "small-dft", np.ones(6 * 4 * 4), (6, 4, 4))
 
     def no_solve(*args, **kwargs):
         raise AssertionError("the solver ran on a rejected configuration")

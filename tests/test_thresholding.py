@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from liftkit import partial_svd
 from liftkit.lowrank import FactoredTensor, HermitianFactored
 from liftkit.metric import EuclideanMetric, ReweightedMetric, orthonormalize
 from liftkit.partial_svd import (
@@ -516,6 +517,57 @@ class TestInvariantKrylovSpace:
         assert np.max(np.abs(out.to_dense() - expected)) <= 1e-8
 
 
+class TestStartBelowLevel:
+    """A start in directions below the level must not certify that nothing is
+    above it: a pass cuts at index 0 only once it holds ell + 1 columns, and a
+    growth step starts from the Ritz vectors of the values above zero.  With
+    ell == rank_cap no probe runs behind the cut."""
+
+    @pytest.mark.parametrize("kind", ["spd", "reweighted"])
+    @pytest.mark.parametrize("noise", [0.0, 1e-3])
+    def test_evt_warm_on_negative_eigenvector(self, kind, noise):
+        rng = np.random.default_rng(73)
+        for draw in range(3):
+            w, m, lam, right = TestHermitianPass.problem(rng, kind, top=[-3.0, 1.0, 0.7])
+            start = HermitianFactored(perturbed(rng, right[:, :1], noise), np.array([3.0]))
+            cfg = ThresholdConfig(tau=0.5, ell=2, k=10, delta=DELTA, rank_cap=2)
+            out = evt(oracle_from_dense(w, m, m), cfg, rng=rng, warm_start=start)
+            assert out.rank == 2, draw
+            assert np.max(np.abs(out.to_dense() - dense_evt(w, m.to_dense(), 0.5))) <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["spd", "reweighted"])
+    @pytest.mark.parametrize("noise", [0.0, 1e-3])
+    def test_svt_warm_on_small_singular_pair(self, kind, noise):
+        rng = np.random.default_rng(74)
+        n = 24
+        for draw in range(3):
+            m1, m2 = TestStepRule.metric(rng, n, kind), TestStepRule.metric(rng, n, kind)
+            sig = np.concatenate([[1.0, 0.7, 0.1], rng.uniform(0.0, 0.05, size=n - 3)])
+            w, right, left = operator_with_factors(rng, sig, m1, m2)
+            start = FactoredTensor(
+                perturbed(rng, right[:, 2:3], noise), perturbed(rng, left[:, 2:3], noise),
+                np.array([0.1]),
+            )
+            cfg = ThresholdConfig(tau=0.5, ell=2, k=10, delta=DELTA, rank_cap=2)
+            out = svt(oracle_from_dense(w, m1, m2), cfg, rng=rng, warm_start=start)
+            assert out.rank == 2, draw
+            expected = dense_svt(w, m1.to_dense(), m2.to_dense(), 0.5)
+            assert np.max(np.abs(out.to_dense() - expected)) <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["spd", "reweighted"])
+    def test_evt_growth_past_negative_value(self, kind):
+        # ell 2 grows to the cap 4 with a warm start from the first result,
+        # whose Ritz pairs include the -3 one
+        rng = np.random.default_rng(110)
+        for draw in range(8):
+            top = [1.0, 0.9, 0.8, 0.7, -3.0]
+            w, m, lam, right = TestHermitianPass.problem(rng, kind, top=top)
+            cfg = ThresholdConfig(tau=0.5, ell=2, k=10, delta=DELTA, rank_cap=4)
+            out = evt(oracle_from_dense(w, m, m), cfg, rng=rng)
+            assert out.rank == 4, draw
+            assert np.max(np.abs(out.to_dense() - dense_evt(w, m.to_dense(), 0.5))) <= 1e-8
+
+
 class TestThresholdStatistics:
     """svt and evt carry the same statistics under every engine: the summed
     restarts, a nonnegative norm estimate and the oracle calls of this call."""
@@ -542,3 +594,115 @@ class TestThresholdStatistics:
         assert out.norm_estimate >= 0
         if engine == "dense":
             assert out.norm_estimate == pytest.approx(2.0, rel=1e-10)
+
+
+class TestWholeSpacePass:
+    """A pass whose right basis spans the whole space is exact, so the cut
+    behind it needs no deflation probe."""
+
+    @pytest.mark.parametrize("kind", ["evt", "svt"])
+    def test_diagonal_spends_one_pass(self, kind, monkeypatch):
+        def no_probe(*args, **kwargs):
+            raise AssertionError("the deflation probe ran behind an exact pass")
+
+        monkeypatch.setattr("liftkit.thresholding._deflated_leading", no_probe)
+        values = np.array([10.0, 9.0, 8.0, 7.0, 6.0, 0.1])
+        w = np.diag(values).astype(complex)
+        m = EuclideanMetric(6)
+        oracle = oracle_from_dense(w, m, m)
+        cfg = ThresholdConfig(tau=1.0)
+        assert cfg.ell < min(cfg.rank_cap, 6)
+        threshold = evt if kind == "evt" else svt
+        out = threshold(oracle, cfg, rng=np.random.default_rng(4))
+        assert out.actions <= 2 * 6
+        assert out.rank == 5
+        if kind == "evt":
+            expected = dense_evt(w, m.to_dense(), 1.0)
+        else:
+            expected = dense_svt(w, m.to_dense(), m.to_dense(), 1.0)
+        assert np.max(np.abs(out.to_dense() - expected)) <= 1e-10
+
+
+# a clustered spectrum above the level 0.5, as in STEP_SPECTRA; the other
+# values lie in [-0.2, 0.2]
+HERMITIAN_TOP = [1.0, 0.5003, 0.5001, 0.4999, 0.4997]
+
+
+class TestHermitianPass:
+    """evt's lanczos engine is a Hermitian Lanczos pass: one right action per
+    column, Ritz values signed and largest first."""
+
+    @staticmethod
+    def problem(rng, kind, top=HERMITIAN_TOP, n=24):
+        m = TestStepRule.metric(rng, n, kind)
+        lam = np.concatenate([top, rng.uniform(-0.2, 0.2, size=n - len(top))])
+        w, right, _ = operator_with_factors(rng, lam, m)
+        return w, m, lam, right
+
+    @pytest.mark.parametrize("kind", ["spd", "reweighted"])
+    @pytest.mark.parametrize("start", ["cold", "warm", "restarted"])
+    def test_residual_estimates_are_metric_residuals(self, kind, start):
+        # cold and warm: one pass; restarted: k = ell + 1 against the
+        # cluster, the fifth thick restart; the Ritz pairs are unconverged
+        rng = np.random.default_rng(70)
+        w, m, lam, right = self.problem(rng, kind)
+        oracle = oracle_from_dense(w, m, m)
+        if start == "restarted":
+            out = augmented_restart(oracle, 2, 3, DELTA, max_restarts=5, rng=rng, hermitian=True)
+            assert out.restarts == 5
+        else:
+            vec = None if start == "cold" else perturbed(rng, right[:, :3], 0.1) @ np.ones(3)
+            out = augmented_restart(oracle, 2, 6, DELTA, max_restarts=0, rng=rng, start=vec,
+                                    hermitian=True)
+        assert not out.converged
+        assert out.values[0] <= lam.max() + 1e-12
+        assert oracle.left_calls == 0
+        h = m.to_dense()
+        vecs = out.right_vectors
+        assert np.array_equal(vecs, out.left_vectors)
+        assert np.max(np.abs(vecs.conj().T @ h @ vecs - np.eye(out.count))) <= 1e-12
+        assert np.all(np.diff(out.values) <= 0)
+        for j in range(out.count):
+            resid = w @ (h @ vecs[:, j]) - out.values[j] * vecs[:, j]
+            true = np.sqrt(np.real(np.vdot(resid, h @ resid)))
+            assert abs(out.residuals[j] - true) <= 1e-12, (j, out.residuals[j], true)
+
+    @pytest.mark.parametrize("kind", ["spd", "reweighted"])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_negative_value_of_largest_modulus(self, kind, warm):
+        # |-3| leads by modulus; evt keeps 1.0 and 0.7 above the level 0.5
+        # with ell = rank_cap = 2, so no probe runs
+        tau = 0.5
+        rng = np.random.default_rng(71)
+        for draw in range(3):
+            w, m, lam, right = self.problem(rng, kind, top=[-3.0, 1.0, 0.7])
+            # a warm start as the solver passes it: the last iterate, positive
+            start = HermitianFactored(perturbed(rng, right[:, 1:3]), np.array([0.5, 0.2]))
+            start = start if warm else None
+            cfg = ThresholdConfig(tau=tau, ell=2, k=10, delta=DELTA, rank_cap=2)
+            out = evt(oracle_from_dense(w, m, m), cfg, rng=rng, warm_start=start)
+            assert out.rank == 2, draw
+            expected = dense_evt(w, m.to_dense(), tau)
+            assert np.max(np.abs(out.to_dense() - expected)) <= 1e-8, draw
+
+    @pytest.mark.parametrize("ell", [5, 2])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_actions_are_the_columns_built(self, ell, warm, monkeypatch):
+        columns = []
+        add_e = partial_svd._KrylovPass.add_e
+
+        def counted(fac, vec):
+            added = add_e(fac, vec)
+            columns.append(added)
+            return added
+
+        monkeypatch.setattr(partial_svd._KrylovPass, "add_e", counted)
+        rng = np.random.default_rng(72)
+        w, m, lam, right = self.problem(rng, "reweighted")
+        start = HermitianFactored(perturbed(rng, right[:, :2]), lam[:2] - 0.5) if warm else None
+        oracle = oracle_from_dense(w, m, m)
+        cfg = ThresholdConfig(tau=0.5, ell=ell, k=10, delta=DELTA, rank_cap=5)
+        out = evt(oracle, cfg, rng=rng, warm_start=start)
+        assert oracle.left_calls == 0
+        assert out.actions == oracle.right_calls == sum(columns) > 0
+        assert np.max(np.abs(out.to_dense() - dense_evt(w, m.to_dense(), 0.5))) <= 1e-8
