@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+from typing import NamedTuple
 
 import jsonschema
 import numpy as np
@@ -22,13 +23,15 @@ from .bench import format_table, run_benchmark
 from .errors import ConfigError, NumericalError
 from .metric import EuclideanMetric
 from .phase_retrieval import (
+    MASK_MAKERS,
+    METRIC_KINDS,
+    SOBOLEV_DEFAULT_MU,
     PRProblem,
     add_noise,
     coverage_map,
     default_metric,
     error_up_to_phase,
     forward,
-    make_gaussian_masks,
     make_rademacher_masks,
     MaskSet,
     recover,
@@ -37,84 +40,99 @@ from .phase_retrieval import (
 from .solver import FIDELITY_KINDS, Fidelity, ReweightSettings, SolverConfig
 from .thresholding import ENGINES
 
-SOLVER_DEFAULTS = {
-    "tau": None,
-    "sigma": None,
-    "theta": 1.0,
-    "fidelity": "exact",
-    "alpha": 1.0,
-    "eps": 0.0,
-    "reweight": {"enabled": True, "weight": 0.5, "period": 10, "max_promoted": 5},
-    "engine": "lanczos",
-    "ell": 5,
-    "k": 10,
-    "delta": 1e-8,
-    "rank_cap": 5,
-    "max_iter": 1000,
-    "tol": 1e-10,
-    "metric": "euclidean",
-    "mu": [0.25, 1.0, 1.0],
+
+class Setting(NamedTuple):
+    """A solve setting: its default, its run-config schema fragment, its flag
+    and the flag's argparse keywords."""
+
+    default: object
+    schema: dict
+    flag: str
+    keywords: dict
+
+
+# One row per solve setting, in manifest order.  The schema holds types, enums
+# and shapes only: the bounds belong to SolverConfig, ThresholdConfig,
+# ReweightSettings, Fidelity and SobolevMetric, which the solve builds before
+# it reads any file; the eps bound has no other owner.  The defaults are read
+# from those owners, except the CLI's own choices: reweighting on, the exact
+# fidelity, eps 0, the Euclidean metric and step sizes from the operator norm.
+_SOLVER, _REWEIGHT = SolverConfig(), ReweightSettings()
+_NUMBER, _INTEGER, _STEP = {"type": "number"}, {"type": "integer"}, {"type": ["number", "null"]}
+_FLOAT, _INT = {"type": float}, {"type": int}
+SOLVER_SETTINGS = {
+    "tau": Setting(None, _STEP, "--tau", _FLOAT),
+    "sigma": Setting(None, _STEP, "--sigma", _FLOAT),
+    "theta": Setting(_SOLVER.theta, _NUMBER, "--theta", _FLOAT),
+    "fidelity": Setting("exact", {"enum": list(FIDELITY_KINDS)}, "--fidelity",
+                        {"choices": FIDELITY_KINDS}),
+    "alpha": Setting(_SOLVER.alpha_reg, _NUMBER, "--alpha",
+                     {"type": float, "help": "regularization weight"}),
+    "eps": Setting(0.0, {"type": "number", "minimum": 0}, "--eps",
+                   {"type": float, "help": "norm-ball radius"}),
+    "reweight": {
+        "enabled": Setting(True, {"type": "boolean"}, "--no-reweight",
+                           {"action": "store_const", "const": False}),
+        "weight": Setting(_REWEIGHT.weight, _NUMBER, "--reweight-weight", _FLOAT),
+        "period": Setting(_REWEIGHT.period, _INTEGER, "--reweight-period", _INT),
+        "max_promoted": Setting(_REWEIGHT.max_promoted, _INTEGER, "--max-promoted", _INT),
+    },
+    "engine": Setting(_SOLVER.engine, {"enum": list(ENGINES)}, "--engine", {"choices": ENGINES}),
+    "ell": Setting(_SOLVER.ell, _INTEGER, "--ell", _INT),
+    "k": Setting(_SOLVER.k, _INTEGER, "--k", {
+        "type": int,
+        "help": "most columns per Lanczos pass, one oracle action each (the recovery's "
+                "tensor is Hermitian); a pass stops at its first certified column",
+    }),
+    "delta": Setting(_SOLVER.delta, _NUMBER, "--delta", _FLOAT),
+    "rank_cap": Setting(_SOLVER.rank_cap, _INTEGER, "--rank-cap", _INT),
+    "max_iter": Setting(_SOLVER.max_iter, _INTEGER, "--max-iter", _INT),
+    "tol": Setting(_SOLVER.tol, _NUMBER, "--tol", _FLOAT),
+    "metric": Setting("euclidean", {"enum": list(METRIC_KINDS)}, "--metric",
+                      {"choices": METRIC_KINDS}),
+    "mu": Setting(
+        SOBOLEV_DEFAULT_MU,
+        {"type": "array", "items": _NUMBER, "minItems": 3, "maxItems": 3},
+        "--mu",
+        {"type": float, "nargs": 3, "metavar": ("MU_I", "MU_D1", "MU_D2")},
+    ),
 }
 
-# Types, enums and shapes only: the bounds of the solver settings belong to
-# SolverConfig, ThresholdConfig and ReweightSettings, which the solve builds
-# before it reads any file.  The seed and eps bounds have no other owner.
-RUN_CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "mode": {
-            "enum": ["generate-masks", "generate-data", "solve", "evaluate", "demo", "bench-svt"]
-        },
-        "seed": {"type": "integer", "minimum": 0},
-        "out": {"type": "string"},
-        "paths": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "image": {"type": "string"},
-                "masks": {"type": "string"},
-                "data": {"type": "string"},
-            },
-        },
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "tau": {"type": ["number", "null"]},
-                "sigma": {"type": ["number", "null"]},
-                "theta": {"type": "number"},
-                "fidelity": {"enum": list(FIDELITY_KINDS)},
-                "alpha": {"type": "number"},
-                "eps": {"type": "number", "minimum": 0},
-                "reweight": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "enabled": {"type": "boolean"},
-                        "weight": {"type": "number"},
-                        "period": {"type": "integer"},
-                        "max_promoted": {"type": "integer"},
-                    },
-                },
-                "engine": {"enum": list(ENGINES)},
-                "ell": {"type": "integer"},
-                "k": {"type": "integer"},
-                "delta": {"type": "number"},
-                "rank_cap": {"type": "integer"},
-                "max_iter": {"type": "integer"},
-                "tol": {"type": "number"},
-                "metric": {"enum": ["euclidean", "sobolev"]},
-                "mu": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 3,
-                    "maxItems": 3,
-                },
-            },
-        },
-    },
-}
+
+def _rows(table=SOLVER_SETTINGS, group=None):
+    """(group, key, setting) for every setting; group is None outside the reweight group."""
+    for key, row in table.items():
+        if isinstance(row, dict):
+            yield from _rows(row, key)
+        else:
+            yield group, key, row
+
+
+def _nested(table, leaf, wrap):
+    """The table's shape with leaf(setting) for each setting and wrap(dict)
+    for the table and each group in it."""
+    return wrap({
+        key: _nested(row, leaf, wrap) if isinstance(row, dict) else leaf(row)
+        for key, row in table.items()
+    })
+
+
+def _solver_defaults():
+    return _nested(SOLVER_SETTINGS, lambda setting: setting.default, dict)
+
+
+def _closed(properties):
+    """A JSON-schema object that rejects unknown keys."""
+    return {"type": "object", "additionalProperties": False, "properties": properties}
+
+
+RUN_CONFIG_SCHEMA = _closed({
+    "mode": {"enum": ["generate-masks", "generate-data", "solve", "evaluate", "demo", "bench-svt"]},
+    "seed": {"type": "integer", "minimum": 0},
+    "out": {"type": "string"},
+    "paths": _closed({name: {"type": "string"} for name in ("image", "masks", "data")}),
+    "solver": _nested(SOLVER_SETTINGS, lambda setting: setting.schema, _closed),
+})
 
 CSV_HEADER = ["n", "rank", "fidelity", "sigma0", "sigma1", "sigma2", "restarts", "ms"]
 
@@ -127,12 +145,16 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir, command, config, seed, artifacts):
+def _config_sha256(config):
     canonical = json.dumps(config, sort_keys=True, default=str)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _write_manifest(out_dir, command, config, seed, artifacts):
     manifest = {
         "command": command,
         "config": config,
-        "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+        "config_sha256": _config_sha256(config),
         "seed": seed,
         "artifacts": {
             name: _sha256(os.path.join(out_dir, name)) for name in sorted(artifacts)
@@ -160,55 +182,28 @@ def _load_run_config(path):
 
 def _merge_solver_settings(config_doc, args):
     """Defaults, then the config file, then explicit command-line flags."""
-    merged = json.loads(json.dumps(SOLVER_DEFAULTS))
-    if config_doc and "solver" in config_doc:
-        for key, value in config_doc["solver"].items():
-            if key == "reweight":
-                merged["reweight"].update(value)
-            else:
-                merged[key] = value
-    # every setting but the reweight group has a flag of the same name
-    for key in SOLVER_DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None and key != "reweight":
-            merged[key] = value
-    if getattr(args, "no_reweight", False):
-        merged["reweight"]["enabled"] = False
-    for attr, key in (
-        ("reweight_weight", "weight"),
-        ("reweight_period", "period"),
-        ("max_promoted", "max_promoted"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            merged["reweight"][key] = value
+    merged = _solver_defaults()
+    from_file = (config_doc or {}).get("solver", {})
+    for group, key, setting in _rows():
+        into = merged[group] if group else merged
+        source = from_file.get(group, {}) if group else from_file
+        # argparse's dest: the flag without its dashes
+        flag_value = getattr(args, setting.flag[2:].replace("-", "_"))
+        for value in (source.get(key), flag_value):
+            if value is not None:
+                into[key] = value
     return merged
 
 
 def _build_solver_config(settings, seed):
-    fid_kind = settings["fidelity"]
-    fidelity = Fidelity(kind=fid_kind, eps=settings["eps"] if fid_kind == "epsball" else 0.0)
-    rw = settings["reweight"]
+    kind = settings["fidelity"]
+    own = ("tau", "sigma", "theta", "ell", "k", "delta", "engine", "rank_cap", "max_iter", "tol")
     return SolverConfig(
-        tau=settings["tau"],
-        sigma=settings["sigma"],
-        theta=settings["theta"],
-        fidelity=fidelity,
+        fidelity=Fidelity(kind=kind, eps=settings["eps"] if kind == "epsball" else 0.0),
         alpha_reg=settings["alpha"],
-        reweight=ReweightSettings(
-            enabled=rw["enabled"],
-            weight=rw["weight"],
-            period=rw["period"],
-            max_promoted=rw["max_promoted"],
-        ),
-        ell=settings["ell"],
-        k=settings["k"],
-        delta=settings["delta"],
-        engine=settings["engine"],
-        rank_cap=settings["rank_cap"],
-        max_iter=settings["max_iter"],
-        tol=settings["tol"],
+        reweight=ReweightSettings(**settings["reweight"]),
         seed=seed,
+        **{key: settings[key] for key in own},
     )
 
 
@@ -242,12 +237,7 @@ def _coverage_summary(masks):
 def cmd_gen_masks(args):
     shape = _parse_shape(args.shape)
     out_dir = _ensure_dir(args.out)
-    if args.kind == "rademacher":
-        masks = make_rademacher_masks(shape, args.count, seed=args.seed)
-    elif args.kind == "gaussian":
-        masks = make_gaussian_masks(shape, args.count, seed=args.seed)
-    else:
-        raise ConfigError(f"unknown mask kind {args.kind!r}")
+    masks = MASK_MAKERS[args.kind](shape, args.count, seed=args.seed)
     storage.write_images(os.path.join(out_dir, "masks"), masks.array)
     summary = _coverage_summary(masks)
     config = {
@@ -261,34 +251,58 @@ def cmd_gen_masks(args):
     return 0
 
 
+def _read_image(path):
+    """The one image a file holds; a stack of several is rejected."""
+    stack = storage.read_images(path)
+    if stack.shape[0] != 1:
+        raise ConfigError(f"{path} holds {stack.shape[0]} images, expected one")
+    return stack[0]
+
+
+def _write_data(out_dir, image, masks, noise, seed, m2=None, m1=None):
+    """Measure the image through the masks, add noise and write the data file.
+
+    The DFT sizes default to twice the image; returns the problem with its data.
+    """
+    n2, n1 = image.shape
+    problem = PRProblem(
+        masks=masks,
+        m2=2 * n2 if m2 is None else m2,
+        m1=2 * n1 if m1 is None else m1,
+        metric=EuclideanMetric(n2 * n1),
+    )
+    problem.g = add_noise(forward(problem, image), noise, seed=seed)
+    dims = (masks.count, problem.m2, problem.m1)
+    storage.write_data(os.path.join(out_dir, "data"), problem.g, dims)
+    return problem
+
+
 def cmd_gen_data(args):
     out_dir = _ensure_dir(args.out)
-    image = storage.read_images(args.image)[0]
+    image = _read_image(args.image)
     if not np.all(np.isfinite(image)):
         raise ConfigError(f"image {args.image} has non-finite pixels")
     mask_array = storage.read_images(args.masks)
     if mask_array.shape[1:] != image.shape:
         raise ConfigError("image and masks have different shapes")
     masks = MaskSet(array=mask_array, kind="custom")
-    n2, n1 = image.shape
-    m2 = args.m2 or 2 * n2
-    m1 = args.m1 or 2 * n1
-    problem = PRProblem(masks=masks, m2=m2, m1=m1, metric=EuclideanMetric(n2 * n1))
-    g = add_noise(forward(problem, image), args.noise, seed=args.seed)
-    storage.write_data(os.path.join(out_dir, "data"), g, (masks.count, m2, m1))
+    problem = _write_data(out_dir, image, masks, args.noise, args.seed, args.m2, args.m1)
     config = {
         "image": os.path.abspath(args.image),
         "masks": os.path.abspath(args.masks),
-        "m2": m2,
-        "m1": m1,
+        "m2": problem.m2,
+        "m1": problem.m1,
         "noise": args.noise,
     }
     _write_manifest(out_dir, "gen-data", config, args.seed, ["data", "data.json"])
-    print(json.dumps({"data": os.path.join(out_dir, "data"), "length": int(g.size)}, indent=2))
+    length = int(problem.g.size)
+    print(json.dumps({"data": os.path.join(out_dir, "data"), "length": length}, indent=2))
     return 0
 
 
-def _solve_problem(masks_path, data_path, settings, seed, out_dir, sink=None):
+def _solve_problem(masks_path, data_path, settings, seed, out_dir):
+    """Recover the image and write the run's files; returns the image, the
+    run summary and the artifact names."""
     cfg = _build_solver_config(settings, seed)
     mask_array = storage.read_images(masks_path)
     g, (count, m2, m1) = storage.read_data(data_path)
@@ -299,15 +313,7 @@ def _solve_problem(masks_path, data_path, settings, seed, out_dir, sink=None):
     masks = MaskSet(array=mask_array, kind="custom")
     metric = default_metric(masks.shape, settings["metric"], settings["mu"])
     problem = PRProblem(masks=masks, m2=m2, m1=m1, metric=metric, g=g)
-
-    rows = []
-
-    def collect(rec):
-        rows.append(rec)
-        if sink is not None:
-            sink(rec)
-
-    image, result = recover(problem, cfg, sink=collect)
+    image, result = recover(problem, cfg)
 
     storage.write_images(os.path.join(out_dir, "recovered"), image)
     artifacts = ["recovered", "recovered.json"]
@@ -322,7 +328,7 @@ def _solve_problem(masks_path, data_path, settings, seed, out_dir, sink=None):
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for rec in rows:
+        for rec in result.log:
             vals = list(rec.values[:3]) + [0.0] * (3 - min(3, len(rec.values)))
             writer.writerow(
                 [rec.n, rec.rank, f"{rec.fidelity:.16e}"]
@@ -330,7 +336,15 @@ def _solve_problem(masks_path, data_path, settings, seed, out_dir, sink=None):
                 + [rec.restarts, f"{rec.ms:.3f}"]
             )
     artifacts.append("iterations.csv")
-    return image, result, factor_values, artifacts
+    log = result.log
+    summary = {
+        "factorization": {"values": factor_values},
+        "converged": result.converged,
+        "iterations": len(log),
+        "final_rank": log[-1].rank if log else 0,
+        "final_fidelity": log[-1].fidelity if log else 0.0,
+    }
+    return image, summary, artifacts
 
 
 def cmd_solve(args):
@@ -345,37 +359,19 @@ def cmd_solve(args):
         raise ConfigError("solve requires --masks and --data (or config paths)")
     seed = args.seed if args.seed is not None else (config_doc or {}).get("seed", 0)
 
-    image, result, factor_values, artifacts = _solve_problem(
-        masks_path, data_path, settings, seed, out_dir
-    )
-    config = {
-        "solver": settings,
-        "paths": {"masks": os.path.abspath(masks_path), "data": os.path.abspath(data_path)},
-        "factorization": {"values": factor_values},
-        "converged": result.converged,
-        "iterations": len(result.log),
-        "final_rank": result.log[-1].rank if result.log else 0,
-        "final_fidelity": result.log[-1].fidelity if result.log else 0.0,
-    }
+    _, summary, artifacts = _solve_problem(masks_path, data_path, settings, seed, out_dir)
+    paths = {"masks": os.path.abspath(masks_path), "data": os.path.abspath(data_path)}
+    config = {"solver": settings, "paths": paths, **summary}
     _write_manifest(out_dir, "solve", config, seed, artifacts)
-    print(
-        json.dumps(
-            {
-                "recovered": os.path.join(out_dir, "recovered"),
-                "iterations": len(result.log),
-                "final_rank": config["final_rank"],
-                "final_fidelity": config["final_fidelity"],
-                "converged": result.converged,
-            },
-            indent=2,
-        )
-    )
+    report = {key: summary[key] for key in ("iterations", "final_rank", "final_fidelity",
+                                            "converged")}
+    print(json.dumps({"recovered": os.path.join(out_dir, "recovered"), **report}, indent=2))
     return 0
 
 
 def cmd_eval(args):
-    recovered = storage.read_images(args.recovered)[0]
-    reference = storage.read_images(args.reference)[0]
+    recovered = _read_image(args.recovered)
+    reference = _read_image(args.reference)
     if recovered.shape != reference.shape:
         raise ConfigError("recovered and reference images have different shapes")
     report = {
@@ -411,15 +407,10 @@ def cmd_bench_svt(args):
     )
     print(format_table(rows))
     if args.json:
-        config = {
-            "iterations": args.iterations,
-            "size": args.size,
-            "count": args.count,
-        }
-        canonical = json.dumps(config, sort_keys=True)
+        config = {"iterations": args.iterations, "size": args.size, "count": args.count}
         payload = {
             "config": config,
-            "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+            "config_sha256": _config_sha256(config),
             "seed": args.seed,
             "rows": [row.__dict__ for row in rows],
         }
@@ -436,26 +427,15 @@ def cmd_demo(args):
     storage.write_images(os.path.join(out_dir, "truth"), image)
     masks = make_rademacher_masks(shape, args.count, seed=args.seed + 1)
     storage.write_images(os.path.join(out_dir, "masks"), masks.array)
-    problem = PRProblem(
-        masks=masks,
-        m2=2 * shape[0],
-        m1=2 * shape[1],
-        metric=EuclideanMetric(shape[0] * shape[1]),
-    )
-    g = add_noise(forward(problem, image), args.noise, seed=args.seed + 2)
-    storage.write_data(os.path.join(out_dir, "data"), g, (masks.count, problem.m2, problem.m1))
+    _write_data(out_dir, image, masks, args.noise, args.seed + 2)
 
-    settings = json.loads(json.dumps(SOLVER_DEFAULTS))
+    settings = _solver_defaults()
     settings["max_iter"] = args.iterations
     if args.noise > 0:
         settings["fidelity"] = "tikhonov"
         settings["alpha"] = args.alpha
-    recovered, result, factor_values, artifacts = _solve_problem(
-        os.path.join(out_dir, "masks"),
-        os.path.join(out_dir, "data"),
-        settings,
-        args.seed,
-        out_dir,
+    recovered, summary, artifacts = _solve_problem(
+        os.path.join(out_dir, "masks"), os.path.join(out_dir, "data"), settings, args.seed, out_dir
     )
     err = error_up_to_phase(recovered, image)
     config = {
@@ -464,22 +444,13 @@ def cmd_demo(args):
         "noise": args.noise,
         "solver": settings,
         "error_up_to_phase": err,
-        "final_rank": result.log[-1].rank if result.log else 0,
+        "final_rank": summary["final_rank"],
     }
-    _write_manifest(
-        out_dir, "demo", config, args.seed, artifacts + ["truth", "truth.json", "masks", "masks.json", "data", "data.json"]
-    )
-    print(
-        json.dumps(
-            {
-                "out": out_dir,
-                "error_up_to_phase": err,
-                "final_rank": config["final_rank"],
-                "iterations": len(result.log),
-            },
-            indent=2,
-        )
-    )
+    inputs = ["truth", "truth.json", "masks", "masks.json", "data", "data.json"]
+    _write_manifest(out_dir, "demo", config, args.seed, artifacts + inputs)
+    report = {"out": out_dir, "error_up_to_phase": err, "final_rank": summary["final_rank"],
+              "iterations": summary["iterations"]}
+    print(json.dumps(report, indent=2))
     return 0
 
 
@@ -491,7 +462,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-masks", help="generate a random mask stack")
-    p.add_argument("--kind", choices=["rademacher", "gaussian"], required=True)
+    p.add_argument("--kind", choices=list(MASK_MAKERS), required=True)
     p.add_argument("--shape", required=True, help="image shape HxW, e.g. 16x16")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -513,27 +484,8 @@ def build_parser():
     p.add_argument("--masks", default=None)
     p.add_argument("--data", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--metric", choices=["euclidean", "sobolev"], default=None)
-    p.add_argument("--mu", type=float, nargs=3, default=None, metavar=("MU_I", "MU_D1", "MU_D2"))
-    p.add_argument("--fidelity", choices=FIDELITY_KINDS, default=None)
-    p.add_argument("--alpha", type=float, default=None, help="regularization weight")
-    p.add_argument("--eps", type=float, default=None, help="norm-ball radius")
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--engine", choices=ENGINES, default=None)
-    p.add_argument("--ell", type=int, default=None)
-    p.add_argument("--k", type=int, default=None,
-                   help="most columns per Lanczos pass, one oracle action each (the recovery's "
-                        "tensor is Hermitian); a pass stops at its first certified column")
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--rank-cap", dest="rank_cap", type=int, default=None)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--no-reweight", dest="no_reweight", action="store_true")
-    p.add_argument("--reweight-weight", dest="reweight_weight", type=float, default=None)
-    p.add_argument("--reweight-period", dest="reweight_period", type=int, default=None)
-    p.add_argument("--max-promoted", dest="max_promoted", type=int, default=None)
+    for _, _, setting in _rows():
+        p.add_argument(setting.flag, default=None, **setting.keywords)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_solve)
 

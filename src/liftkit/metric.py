@@ -13,6 +13,7 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 from .errors import ConfigError, MetricSolveError
+from .lowrank import _phase_fix
 
 
 class SobolevStencil:
@@ -121,8 +122,8 @@ class SobolevMetric(Metric):
         mu = tuple(float(m) for m in mu)
         if len(mu) != 3:
             raise ConfigError("mu must be (mu_I, mu_D1, mu_D2)")
-        if mu[0] <= 0 or mu[1] < 0 or mu[2] < 0:
-            raise ConfigError(f"weights must satisfy mu_I > 0, mu_D1, mu_D2 >= 0, got {mu}")
+        if not (0 < mu[0] < np.inf and 0 <= mu[1] < np.inf and 0 <= mu[2] < np.inf):
+            raise ConfigError(f"weights must be finite with mu_I > 0, mu_D1, mu_D2 >= 0, got {mu}")
         self.grid_shape = (int(shape[0]), int(shape[1]))
         self.mu = mu
         self.stencil = SobolevStencil(self.grid_shape)
@@ -259,11 +260,7 @@ def orthonormalize(vectors, metric, drop_tol=1e-10):
         nrm = metric.norm(q)
         if nrm <= drop_tol * orig:
             continue
-        q /= nrm
-        idx = int(np.argmax(np.abs(q)))
-        pivot = q[idx]
-        if np.abs(pivot) > 0:
-            q *= np.conj(pivot) / np.abs(pivot)
+        q = _phase_fix(q / nrm)
         kept.append(q)
         kept_applied.append(metric.apply(q))
     return kept

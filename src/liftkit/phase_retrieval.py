@@ -69,6 +69,9 @@ def make_gaussian_masks(shape, count, seed):
     return MaskSet(array=values.astype(complex), kind="gaussian", seed=seed)
 
 
+MASK_MAKERS = {"rademacher": make_rademacher_masks, "gaussian": make_gaussian_masks}
+
+
 def coverage_map(masks):
     """Per-pixel count of masks with a nonzero entry there."""
     return np.sum(np.abs(masks.array) > 0, axis=0).astype(int)
@@ -108,6 +111,9 @@ class PRProblem:
     @property
     def data_dim(self):
         return self.masks.count * self.m2 * self.m1
+
+
+METRIC_KINDS = ("euclidean", "sobolev")
 
 
 def default_metric(shape, kind="euclidean", mu=SOBOLEV_DEFAULT_MU):
@@ -222,8 +228,8 @@ class MaskedFourierMap(QuadraticMap):
 
 def add_noise(g, level_fraction, seed):
     """Additive Gaussian noise rescaled to an exact relative residual."""
-    if level_fraction < 0:
-        raise ConfigError("noise level must be nonnegative")
+    if not 0 <= level_fraction < np.inf:
+        raise ConfigError("noise level must be finite and nonnegative")
     g = np.asarray(g, dtype=float)
     if level_fraction == 0:
         return g.copy()

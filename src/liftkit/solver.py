@@ -10,6 +10,7 @@ formed; only its forward image is combined linearly.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -48,8 +49,8 @@ class Fidelity:
     def __post_init__(self):
         if self.kind not in FIDELITY_KINDS:
             raise ConfigError(f"unknown fidelity {self.kind!r}")
-        if self.kind == "epsball" and self.eps <= 0:
-            raise ConfigError("epsball fidelity needs eps > 0")
+        if self.kind == "epsball" and not 0 < self.eps < math.inf:
+            raise ConfigError("epsball fidelity needs a finite eps > 0")
 
     @classmethod
     def exact(cls):
@@ -108,16 +109,16 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError("theta must lie in [0, 1]")
-        if self.alpha_reg < 0:
-            raise ConfigError("alpha_reg must be nonnegative")
-        if self.tau is not None and self.tau <= 0:
-            raise ConfigError("tau must be positive")
-        if self.sigma is not None and self.sigma <= 0:
-            raise ConfigError("sigma must be positive")
+        if not 0 <= self.alpha_reg < math.inf:
+            raise ConfigError("alpha_reg must be finite and nonnegative")
+        if self.tau is not None and not 0 < self.tau < math.inf:
+            raise ConfigError("tau must be finite and positive")
+        if self.sigma is not None and not 0 < self.sigma < math.inf:
+            raise ConfigError("sigma must be finite and positive")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be positive")
-        if self.tol < 0:
-            raise ConfigError("tol must be nonnegative")
+        if not 0 <= self.tol < math.inf:
+            raise ConfigError("tol must be finite and nonnegative")
         self.threshold_config(0.0)
 
     def threshold_config(self, tau):

@@ -7,6 +7,7 @@ engine keeps reporting values above the level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,12 +64,12 @@ class ThresholdConfig:
     rank_cap: int = DEFAULT_RANK_CAP
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ConfigError("threshold level must be nonnegative")
+        if not 0 <= self.tau < math.inf:
+            raise ConfigError("threshold level must be finite and nonnegative")
         if not 0 < self.ell < self.k:
             raise ConfigError(f"need 0 < ell < k, got ell={self.ell}, k={self.k}")
-        if self.delta <= 0:
-            raise ConfigError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ConfigError("delta must be finite and positive")
         if self.engine not in ENGINES:
             raise ConfigError(f"unknown engine {self.engine!r}")
         if self.rank_cap < 1:
@@ -135,7 +136,9 @@ def _adaptive_triples(oracle, cfg, rng, warm_start, hermitian):
     triples either way.
 
     Each engine call starts from one warm iterate: the caller's, the last
-    result after a growth, or none after a probe finds a hidden value.
+    result after a growth, or none after a probe finds a hidden value.  A
+    probe guards every cut below the cap, and the first cut after a growth
+    step even at the cap, since that growth started from the found triples.
     Returns the last engine result, the indices of its converged triples
     above the level, and the restarts summed over the engine calls.
     """
@@ -146,6 +149,7 @@ def _adaptive_triples(oracle, cfg, rng, warm_start, hermitian):
     k = cfg.k
     rng = rng if rng is not None else np.random.default_rng(0)
     warm = warm_start
+    grown = False
     restarts = 0
 
     while True:
@@ -165,7 +169,7 @@ def _adaptive_triples(oracle, cfg, rng, warm_start, hermitian):
         cut = _certified_cut(values, psvd.residuals, cfg.tau, tol)
 
         if cut is not None:
-            if not psvd.exact and ell < cap:
+            if not psvd.exact and (ell < cap or grown):
                 # the cut claims completeness; make sure nothing above the
                 # level is hidden from the computed subspace.  An unconverged
                 # cut triple is no singular triple, so it is not deflated.
@@ -177,6 +181,7 @@ def _adaptive_triples(oracle, cfg, rng, warm_start, hermitian):
                     # the warm start is biased toward the found triples; a
                     # fresh random start restores overlap with hidden ones
                     warm = None
+                    grown = False
                     continue
             keep = np.flatnonzero(values[:cut] > cfg.tau)
         elif psvd.exact:
@@ -189,6 +194,7 @@ def _adaptive_triples(oracle, cfg, rng, warm_start, hermitian):
             # would otherwise steer the next start below the level
             weights = np.maximum(psvd.values, 0.0)
             warm = FactoredTensor(psvd.right_vectors, psvd.left_vectors, weights)
+            grown = True
             continue
         else:
             # rank growth capped: accept the converged prefix (inexact regime)

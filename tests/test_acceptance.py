@@ -265,6 +265,7 @@ class TestCriterion3NoiselessRecovery:
             assert time.monotonic() - start < 300.0
 
 
+@pytest.mark.slow
 class TestCriterion4Benchmark:
     def test_lanczos_speedup_and_restart_trend(self):
         with report("criterion 4: lanczos(10,5)+reweighting at least 3x faster than dense"):

@@ -321,6 +321,19 @@ BAD_INPUTS = {
     "solve-data-count-mismatch": SOLVE + ["--data", "{tmp}/four-masks"],
     "solve-dft-below-image": SOLVE + ["--data", "{tmp}/small-dft"],
     "gen-data-dft-below-image": GEN_DATA + ["--image", "{dir}/truth", "--m2", "4"],
+    "gen-data-m2-zero": GEN_DATA + ["--image", "{dir}/truth", "--m2", "0"],
+    "gen-data-m1-zero": GEN_DATA + ["--image", "{dir}/truth", "--m1", "0"],
+    "gen-data-image-stack": GEN_DATA + ["--image", "{dir}/masks"],
+    "eval-recovered-stack": ["eval", "--recovered", "{dir}/masks", "--reference", "{dir}/truth"],
+    "eval-reference-stack": ["eval", "--recovered", "{dir}/truth", "--reference", "{dir}/masks"],
+    "tau-nan": SOLVE + ["--tau", "nan"],
+    "sigma-nan": SOLVE + ["--sigma", "nan"],
+    "eps-nan": SOLVE + ["--eps", "nan", "--fidelity", "epsball"],
+    "sobolev-mu-nan": SOLVE + ["--metric", "sobolev", "--mu", "nan", "1", "1"],
+    "alpha-nan": SOLVE + ["--alpha", "nan"],
+    "delta-inf": SOLVE + ["--delta", "inf"],
+    "tol-inf": SOLVE + ["--tol", "inf"],
+    "noise-nan": GEN_DATA + ["--image", "{dir}/truth", "--noise", "nan"],
 }
 
 
@@ -407,6 +420,8 @@ BAD_SOLVER_SETTINGS = {
     "theta-two": {"theta": 2},
     "max-iter-zero": {"max_iter": 0},
     "reweight-weight": {"reweight": {"weight": 1.5}},
+    # json reads NaN, and the schema's number type accepts it
+    "tau-nan": {"tau": float("nan")},
 }
 
 

@@ -568,6 +568,38 @@ class TestStartBelowLevel:
             assert np.max(np.abs(out.to_dense() - dense_evt(w, m.to_dense(), 0.5))) <= 1e-8
 
 
+
+class TestGrowthToCap:
+    """ell 2 grows to the cap 4 from a warm start built from the values it
+    found; at small k that pass can cut past a value its Krylov space
+    missed, so the first cut after a growth step is probed even at the cap."""
+
+    TOP = [1.0, 0.9, 0.8, 0.7]
+    CASES = list(itertools.product(range(3, 7), range(5)))
+
+    @pytest.mark.parametrize("kind", ["spd", "reweighted"])
+    def test_evt_matches_dense(self, kind):
+        rng = np.random.default_rng(120)
+        for k, draw in self.CASES:
+            w, m, _, _ = TestHermitianPass.problem(rng, kind, top=self.TOP)
+            cfg = ThresholdConfig(tau=0.5, ell=2, k=k, delta=DELTA, rank_cap=4)
+            out = evt(oracle_from_dense(w, m, m), cfg, rng=rng)
+            assert out.rank == 4, (k, draw)
+            assert np.max(np.abs(out.to_dense() - dense_evt(w, m.to_dense(), 0.5))) <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["spd", "reweighted"])
+    def test_svt_matches_dense(self, kind):
+        rng = np.random.default_rng(121)
+        for k, draw in self.CASES:
+            m1, m2 = TestStepRule.metric(rng, 20, kind), TestStepRule.metric(rng, 24, kind)
+            sig = np.concatenate([self.TOP, np.sort(rng.uniform(0.0, 0.2, size=16))[::-1]])
+            w, _, _ = operator_with_factors(rng, sig, m1, m2)
+            cfg = ThresholdConfig(tau=0.5, ell=2, k=k, delta=DELTA, rank_cap=4)
+            out = svt(oracle_from_dense(w, m1, m2), cfg, rng=rng)
+            assert out.rank == 4, (k, draw)
+            expected = dense_svt(w, m1.to_dense(), m2.to_dense(), 0.5)
+            assert np.max(np.abs(out.to_dense() - expected)) <= 1e-8
+
 class TestThresholdStatistics:
     """svt and evt carry the same statistics under every engine: the summed
     restarts, a nonnegative norm estimate and the oracle calls of this call."""
