@@ -54,9 +54,9 @@ class Setting(NamedTuple):
 # One row per solve setting, in manifest order.  The schema holds types, enums
 # and shapes only: the bounds belong to SolverConfig, ThresholdConfig,
 # ReweightSettings, Fidelity and SobolevMetric, which the solve builds before
-# it reads any file; the eps bound has no other owner.  The defaults are read
-# from those owners, except the CLI's own choices: reweighting on, the exact
-# fidelity, eps 0, the Euclidean metric and step sizes from the operator norm.
+# it reads any file.  The defaults are read from those owners, except the
+# CLI's own choices: reweighting on, the exact fidelity, eps 0, the Euclidean
+# metric and step sizes from the operator norm.
 _SOLVER, _REWEIGHT = SolverConfig(), ReweightSettings()
 _NUMBER, _INTEGER, _STEP = {"type": "number"}, {"type": "integer"}, {"type": ["number", "null"]}
 _FLOAT, _INT = {"type": float}, {"type": int}
@@ -68,7 +68,7 @@ SOLVER_SETTINGS = {
                         {"choices": FIDELITY_KINDS}),
     "alpha": Setting(_SOLVER.alpha_reg, _NUMBER, "--alpha",
                      {"type": float, "help": "regularization weight"}),
-    "eps": Setting(0.0, {"type": "number", "minimum": 0}, "--eps",
+    "eps": Setting(0.0, _NUMBER, "--eps",
                    {"type": float, "help": "norm-ball radius"}),
     "reweight": {
         "enabled": Setting(True, {"type": "boolean"}, "--no-reweight",
@@ -145,6 +145,20 @@ def _sha256(path):
     return digest.hexdigest()
 
 
+def _artifact_sha256(path):
+    """SHA-256 of a written file.  For ``iterations.csv`` it covers every
+    column but the wall-clock ``ms``, so that two runs of one seeded solve
+    write the same manifest."""
+    if os.path.basename(path) != "iterations.csv":
+        return _sha256(path)
+    timed = CSV_HEADER.index("ms")
+    digest = hashlib.sha256()
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row in csv.reader(fh):
+            digest.update((",".join(row[:timed] + row[timed + 1:]) + "\n").encode())
+    return digest.hexdigest()
+
+
 def _config_sha256(config):
     canonical = json.dumps(config, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -157,7 +171,7 @@ def _write_manifest(out_dir, command, config, seed, artifacts):
         "config_sha256": _config_sha256(config),
         "seed": seed,
         "artifacts": {
-            name: _sha256(os.path.join(out_dir, name)) for name in sorted(artifacts)
+            name: _artifact_sha256(os.path.join(out_dir, name)) for name in sorted(artifacts)
         },
     }
     path = os.path.join(out_dir, "manifest.json")
@@ -196,10 +210,9 @@ def _merge_solver_settings(config_doc, args):
 
 
 def _build_solver_config(settings, seed):
-    kind = settings["fidelity"]
     own = ("tau", "sigma", "theta", "ell", "k", "delta", "engine", "rank_cap", "max_iter", "tol")
     return SolverConfig(
-        fidelity=Fidelity(kind=kind, eps=settings["eps"] if kind == "epsball" else 0.0),
+        fidelity=Fidelity(kind=settings["fidelity"], eps=settings["eps"]),
         alpha_reg=settings["alpha"],
         reweight=ReweightSettings(**settings["reweight"]),
         seed=seed,

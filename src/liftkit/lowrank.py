@@ -3,12 +3,14 @@
 A general tensor is kept as value/factor triples ``w = sum_k sigma_k
 (u_k (x) v_k)`` (the matrix ``sum_k sigma_k v_k u_k^*``); a symmetric tensor
 as signed eigenpairs ``w = sum_k lambda_k (u_k (x) u_k)``.  The represented
-matrix is never materialized outside of diagnostics.
+matrix is never materialized outside of diagnostics.  An action in a metric H
+pairs e with the H-images of the factors, u_k^* H e = (H u_k)^* e, so H is
+applied to the factors once per metric, not to every e.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,6 +18,16 @@ from .errors import NoSolutionError
 
 PRUNE_REL = 1e-14
 DEFAULT_RANK_CAP = 64
+
+
+def _images_conj(cache, side, factors, metric):
+    """conj(H u_k) for the factor columns u_k, kept per side for the last
+    metric object asked; a reweight builds a new metric, so none is stale."""
+    held = cache.get(side)
+    if held is None or held[0] is not metric:
+        images = np.stack([metric.apply(col) for col in factors.T], axis=1)
+        held = cache[side] = (metric, images.conj())
+    return held[1]
 
 
 def _phase_fix(u):
@@ -37,6 +49,7 @@ class FactoredTensor:
     right: np.ndarray
     left: np.ndarray
     values: np.ndarray
+    _images: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def empty(cls, n1, n2):
@@ -58,17 +71,15 @@ class FactoredTensor:
         """Return w H1 e = sum_k sigma_k (u_k^* H1 e) v_k."""
         if self.rank == 0:
             return np.zeros(self.left.shape[0], dtype=complex)
-        he = metric1.apply(e)
-        coeff = self.values * (self.right.conj().T @ he)
-        return self.left @ coeff
+        images = _images_conj(self._images, "right", self.right, metric1)
+        return self.left @ (self.values * (images.T @ e))
 
     def left_action(self, metric2, f):
         """Return w^* H2 f = sum_k sigma_k (v_k^* H2 f) u_k."""
         if self.rank == 0:
             return np.zeros(self.right.shape[0], dtype=complex)
-        hf = metric2.apply(f)
-        coeff = self.values * (self.left.conj().T @ hf)
-        return self.right @ coeff
+        images = _images_conj(self._images, "left", self.left, metric2)
+        return self.right @ (self.values * (images.T @ f))
 
     def projective_norm(self):
         return float(np.sum(self.values))
@@ -104,6 +115,7 @@ class HermitianFactored:
 
     factors: np.ndarray
     values: np.ndarray
+    _images: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def empty(cls, n):
@@ -121,9 +133,8 @@ class HermitianFactored:
         """Return w H e = sum_k lambda_k (u_k^* H e) u_k."""
         if self.rank == 0:
             return np.zeros(self.dim, dtype=complex)
-        he = metric.apply(e)
-        coeff = self.values * (self.factors.conj().T @ he)
-        return self.factors @ coeff
+        images = _images_conj(self._images, "factors", self.factors, metric)
+        return self.factors @ (self.values * (images.T @ e))
 
     def projective_norm(self):
         return float(np.sum(self.values))

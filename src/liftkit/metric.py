@@ -78,8 +78,12 @@ class Metric:
         return float(np.real(np.vdot(y, self.apply(x))))
 
     def norm(self, x):
-        val = np.real(np.vdot(x, self.apply(x)))
-        return float(np.sqrt(max(val, 0.0)))
+        return self.apply_and_norm(x)[1]
+
+    def apply_and_norm(self, x):
+        """H x and the norm of x, from one apply."""
+        hx = self.apply(x)
+        return hx, float(np.sqrt(max(np.real(np.vdot(x, hx)), 0.0)))
 
     def transform(self, u, adjoint=False):
         """Apply T = H_base H^{-1}: the identity unless the metric is reweighted."""

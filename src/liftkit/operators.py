@@ -29,6 +29,12 @@ class BilinearMap:
     def apply(self, u, v):
         raise NotImplementedError
 
+    def prepare_factor(self, vec):
+        """A form of the factor ``vec`` that ``apply`` and the partial
+        adjoints accept in its place and that carries the work they would
+        otherwise redo on every call with it; ``vec`` itself by default."""
+        return vec
+
     def partial_adjoint_left(self, y, e):
         """Adjoint of v -> B(e, v); maps data space into the left space."""
         raise NotImplementedError
@@ -151,11 +157,14 @@ def operator_norm(op, iters=30, seed=0):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         return v / metric.norm(v)
 
-    u = unit(bmap.h1, n1)
+    u = bmap.prepare_factor(unit(bmap.h1, n1))
     v = unit(bmap.h2, n2)
     best = 0.0
     done = 0
     for i in range(iters):
+        # each factor is prepared once: for the forward image and for the
+        # partial adjoint that reads it
+        v = bmap.prepare_factor(v)
         y = bmap.apply(u, v)
         ny = float(np.linalg.norm(y))
         done = i + 1
@@ -167,7 +176,7 @@ def operator_norm(op, iters=30, seed=0):
         nu = bmap.h1.norm(u_new)
         if nu == 0.0:
             break
-        u = u_new / nu
+        u = bmap.prepare_factor(u_new / nu)
         v_new = bmap.partial_adjoint_left(y, u)
         nv = bmap.h2.norm(v_new)
         if nv == 0.0:

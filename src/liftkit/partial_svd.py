@@ -142,6 +142,7 @@ class PartialSVD:
     restarts: int = 0
     norm_estimate: float = 0.0
     sweep_history: list | None = None
+    images: tuple | None = None  # (H1 right_vectors, H2 left_vectors), when known
 
     @property
     def count(self):
@@ -324,28 +325,34 @@ class _KrylovPass:
         return self.E[: self.ne].T
 
     @property
+    def basis_images(self):
+        """The metric images of the right and left bases, as columns."""
+        return self.HE[: self.ne].T, self.left_images
+
+    @property
     def spans_space(self):
         return self.ne == self.E.shape[1]
 
     def tol(self):
         return BREAKDOWN_REL * max(self.scale, 1e-300)
 
-    def seed(self, u_mat, v_mat, values):
+    def seed(self, u_mat, v_mat, values, images):
+        """Start from Ritz triples; ``images`` are their vectors' metric
+        images, (H1 u_mat, H2 v_mat), rotated from the last pass's."""
         r = len(values)
         self.E[:r] = u_mat.T
-        for j in range(r):
-            self.HE[j] = self.m1.apply(self.E[j])
+        self.HE[:r] = images[0].T
         self.ne = r
         self.aug_values = np.asarray(values, dtype=float).copy()
         self.scale = max(self.scale, float(np.max(np.abs(values))) if r else 0.0)
 
     def add_e(self, vec):
         vec, _ = project_out(vec.astype(complex), self.E[: self.ne], self.HE[: self.ne])
-        nrm = self.m1.norm(vec)
+        hvec, nrm = self.m1.apply_and_norm(vec)
         if nrm <= self.tol():
             return False
         self.E[self.ne] = vec / nrm
-        self.HE[self.ne] = self.m1.apply(self.E[self.ne])
+        self.HE[self.ne] = hvec / nrm
         self.ne += 1
         return True
 
@@ -401,6 +408,10 @@ class LanczosFactorization(_KrylovPass):
     def left_basis(self):
         return self.F[: self.nf].T
 
+    @property
+    def left_images(self):
+        return self.HF[: self.nf].T
+
     def estimates(self, gamma):
         """Ritz values and residual estimates of the columns so far, gamma
         being the norm of the last column's continuation."""
@@ -410,12 +421,11 @@ class LanczosFactorization(_KrylovPass):
         y_small, sig, _ = small.decompose()
         return sig, gamma * np.abs(y_small[-1, :])
 
-    def seed(self, u_mat, v_mat, values):
-        super().seed(u_mat, v_mat, values)
+    def seed(self, u_mat, v_mat, values, images):
+        super().seed(u_mat, v_mat, values, images)
         r = len(values)
         self.F[:r] = v_mat.T
-        for j in range(r):
-            self.HF[j] = self.m2.apply(self.F[j])
+        self.HF[:r] = images[1].T
         self.nf = r
         self.aug_coupling = np.zeros(r, dtype=complex)
 
@@ -425,19 +435,19 @@ class LanczosFactorization(_KrylovPass):
         q, coeff = project_out(q.astype(complex), basis, applied)
         if collect is not None:
             collect += coeff
-        beta = self.m2.norm(q)
+        hq, beta = self.m2.apply_and_norm(q)
         if beta <= self.tol():
             # stalled left direction: continue in a fresh random direction
             f, _ = project_out(_random_unit(self.rng, q.shape[0], self.m2), basis, applied)
-            nrm = self.m2.norm(f)
+            hf, nrm = self.m2.apply_and_norm(f)
             if nrm == 0.0:
                 return 0.0, None
-            f = f / nrm
+            f, hf = f / nrm, hf / nrm
             beta = 0.0
         else:
-            f = q / beta
+            f, hf = q / beta, hq / beta
         self.F[self.nf] = f
-        self.HF[self.nf] = self.m2.apply(f)
+        self.HF[self.nf] = hf
         self.nf += 1
         return beta, f
 
@@ -488,14 +498,18 @@ class _HermitianLanczos(_KrylovPass):
 
     left_basis = _KrylovPass.right_basis
 
+    @property
+    def left_images(self):
+        return self.HE[: self.ne].T
+
     def estimates(self, gamma):
         """Ritz values and residual estimates of the columns so far, gamma
         being the norm of the last column's continuation."""
         y_small, lam, _ = self.system.decompose()
         return lam, gamma * np.abs(y_small[-1, :])
 
-    def seed(self, u_mat, v_mat, values):
-        super().seed(u_mat, v_mat, values)
+    def seed(self, u_mat, v_mat, values, images):
+        super().seed(u_mat, v_mat, values, images)
         r = len(values)
         self.T[np.arange(r), np.arange(r)] = self.aug_values
         self.first = r
@@ -556,7 +570,7 @@ def lanczos_bidiagonalize(oracle, start_direction, k):
     return fac
 
 
-def ritz_factorize(system, right_basis, left_basis, gamma_last=0.0):
+def ritz_factorize(system, right_basis, left_basis, gamma_last=0.0, images=None):
     """Dense decomposition of the projected system with basis rotation.
 
     A bidiagonal system gives singular triples; a Hermitian pass's
@@ -564,6 +578,8 @@ def ritz_factorize(system, right_basis, left_basis, gamma_last=0.0):
     right and left vectors coincide.  Residual estimates are the classical
     last-row couplings scaled by the continuation norm; they are exact for
     the returned triples.  The norm estimate is the largest value modulus.
+    ``images``, the bases' metric images, are rotated like the bases into
+    the result's ``images``, so no metric is applied to the Ritz vectors.
     """
     kk = system.size
     n1 = right_basis.shape[0]
@@ -574,6 +590,8 @@ def ritz_factorize(system, right_basis, left_basis, gamma_last=0.0):
     u_mat = right_basis @ zh_small.conj().T
     v_mat = left_basis @ y_small
     residuals = float(gamma_last) * np.abs(y_small[-1, :])
+    if images is not None:
+        images = (images[0] @ zh_small.conj().T, images[1] @ y_small)
     return PartialSVD(
         right_vectors=u_mat,
         left_vectors=v_mat,
@@ -581,6 +599,7 @@ def ritz_factorize(system, right_basis, left_basis, gamma_last=0.0):
         residuals=residuals,
         converged=False,
         norm_estimate=float(np.max(np.abs(values))),
+        images=images,
     )
 
 
@@ -644,7 +663,9 @@ def augmented_restart(
         if kept is not None:
             fac.seed(*kept)
         fac.advance(p, gamma, cap, stop)
-        psvd = ritz_factorize(fac.system, fac.right_basis, fac.left_basis, fac.gamma_last)
+        psvd = ritz_factorize(
+            fac.system, fac.right_basis, fac.left_basis, fac.gamma_last, fac.basis_images
+        )
         norm_est = max(norm_est, psvd.norm_estimate)
 
         done = psvd.count == 0 or certified(psvd.values, psvd.residuals)
@@ -657,7 +678,12 @@ def augmented_restart(
 
         restarts += 1
         want = min(ell, psvd.count)
-        kept = (psvd.right_vectors[:, :want], psvd.left_vectors[:, :want], psvd.values[:want])
+        kept = (
+            psvd.right_vectors[:, :want],
+            psvd.left_vectors[:, :want],
+            psvd.values[:want],
+            tuple(images[:, :want] for images in psvd.images),
+        )
         # the continuation always adds a column, even when k == ell; an
         # exhausted one leaves the seeded triples as an exact factorization
         cap = max(k, want + 1)

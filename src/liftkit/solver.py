@@ -41,7 +41,11 @@ FIDELITY_KINDS = ("exact", "tikhonov", "epsball")
 
 @dataclass(frozen=True)
 class Fidelity:
-    """Data-fidelity term selecting the dual proximal update."""
+    """Data-fidelity term selecting the dual proximal update.
+
+    ``eps`` is the norm-ball radius; only the epsball fidelity reads it, but
+    it must be finite and nonnegative for every kind.
+    """
 
     kind: str = "exact"
     eps: float = 0.0
@@ -49,7 +53,9 @@ class Fidelity:
     def __post_init__(self):
         if self.kind not in FIDELITY_KINDS:
             raise ConfigError(f"unknown fidelity {self.kind!r}")
-        if self.kind == "epsball" and not 0 < self.eps < math.inf:
+        if not 0 <= self.eps < math.inf:
+            raise ConfigError("eps must be finite and nonnegative")
+        if self.kind == "epsball" and not self.eps > 0:
             raise ConfigError("epsball fidelity needs a finite eps > 0")
 
     @classmethod

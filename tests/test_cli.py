@@ -10,7 +10,7 @@ import pytest
 
 import liftkit
 from liftkit import storage
-from liftkit.cli import main
+from liftkit.cli import _artifact_sha256, main
 from liftkit.phase_retrieval import synthetic_image
 
 
@@ -294,6 +294,21 @@ class TestSolveAndEval:
         rb = (tmp_path / "r2" / "recovered").read_bytes()
         assert ra == rb
 
+    def test_seeded_solves_write_identical_manifests(self, solved, tmp_path):
+        args = ["solve", "--masks", str(solved / "masks"), "--data", str(solved / "data"),
+                "--max-iter", "40", "--seed", "5"]
+        assert main(args + ["--out", str(tmp_path / "r1")]) == 0
+        assert main(args + ["--out", str(tmp_path / "r2")]) == 0
+        first = (tmp_path / "r1" / "manifest.json").read_bytes()
+        assert first == (tmp_path / "r2" / "manifest.json").read_bytes()
+        # the checksum still covers the log's numeric columns
+        csv_path = tmp_path / "r2" / "iterations.csv"
+        lines = csv_path.read_text().splitlines()
+        row = lines[1].split(",")
+        row[2] = "0.0"
+        csv_path.write_text("\n".join([lines[0], ",".join(row)] + lines[2:]) + "\n")
+        assert _artifact_sha256(str(csv_path)) != json.loads(first)["artifacts"]["iterations.csv"]
+
 
 SOLVE = ["solve", "--masks", "{dir}/masks", "--data", "{dir}/data", "--out", "{tmp}/r",
          "--max-iter", "5"]
@@ -329,6 +344,8 @@ BAD_INPUTS = {
     "tau-nan": SOLVE + ["--tau", "nan"],
     "sigma-nan": SOLVE + ["--sigma", "nan"],
     "eps-nan": SOLVE + ["--eps", "nan", "--fidelity", "epsball"],
+    "eps-nan-exact": SOLVE + ["--eps", "nan"],
+    "eps-negative": SOLVE + ["--eps", "-1"],
     "sobolev-mu-nan": SOLVE + ["--metric", "sobolev", "--mu", "nan", "1", "1"],
     "alpha-nan": SOLVE + ["--alpha", "nan"],
     "delta-inf": SOLVE + ["--delta", "inf"],
@@ -422,6 +439,7 @@ BAD_SOLVER_SETTINGS = {
     "reweight-weight": {"reweight": {"weight": 1.5}},
     # json reads NaN, and the schema's number type accepts it
     "tau-nan": {"tau": float("nan")},
+    "eps-negative": {"eps": -1},
 }
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from liftkit import phase_retrieval
 from liftkit.lowrank import FactoredTensor, HermitianFactored
 from liftkit.metric import EuclideanMetric, ReweightedMetric, orthonormalize
 from liftkit.operators import (
@@ -14,6 +15,12 @@ from liftkit.operators import (
     reweighted_composed_hermitian,
     reweighted_composed_left,
     reweighted_composed_right,
+)
+from liftkit.phase_retrieval import (
+    MaskedFourierMap,
+    PRProblem,
+    default_metric,
+    make_rademacher_masks,
 )
 
 from helpers import (
@@ -337,7 +344,59 @@ class TestDuality:
             assert lhs == pytest.approx(rhs_metric, abs=1e-8 * max(1.0, abs(lhs)))
 
 
+def unshared_operator_norm(bmap, iters, seed):
+    """operator_norm's loop with every factor passed as a plain vector, so
+    each call recomputes what it needs."""
+    rng = np.random.default_rng(seed)
+
+    def unit(metric):
+        v = rng.standard_normal(metric.dim) + 1j * rng.standard_normal(metric.dim)
+        return v / metric.norm(v)
+
+    u, v = unit(bmap.h1), unit(bmap.h2)
+    best = 0.0
+    for _ in range(iters):
+        y = bmap.apply(u, v)
+        ny = float(np.linalg.norm(y))
+        best = max(best, ny)
+        y = y / ny
+        u_new = bmap.partial_adjoint_right(y, v)
+        u = u_new / bmap.h1.norm(u_new)
+        v_new = bmap.partial_adjoint_left(y, u)
+        v = v_new / bmap.h2.norm(v_new)
+    return best
+
+
 class TestOperatorNorm:
+    @pytest.mark.parametrize("metric_kind", ["euclidean", "sobolev"])
+    @pytest.mark.parametrize(
+        "dense_limit", [pytest.param(np.inf, id="dense"), pytest.param(-1, id="pruned")]
+    )
+    def test_shared_spectra_keep_the_estimate(self, monkeypatch, metric_kind, dense_limit):
+        # both transform kernels; each power step transforms every factor once
+        monkeypatch.setattr(phase_retrieval, "DENSE_DFT_MAX_WORK", dense_limit)
+        shape = (6, 7)
+        problem = PRProblem(
+            masks=make_rademacher_masks(shape, 3, seed=4),
+            m2=13,
+            m1=14,
+            metric=default_metric(shape, metric_kind),
+        )
+        qmap = MaskedFourierMap(problem)
+        expected = unshared_operator_norm(qmap.bilinear(), iters=30, seed=9)
+        calls = []
+        inner = phase_retrieval._masked_spectra
+
+        def counting(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(phase_retrieval, "_masked_spectra", counting)
+        est = operator_norm(qmap, iters=30, seed=9)
+        assert est.iterations == 30
+        assert est.value == expected
+        assert len(calls) == 2 * 30 + 1
+
     def test_scalar_product_map(self):
         bmap = DenseBilinear(np.ones((1, 1, 1)), EuclideanMetric(1), EuclideanMetric(1))
         est = operator_norm(bmap, iters=20)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from liftkit.metric import EuclideanMetric
+from liftkit import partial_svd
+from liftkit.metric import EuclideanMetric, ReweightedMetric, SobolevMetric, orthonormalize
 from liftkit.partial_svd import (
     BidiagonalSystem,
     _certified_cut,
@@ -444,3 +445,44 @@ class TestOrthonormalityAndCalls:
         out = augmented_restart(oracle, ell, k, 1e-9, rng=rng)
         assert out.converged
         assert oracle.calls <= 2 * (k + out.restarts * (k - ell + 1))
+
+
+class TestStoredMetricImages:
+    """Every pass keeps H e beside each basis vector e: from the apply that
+    gave e its norm, or rotated with a restart's Ritz vectors.  The stored
+    rows must be the metric's images of the basis rows."""
+
+    @staticmethod
+    def metric(rng, kind):
+        sobolev = SobolevMetric((3, 4), (0.5, 1.0, 2.0))
+        if kind == "sobolev":
+            return sobolev
+        directions = orthonormalize([random_complex(rng, 12) for _ in range(2)], sobolev)
+        return ReweightedMetric(sobolev, np.stack(directions), np.array([0.5, 0.25]))
+
+    @pytest.mark.parametrize("kind", ["sobolev", "reweighted"])
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_rows_are_metric_images(self, kind, hermitian, monkeypatch):
+        rng = np.random.default_rng(81)
+        m = self.metric(rng, kind)
+        a = random_complex(rng, 144).reshape(12, 12)
+        w = 0.5 * (a + a.conj().T) if hermitian else a
+        passes = []
+        advance = partial_svd._KrylovPass.advance
+
+        def recorded(fac, *args, **kwargs):
+            advance(fac, *args, **kwargs)
+            passes.append(fac)
+
+        monkeypatch.setattr(partial_svd._KrylovPass, "advance", recorded)
+        out = augmented_restart(
+            oracle_from_dense(w, m, m), 2, 4, 1e-10, rng=rng, hermitian=hermitian
+        )
+        assert out.converged and out.restarts >= 2
+        for fac in passes:
+            rows = [(fac.E, fac.HE, fac.ne)]
+            if not hermitian:
+                rows.append((fac.F, fac.HF, fac.nf))
+            for basis, images, count in rows:
+                for j in range(count):
+                    assert np.linalg.norm(images[j] - m.apply(basis[j])) <= 1e-12

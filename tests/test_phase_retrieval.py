@@ -204,6 +204,55 @@ class TestPrunedKernels:
         for after, kept in zip((coeff, problem.masks.array, image), before):
             assert np.array_equal(after, kept)
 
+    # both sides of the size rule, all with uneven rectangular padding: 20x36
+    # picks the dense blocks, 30x34 and 32x32 the pruned FFTs
+    RULE_LAYOUTS = [((20, 36), 45, 73), ((30, 34), 61, 70), ((32, 32), 64, 64)]
+    KERNELS = {"dense": phase_retrieval.DenseDFT, "pruned": phase_retrieval.PrunedFFT}
+
+    @pytest.mark.parametrize(
+        "shape,m2,m1,kernel",
+        [
+            ((4, 5), 4, 5, "dense"),
+            ((16, 16), 32, 32, "dense"),
+            ((20, 36), 45, 73, "dense"),
+            ((30, 34), 61, 70, "pruned"),
+            ((32, 32), 64, 64, "pruned"),
+        ],
+    )
+    def test_size_rule_follows_the_grid(self, shape, m2, m1, kernel):
+        for count in (1, 8):
+            masks = make_rademacher_masks(shape, count, seed=1)
+            metric = EuclideanMetric(shape[0] * shape[1])
+            problem = PRProblem(masks=masks, m2=m2, m1=m1, metric=metric)
+            assert type(problem.transforms) is self.KERNELS[kernel]
+
+    @pytest.mark.parametrize("shape,m2,m1", LAYOUTS + RULE_LAYOUTS)
+    @pytest.mark.parametrize("kernel", ["dense", "pruned"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_forced_kernel_matches_full_grid(self, monkeypatch, shape, m2, m1, kernel, kind):
+        limit = np.inf if kernel == "dense" else -1
+        monkeypatch.setattr(phase_retrieval, "DENSE_DFT_MAX_WORK", limit)
+        rng, problem, image = self.case(shape, m2, m1, seed=33)
+        assert type(problem.transforms) is self.KERNELS[kernel]
+        coeff = rng.standard_normal((3, m2, m1))
+        if kind == "complex":
+            coeff = coeff + 1j * rng.standard_normal((3, m2, m1))
+        before = (coeff.copy(), problem.masks.array.copy(), image.copy())
+        spectra = phase_retrieval._masked_spectra(problem, image)
+        ref = full_grid_spectra(problem, image)
+        assert np.linalg.norm(spectra - ref) <= 1e-13 * np.linalg.norm(ref)
+        spectra_before = spectra.copy()
+        got = phase_retrieval._sandwich(problem, coeff, image)
+        reused = phase_retrieval._sandwich(problem, coeff, image, spectra)
+        ref = full_grid_sandwich(problem, coeff, image)
+        assert got.shape == shape
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        # given spectra are read, not recomputed or changed
+        assert np.array_equal(reused, got)
+        assert np.array_equal(spectra, spectra_before)
+        for after, kept in zip((coeff, problem.masks.array, image), before):
+            assert np.array_equal(after, kept)
+
     def test_each_adjoint_requests_one_forward_transform(self, monkeypatch):
         # perfbench counts FFT flops per call of _masked_spectra and _sandwich,
         # so one adjoint must reach _masked_spectra through the module exactly once

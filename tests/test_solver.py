@@ -206,6 +206,35 @@ class TestReweightStep:
             self.assert_promotes(m2, base2, weights, left)
 
 
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_factor_images_follow_the_new_metric(self, hermitian):
+        # an action pairs e with the factors' metric images, cached per metric
+        # object; the reweighted metric must not read the base metric's
+        rng = np.random.default_rng(41)
+        n = 6
+        base = random_spd_metric(rng, n)
+        if hermitian:
+            w = random_hermitian_factored(rng, n, 3, base)
+            pairs = [(w.action, w.factors, w.factors)]
+        else:
+            w = random_factored(rng, n, n, 3, base, base)
+            pairs = [(w.right_action, w.left, w.right), (w.left_action, w.right, w.left)]
+        e = random_complex(rng, n)
+
+        def uncached(out, into, metric):
+            return out @ (w.values * (into.conj().T @ metric.apply(e)))
+
+        for action, out, into in pairs:
+            assert np.allclose(action(base, e), uncached(out, into, base), rtol=0, atol=1e-12)
+        state = SolverState(w=w, w_prev=w, y=np.zeros(1), metric1=base, metric2=base)
+        metrics = reweight_step(state, self.base_cfg(0.5), base, base)
+        assert all(m is not base and m.count == 3 for m in metrics)
+        for (action, out, into), metric in zip(pairs, metrics):
+            assert np.allclose(action(metric, e), uncached(out, into, metric), rtol=0, atol=1e-12)
+            # and back: the cache holds one metric per side
+            assert np.allclose(action(base, e), uncached(out, into, base), rtol=0, atol=1e-12)
+
+
 class TestRunPrimalDual:
     def test_zero_data_zero_solution(self):
         qmap = scalar_quadratic()

@@ -37,7 +37,7 @@ def test_every_tracer_target_resolves():
         assert installed.missing == []
 
 
-def test_traced_actions_agree_with_the_iteration_records():
+def traced_recover():
     # ell == rank_cap, so no deflation probe runs and every engine call is
     # the one evt makes
     shape = (8, 8)
@@ -48,8 +48,25 @@ def test_traced_actions_agree_with_the_iteration_records():
     cfg = SolverConfig(ell=5, k=10, rank_cap=5, max_iter=8, seed=0)
     with load_tracer().Tracer() as traced:
         _, result = recover(problem, cfg)
-    totals = traced.totals()
+    return traced.totals(), result
+
+
+def test_traced_actions_agree_with_the_iteration_records():
+    totals, result = traced_recover()
     assert len(result.log) == 8
     assert totals["counters"]["oracle_actions"] == sum(rec.actions for rec in result.log) > 0
     calls = totals["n_all"]
     assert calls["partial_svd.augmented_restart"] == calls["thresholding.evt"] == 8
+
+
+def test_metric_applies_per_oracle_action():
+    # a Krylov column applies the metric once for the new basis vector's norm
+    # and image and once for its continuation's norm; the composed action
+    # reads the factors' images, applied once per threshold call, and each
+    # engine call adds a start norm.  The step-size estimate's applies are
+    # set-up and not counted.
+    totals, result = traced_recover()
+    actions = totals["counters"]["oracle_actions"]
+    applies = totals["n_outer"]["metric.apply"]
+    setup = totals["pairs"][("metric.apply", "operators.operator_norm")]
+    assert applies - setup <= 2.2 * actions
