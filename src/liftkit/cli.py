@@ -394,6 +394,8 @@ def cmd_eval(args):
     }
     if args.masks:
         mask_array = storage.read_images(args.masks)
+        if mask_array.shape[1:] != reference.shape:
+            raise ConfigError("masks and images have different shapes")
         masks = MaskSet(array=mask_array, kind="custom")
         cov = coverage_map(masks)
         holes = cov == 0

@@ -10,7 +10,7 @@ class NumericalError(RuntimeError):
 
 
 class MetricSolveError(NumericalError):
-    """The inner solve for a metric inverse did not converge."""
+    """A metric inverse was asked of a non-finite vector."""
 
 
 class EngineError(NumericalError):

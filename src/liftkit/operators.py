@@ -17,14 +17,12 @@ class BilinearMap:
     """Contract for bilinear forward operators.
 
     Attributes ``h1``/``h2`` are the domain metrics (right and left factor
-    spaces), ``data_dim`` the measurement length.  ``norm_bound``, when set,
-    is an upper bound on the operator norm.
+    spaces), ``data_dim`` the measurement length.
     """
 
     h1 = None
     h2 = None
     data_dim = 0
-    norm_bound = None
 
     def apply(self, u, v):
         raise NotImplementedError
@@ -49,7 +47,6 @@ class QuadraticMap:
 
     h = None
     data_dim = 0
-    norm_bound = None
 
     def apply(self, u):
         raise NotImplementedError

@@ -9,8 +9,10 @@ an exhausted Krylov space through one loop over one pass state: Golub-Kahan
 bidiagonalization (``LanczosFactorization``, two actions per column) for a
 general oracle, or, for an oracle the caller declares Hermitian, Hermitian
 Lanczos (one action per column), which returns signed eigenvalues, largest
-first.  Every random draw of an engine comes from the ``rng`` its caller
-passes.
+first.  Both fill one real projected matrix, decomposed at most once per
+column count: a pass that ends on a checked column hands the stop check's
+decomposition to the Ritz step.  Every random draw of an engine comes from
+the ``rng`` its caller passes.
 """
 
 from __future__ import annotations
@@ -89,43 +91,20 @@ class BidiagonalSystem:
         return self.aug_values.size + self.diag.size
 
     def to_dense(self):
-        return _arrow_matrix(self.aug_values, self.aug_coupling, self.diag, self.superdiag)
+        """The retained values with their coupling column, followed by the
+        upper bidiagonal block."""
+        la, kk = self.aug_values.size, self.size
+        mat = np.zeros((kk, kk), dtype=np.result_type(self.aug_coupling, float))
+        idx = np.arange(kk)
+        mat[idx, idx] = np.concatenate([self.aug_values, self.diag])
+        if la and self.diag.size:
+            mat[:la, la] = self.aug_coupling
+        mat[idx[la:-1], idx[la:-1] + 1] = self.superdiag
+        return mat
 
     def decompose(self):
         """Left vectors, singular values (descending) and right vectors as rows."""
         return np.linalg.svd(self.to_dense())
-
-
-class _SymmetricSystem:
-    """Projected system of a Hermitian pass, real symmetric and held as its
-    upper triangle: tridiagonal, preceded after a restart by the retained
-    values with their coupling column (arrow shape)."""
-
-    def __init__(self, upper):
-        self.upper = upper
-
-    @property
-    def size(self):
-        return self.upper.shape[0]
-
-    def decompose(self):
-        """Eigenvectors, eigenvalues (descending) and the eigenvectors as rows."""
-        lam, y = np.linalg.eigh(self.upper, UPLO="U")
-        y = y[:, ::-1]
-        return y, lam[::-1], y.T
-
-
-def _arrow_matrix(aug_values, coupling, diag, superdiag):
-    """Dense projected system: retained values with their coupling column,
-    followed by the upper bidiagonal block."""
-    la, kk = len(aug_values), len(aug_values) + len(diag)
-    mat = np.zeros((kk, kk), dtype=np.result_type(coupling, float))
-    idx = np.arange(kk)
-    mat[idx, idx] = np.concatenate([aug_values, diag])
-    if la and len(diag):
-        mat[:la, la] = coupling
-    mat[idx[la:-1], idx[la:-1] + 1] = superdiag
-    return mat
 
 
 @dataclass(eq=False)
@@ -143,6 +122,7 @@ class PartialSVD:
     norm_estimate: float = 0.0
     sweep_history: list | None = None
     images: tuple | None = None  # (H1 right_vectors, H2 left_vectors), when known
+    tol: float = 0.0  # the tolerance of the engine's stopping verdict
 
     @property
     def count(self):
@@ -185,21 +165,23 @@ def _certified_cut(values, residuals, level, tol):
 
 
 def _stopped(values, residuals, ell, delta, norm_est, stop_below, empty_after=0):
-    """The engines' one stopping rule, for nonempty Ritz values sorted descending.
+    """The engines' one stopping rule and its tolerance, for Ritz values
+    sorted descending.
 
     At ``tol = delta * max(norm_est, values[0])``, the ell leading triples
     are converged (their residuals are at most tol), or, with ``stop_below``
     set, a triple is certified below that level (``_certified_cut``).  A cut
     at index 0, which leaves nothing above the level, counts only once there
-    are more than ``empty_after`` values.
+    are more than ``empty_after`` values.  Returns the verdict and tol, which
+    the engines hand on as their result's ``tol``.
     """
-    tol = delta * max(norm_est, values[0], 1e-300)
+    tol = delta * max(norm_est, values[0] if values.size else 0.0, 1e-300)
     if values.size >= ell and np.all(residuals[:ell] <= tol):
-        return True
+        return True, tol
     if stop_below is None:
-        return False
+        return False, tol
     cut = _certified_cut(values, residuals, stop_below, tol)
-    return cut is not None and (cut > 0 or values.size > empty_after)
+    return cut is not None and (cut > 0 or values.size > empty_after), tol
 
 
 def subspace_iterate(oracle, ell, delta, max_sweeps=300, rng=None, start=None, stop_below=None):
@@ -209,11 +191,12 @@ def subspace_iterate(oracle, ell, delta, max_sweeps=300, rng=None, start=None, s
     subspace pair, reorthonormalizing in the respective metrics, and rotates
     by the SVD of the small cross matrix.  It stops by ``_stopped`` with
     every triple of the subspace required, the residual of triple m being
-    ``|w^* H2 v_m - sigma_m u_m|_{H1}``.  An operator that maps the subspace
-    to zero returns no triples.
+    ``|w^* H2 v_m - sigma_m u_m|_{H1}``, or after ``max_sweeps`` sweeps, once
+    the residuals of the last one are known.  An operator that maps the
+    subspace to zero returns no triples.
     """
-    if ell < 1 or delta <= 0:
-        raise ValueError("need ell >= 1 and delta > 0")
+    if ell < 1 or delta <= 0 or max_sweeps < 1:
+        raise ValueError("need ell >= 1, delta > 0 and max_sweeps >= 1")
     n1, n2 = oracle.dims
     m1, m2 = oracle.metrics
     ell = min(ell, n1, n2)
@@ -230,34 +213,34 @@ def subspace_iterate(oracle, ell, delta, max_sweeps=300, rng=None, start=None, s
 
     norm_est = float(oracle.norm_estimate or 0.0)
     history = []
-    u_mat = None
-    v_mat = None
     values = None
 
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(max_sweeps + 1):
         images = [oracle.left(v) for v in v_cols]
 
         if values is not None:
             residuals = np.array(
                 [m1.norm(images[m] - values[m] * u_mat[:, m]) for m in range(len(values))]
             )
-            if _stopped(values, residuals, values.size, delta, norm_est, stop_below):
+            converged, tol = _stopped(values, residuals, values.size, delta, norm_est, stop_below)
+            if converged or sweep == max_sweeps:
                 return PartialSVD(
                     right_vectors=u_mat,
                     left_vectors=v_mat,
                     values=values,
                     residuals=residuals,
-                    converged=True,
-                    sweeps=sweep - 1,
+                    converged=converged,
+                    sweeps=sweep,
                     norm_estimate=norm_est,
                     sweep_history=history,
+                    tol=tol,
                 )
 
         e_cols = orthonormalize(images, m1)
         raw = [oracle.right(e) for e in e_cols]
         f_cols = orthonormalize(raw, m2)
         if not f_cols:
-            return _empty_psvd(n1, n2, sweeps=sweep, sweep_history=history)
+            return _empty_psvd(n1, n2, sweeps=sweep + 1, sweep_history=history)
 
         hf = [m2.apply(f) for f in f_cols]
         cross = np.asarray(hf).conj() @ np.asarray(raw).T
@@ -272,38 +255,23 @@ def subspace_iterate(oracle, ell, delta, max_sweeps=300, rng=None, start=None, s
         norm_est = max(norm_est, float(sig[0]) if r else 0.0)
         history.append(sig.copy())
 
-    if values is not None:
-        # per-triple residuals so callers can still use the converged prefix
-        residuals = np.array(
-            [m1.norm(oracle.left(v_mat[:, m]) - values[m] * u_mat[:, m]) for m in range(len(values))]
-        )
-    else:
-        residuals = np.zeros(0)
-    return PartialSVD(
-        right_vectors=u_mat if u_mat is not None else np.zeros((n1, 0), dtype=complex),
-        left_vectors=v_mat if v_mat is not None else np.zeros((n2, 0), dtype=complex),
-        values=values if values is not None else np.zeros(0),
-        residuals=residuals,
-        converged=False,
-        sweeps=max_sweeps,
-        norm_estimate=norm_est,
-        sweep_history=history,
-    )
-
 
 class _KrylovPass:
-    """What both pass states share: the right basis, seeding and the loop
-    that appends columns.
+    """What both pass states share: the right basis, the projected matrix,
+    seeding and the loop that appends columns.
 
     A pass starts empty, or seeded with Ritz triples (a thick restart), and
     ``advance`` appends columns; each state supplies ``_column``, which
-    extends the projected system by one column, and ``_continuation``.  The
-    right basis and its metric images are rows of arrays preallocated for
-    ``cap`` columns, so the projections read them without copying.
-    ``p_last`` / ``gamma_last`` are the continuation vector and its norm,
-    which the next pass starts from; both are zero once the Krylov space is
-    exhausted or the right basis spans the whole space, and ``exact`` is
-    then set.
+    fills the newest column of the projected matrix ``T``, ``_continuation``
+    and ``_decompose``.  ``T`` is real and preallocated for ``cap`` columns:
+    the retained values on its diagonal with their coupling column, then a
+    bidiagonal (Golub-Kahan) or the upper triangle of a tridiagonal
+    (Hermitian) block.  The right basis and its metric images are rows of
+    arrays preallocated likewise, so the projections read them without
+    copying.  ``p_last`` / ``gamma_last`` are the continuation vector and its
+    norm, which the next pass starts from; both are zero once the Krylov
+    space is exhausted or the right basis spans the whole space, and
+    ``exact`` is then set.
     """
 
     def __init__(self, oracle, rng, cap, scale):
@@ -314,11 +282,18 @@ class _KrylovPass:
         self.E = np.empty((cap, n1), dtype=complex)
         self.HE = np.empty((cap, n1), dtype=complex)
         self.ne = 0
-        self.aug_values = np.zeros(0)
+        self.T = np.zeros((cap, cap))
+        self.first = 0
+        self.seeded = (self.E, self.HE)
+        self.decomposed = (-1, None)
         self.exact = False
         self.scale = scale
         self.p_last = np.zeros(n1, dtype=complex)
         self.gamma_last = 0.0
+
+    @property
+    def size(self):
+        return self.ne
 
     @property
     def right_basis(self):
@@ -336,15 +311,39 @@ class _KrylovPass:
     def tol(self):
         return BREAKDOWN_REL * max(self.scale, 1e-300)
 
+    def decompose(self):
+        """The projected matrix's left vectors, values (descending) and right
+        vectors as rows, None where they are the left ones.  Computed once
+        per column count, so the Ritz step reuses the stop check's."""
+        if self.decomposed[0] != self.ne:
+            self.decomposed = (self.ne, self._decompose(self.T[: self.ne, : self.ne]))
+        return self.decomposed[1]
+
+    def estimates(self, gamma):
+        """Ritz values and residual estimates of the columns so far, gamma
+        being the norm of the last column's continuation."""
+        y_small, values, _ = self.decompose()
+        return values, gamma * np.abs(y_small[-1, :])
+
     def seed(self, u_mat, v_mat, values, images):
         """Start from Ritz triples; ``images`` are their vectors' metric
         images, (H1 u_mat, H2 v_mat), rotated from the last pass's."""
         r = len(values)
         self.E[:r] = u_mat.T
         self.HE[:r] = images[0].T
-        self.ne = r
-        self.aug_values = np.asarray(values, dtype=float).copy()
+        self.ne = self.first = r
+        self.T[np.arange(r), np.arange(r)] = values
         self.scale = max(self.scale, float(np.max(np.abs(values))) if r else 0.0)
+
+    def _couple(self, coeff):
+        """Enter the first column's coefficients against the seeded basis as
+        its coupling column.  Their phases are a unitary scaling of the
+        seeded rows; they are moved into those rows, which keeps T real."""
+        j = self.first
+        phase = np.exp(1j * np.angle(coeff[:j]))
+        for rows in self.seeded:
+            rows[:j] *= phase[:, None]
+        self.T[:j, j] = np.abs(coeff[:j])
 
     def add_e(self, vec):
         vec, _ = project_out(vec.astype(complex), self.E[: self.ne], self.HE[: self.ne])
@@ -384,10 +383,10 @@ class LanczosFactorization(_KrylovPass):
     """Golub-Kahan factorization in the oracle's metrics, with full
     reorthogonalization; the state of one pass of the recursion.
 
-    ``system`` is the projected arrow-bidiagonal system, ``right_basis`` and
-    ``left_basis`` its bases; the left basis lives in preallocated rows like
-    the right one.  A stalled left direction continues from a random one
-    drawn from ``rng``.
+    ``system`` is the projected arrow-bidiagonal system read from ``T``,
+    ``right_basis`` and ``left_basis`` its bases; the left basis lives in
+    preallocated rows like the right one.  A stalled left direction
+    continues from a random one drawn from ``rng``.
     """
 
     def __init__(self, oracle, rng, cap, scale):
@@ -397,12 +396,12 @@ class LanczosFactorization(_KrylovPass):
         self.F = np.empty((cap, n2), dtype=complex)
         self.HF = np.empty((cap, n2), dtype=complex)
         self.nf = 0
-        self.betas, self.gammas = [], []
-        self.aug_coupling = np.zeros(0, dtype=complex)
+        self.seeded += (self.F, self.HF)
 
     @property
     def system(self):
-        return BidiagonalSystem(self.betas, self.gammas, self.aug_values, self.aug_coupling)
+        r, n, diag = self.first, self.ne, self.T.diagonal()
+        return BidiagonalSystem(diag[r:n], self.T.diagonal(1)[r : n - 1], diag[:r], self.T[:r, r])
 
     @property
     def left_basis(self):
@@ -412,14 +411,9 @@ class LanczosFactorization(_KrylovPass):
     def left_images(self):
         return self.HF[: self.nf].T
 
-    def estimates(self, gamma):
-        """Ritz values and residual estimates of the columns so far, gamma
-        being the norm of the last column's continuation."""
-        # the coupling's phases are unitary row and column scalings: they
-        # change neither the values nor the moduli of the last row
-        small = BidiagonalSystem(self.betas, self.gammas, self.aug_values, np.abs(self.aug_coupling))
-        y_small, sig, _ = small.decompose()
-        return sig, gamma * np.abs(y_small[-1, :])
+    @staticmethod
+    def _decompose(mat):
+        return np.linalg.svd(mat)
 
     def seed(self, u_mat, v_mat, values, images):
         super().seed(u_mat, v_mat, values, images)
@@ -427,21 +421,20 @@ class LanczosFactorization(_KrylovPass):
         self.F[:r] = v_mat.T
         self.HF[:r] = images[1].T
         self.nf = r
-        self.aug_coupling = np.zeros(r, dtype=complex)
 
-    def add_f_from_image(self, q, collect=None):
-        """Append the normalized image q; its projection coefficients go into ``collect``."""
+    def add_f_from_image(self, q):
+        """Append the normalized image q, or a random direction when q
+        stalls.  Returns q's norm (0 for a random direction) and its
+        projection coefficients, or None when no left direction remains."""
         basis, applied = self.F[: self.nf], self.HF[: self.nf]
         q, coeff = project_out(q.astype(complex), basis, applied)
-        if collect is not None:
-            collect += coeff
         hq, beta = self.m2.apply_and_norm(q)
         if beta <= self.tol():
             # stalled left direction: continue in a fresh random direction
             f, _ = project_out(_random_unit(self.rng, q.shape[0], self.m2), basis, applied)
             hf, nrm = self.m2.apply_and_norm(f)
             if nrm == 0.0:
-                return 0.0, None
+                return None
             f, hf = f / nrm, hf / nrm
             beta = 0.0
         else:
@@ -449,28 +442,32 @@ class LanczosFactorization(_KrylovPass):
         self.F[self.nf] = f
         self.HF[self.nf] = hf
         self.nf += 1
-        return beta, f
+        return beta, coeff
 
     def _column(self, gamma):
         """The left half-step of the newest right column; False when no left
         direction remains.  The first column links to no earlier one; its
         image's coefficients against a seeded left basis form the coupling
-        row of the restarted system."""
-        q = self.oracle.right(self.E[self.ne - 1])
-        if self.betas:
-            q = q - gamma * self.F[self.nf - 1]
-        beta, f = self.add_f_from_image(q, None if self.betas else self.aug_coupling)
-        if f is None:
+        column."""
+        j = self.ne - 1
+        q = self.oracle.right(self.E[j])
+        if j > self.first:
+            self.T[j - 1, j] = gamma
+            q = q - gamma * self.F[j - 1]
+        added = self.add_f_from_image(q)
+        if added is None:
             self.ne -= 1
             return False
-        if self.betas:
-            self.gammas.append(gamma)
-        self.betas.append(beta)
+        beta, coeff = added
+        if j == self.first:
+            self._couple(coeff)
+        self.T[j, j] = beta
         self.scale = max(self.scale, beta)
         return True
 
     def _continuation(self):
-        return self.oracle.left(self.F[self.nf - 1]) - self.betas[-1] * self.E[self.ne - 1]
+        j = self.ne - 1
+        return self.oracle.left(self.F[j]) - self.T[j, j] * self.E[j]
 
 
 class _HermitianLanczos(_KrylovPass):
@@ -478,23 +475,15 @@ class _HermitianLanczos(_KrylovPass):
     reorthogonalization; the pass state for an oracle whose right action
     e -> w H1 e is self-adjoint in H1 (w Hermitian).
 
-    Each column costs one right action.  ``system`` is real symmetric
-    tridiagonal, preceded after a thick restart by the retained Ritz values
-    and their coupling column; its upper triangle fills a preallocated array
-    column by column.  The left basis is the right one.  The coupling's
-    phases are a unitary scaling of the retained vectors; they are moved into
-    those vectors, which keeps the system real.
+    Each column costs one right action.  ``T`` holds the upper triangle of
+    a real symmetric matrix: tridiagonal, preceded after a thick restart by
+    the retained Ritz values and their coupling column.  The left basis is
+    the right one, and so are its vectors in ``decompose``.
     """
 
     def __init__(self, oracle, rng, cap, scale):
         super().__init__(oracle, rng, cap, scale)
-        self.T = np.zeros((cap, cap))
-        self.first = 0
         self.q = None
-
-    @property
-    def system(self):
-        return _SymmetricSystem(self.T[: self.ne, : self.ne])
 
     left_basis = _KrylovPass.right_basis
 
@@ -502,22 +491,15 @@ class _HermitianLanczos(_KrylovPass):
     def left_images(self):
         return self.HE[: self.ne].T
 
-    def estimates(self, gamma):
-        """Ritz values and residual estimates of the columns so far, gamma
-        being the norm of the last column's continuation."""
-        y_small, lam, _ = self.system.decompose()
-        return lam, gamma * np.abs(y_small[-1, :])
-
-    def seed(self, u_mat, v_mat, values, images):
-        super().seed(u_mat, v_mat, values, images)
-        r = len(values)
-        self.T[np.arange(r), np.arange(r)] = self.aug_values
-        self.first = r
+    @staticmethod
+    def _decompose(mat):
+        lam, y = np.linalg.eigh(mat, UPLO="U")
+        return y[:, ::-1], lam[::-1], None
 
     def _column(self, gamma):
-        """The newest column's entries of the system.  The first column's
-        coefficients against the seeded basis form the coupling row; later
-        columns follow the three-term recurrence, and ``add_e``
+        """The newest column's entries of ``T``.  The first column's
+        coefficients against the seeded basis form the coupling column;
+        later columns follow the three-term recurrence, and ``add_e``
         reorthogonalizes each new column (CGS2)."""
         j = self.ne - 1
         q = self.oracle.right(self.E[j])
@@ -529,10 +511,7 @@ class _HermitianLanczos(_KrylovPass):
         else:
             q, coeff = project_out(q, self.E[: self.ne], self.HE[: self.ne])
             alpha = coeff[j]
-            phase = np.exp(1j * np.angle(coeff[:j]))
-            self.E[:j] *= phase[:, None]
-            self.HE[:j] *= phase[:, None]
-            self.T[:j, j] = np.abs(coeff[:j])
+            self._couple(coeff)
         self.T[j, j] = alpha.real
         self.scale = max(self.scale, abs(alpha.real))
         self.q = q
@@ -573,13 +552,15 @@ def lanczos_bidiagonalize(oracle, start_direction, k):
 def ritz_factorize(system, right_basis, left_basis, gamma_last=0.0, images=None):
     """Dense decomposition of the projected system with basis rotation.
 
-    A bidiagonal system gives singular triples; a Hermitian pass's
-    tridiagonal system gives eigenpairs, signed values descending, whose
-    right and left vectors coincide.  Residual estimates are the classical
-    last-row couplings scaled by the continuation norm; they are exact for
-    the returned triples.  The norm estimate is the largest value modulus.
-    ``images``, the bases' metric images, are rotated like the bases into
-    the result's ``images``, so no metric is applied to the Ritz vectors.
+    ``system`` is a ``BidiagonalSystem`` or a pass state, whose decomposition
+    the pass's last stop check may already hold.  A bidiagonal system gives
+    singular triples; a Hermitian pass's tridiagonal system gives eigenpairs,
+    signed values descending, whose right vectors are the left ones and are
+    formed once.  Residual estimates are the classical last-row couplings
+    scaled by the continuation norm; they are exact for the returned
+    triples.  The norm estimate is the largest value modulus.  ``images``,
+    the bases' metric images, are rotated like the bases into the result's
+    ``images``, so no metric is applied to the Ritz vectors.
     """
     kk = system.size
     n1 = right_basis.shape[0]
@@ -587,11 +568,15 @@ def ritz_factorize(system, right_basis, left_basis, gamma_last=0.0, images=None)
     if kk == 0:
         return _empty_psvd(n1, n2)
     y_small, values, zh_small = system.decompose()
-    u_mat = right_basis @ zh_small.conj().T
-    v_mat = left_basis @ y_small
-    residuals = float(gamma_last) * np.abs(y_small[-1, :])
+
+    def rotated(right, left):
+        left = left @ y_small
+        return (left if zh_small is None else right @ zh_small.conj().T), left
+
+    u_mat, v_mat = rotated(right_basis, left_basis)
     if images is not None:
-        images = (images[0] @ zh_small.conj().T, images[1] @ y_small)
+        images = rotated(*images)
+    residuals = float(gamma_last) * np.abs(y_small[-1, :])
     return PartialSVD(
         right_vectors=u_mat,
         left_vectors=v_mat,
@@ -615,7 +600,7 @@ def augmented_restart(
     Lanczos, one action per column, and the triples are eigenpairs with
     signed values, largest first.  One loop runs every pass: the first, from
     ``start`` or a random vector; each thick restart, which keeps the ell
-    leading Ritz triples, records the coupling row to the seeded basis and
+    leading Ritz triples, records the coupling column to the seeded basis and
     goes on from the continuation vector; and the re-entry after an
     exhausted Krylov space, which keeps the triples likewise but goes on
     from a random direction, since values outside an invariant space never
@@ -653,7 +638,7 @@ def augmented_restart(
         return _stopped(values, residuals, ell, delta, norm_est, stop_below, empty_after=ell)
 
     def stop(fac, gamma):
-        return fac.ne >= floor and certified(*fac.estimates(gamma))
+        return fac.ne >= floor and certified(*fac.estimates(gamma))[0]
 
     floor = ell + 1 if start is None else 0
     p, gamma = _fresh_start(start if start is not None else _random_unit(rng, n1, m1), m1)
@@ -664,11 +649,12 @@ def augmented_restart(
             fac.seed(*kept)
         fac.advance(p, gamma, cap, stop)
         psvd = ritz_factorize(
-            fac.system, fac.right_basis, fac.left_basis, fac.gamma_last, fac.basis_images
+            fac, fac.right_basis, fac.left_basis, fac.gamma_last, fac.basis_images
         )
         norm_est = max(norm_est, psvd.norm_estimate)
 
-        done = psvd.count == 0 or certified(psvd.values, psvd.residuals)
+        done, psvd.tol = certified(psvd.values, psvd.residuals)
+        done = done or psvd.count == 0
         if done or restarts >= max_restarts:
             psvd.converged = done
             psvd.exact = fac.exact and psvd.count >= mindim

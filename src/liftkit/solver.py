@@ -173,10 +173,6 @@ class SolverResult:
     metric1: object
     metric2: object
 
-    @property
-    def records(self):
-        return self.log
-
 
 def _shrink_euclidean(z, gamma):
     nrm = float(np.linalg.norm(z))

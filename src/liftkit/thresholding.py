@@ -165,7 +165,7 @@ def _adaptive_triples(oracle, cfg, rng, warm_start, hermitian):
         restarts += psvd.restarts
 
         values = psvd.values
-        tol = cfg.delta * max(psvd.norm_estimate, 1e-300)
+        tol = psvd.tol
         cut = _certified_cut(values, psvd.residuals, cfg.tau, tol)
 
         if cut is not None:

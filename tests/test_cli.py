@@ -341,6 +341,8 @@ BAD_INPUTS = {
     "gen-data-image-stack": GEN_DATA + ["--image", "{dir}/masks"],
     "eval-recovered-stack": ["eval", "--recovered", "{dir}/masks", "--reference", "{dir}/truth"],
     "eval-reference-stack": ["eval", "--recovered", "{dir}/truth", "--reference", "{dir}/masks"],
+    "eval-masks-shape-mismatch": ["eval", "--recovered", "{dir}/run/recovered", "--reference",
+                                  "{dir}/truth", "--masks", "{tmp}/masks16"],
     "tau-nan": SOLVE + ["--tau", "nan"],
     "sigma-nan": SOLVE + ["--sigma", "nan"],
     "eps-nan": SOLVE + ["--eps", "nan", "--fidelity", "epsball"],
@@ -363,6 +365,8 @@ def test_bad_input_exit_two(solved, tmp_path, capsys, monkeypatch, argv):
     # data for 4 masks where the stack holds 6, and DFT sizes below the 8x8 image
     storage.write_data(tmp_path / "four-masks", np.ones(4 * 16 * 16), (4, 16, 16))
     storage.write_data(tmp_path / "small-dft", np.ones(6 * 4 * 4), (6, 4, 4))
+    # masks for a 16x16 image that see no pixel, beside the 8x8 images
+    storage.write_images(tmp_path / "masks16", np.zeros((2, 16, 16)))
 
     def no_solve(*args, **kwargs):
         raise AssertionError("the solver ran on a rejected configuration")

@@ -486,3 +486,94 @@ class TestStoredMetricImages:
             for basis, images, count in rows:
                 for j in range(count):
                     assert np.linalg.norm(images[j] - m.apply(basis[j])) <= 1e-12
+
+
+def recorded_passes(monkeypatch):
+    """Patch the pass loop so that every pass state is appended to the
+    returned list when it starts its columns."""
+    passes = []
+    advance = partial_svd._KrylovPass.advance
+
+    def recorded(fac, *args, **kwargs):
+        passes.append(fac)
+        advance(fac, *args, **kwargs)
+
+    monkeypatch.setattr(partial_svd._KrylovPass, "advance", recorded)
+    return passes
+
+
+def restarted_case(kind, hermitian):
+    """A complex oracle, Hermitian or not, in random SPD or reweighted
+    metrics, whose passes restart with ell 2 and k 4."""
+    rng = np.random.default_rng(82)
+    n1, n2 = (12, 12) if hermitian else (12, 14)
+
+    def metric(n):
+        spd = random_spd_metric(rng, n)
+        if kind == "spd":
+            return spd
+        directions = orthonormalize([random_complex(rng, n) for _ in range(2)], spd)
+        return ReweightedMetric(spd, np.stack(directions), np.array([0.5, 0.25]))
+
+    m1 = metric(n1)
+    m2 = m1 if hermitian else metric(n2)
+    a = random_complex(rng, n2 * n1).reshape(n2, n1)
+    w = 0.5 * (a + a.conj().T) if hermitian else a
+    return w, m1, m2, rng
+
+
+class TestRestartedProjectedSystems:
+    """Every pass, restarted ones included, keeps one real projected matrix
+    T: the coupling's phases are moved into the seeded rows of both bases,
+    so T is the bases' projection of the oracle."""
+
+    @pytest.mark.parametrize("kind", ["spd", "reweighted"])
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_every_pass_projects_the_oracle(self, kind, hermitian, monkeypatch):
+        w, m1, m2, rng = restarted_case(kind, hermitian)
+        passes = recorded_passes(monkeypatch)
+        out = augmented_restart(
+            oracle_from_dense(w, m1, m2), 2, 4, 1e-10, rng=rng, hermitian=hermitian
+        )
+        assert out.converged and out.restarts >= 2
+        assert sum(fac.first > 0 for fac in passes) >= 2
+        sig0 = np.max(np.abs(out.values))
+        h1, h2 = m1.to_dense(), m2.to_dense()
+        for fac in passes:
+            e_mat = fac.right_basis
+            if hermitian:
+                projected = e_mat.conj().T @ h1 @ w @ h1 @ e_mat
+                upper = np.triu(fac.T[: fac.ne, : fac.ne])
+                system = upper + upper.T - np.diag(np.diag(upper))
+            else:
+                projected = fac.left_basis.conj().T @ h2 @ w @ h1 @ e_mat
+                system = fac.system.to_dense()
+            assert np.all(np.isreal(system))
+            assert np.allclose(projected, system, rtol=0.0, atol=1e-8 * sig0)
+
+
+class TestOneDecompositionPerColumnCount:
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_no_pass_decomposes_a_column_count_twice(self, hermitian, monkeypatch):
+        # the stop check's decomposition at the last checked column is the
+        # Ritz step's, so the sizes decomposed within a pass are distinct
+        w, m1, m2, rng = restarted_case("spd", hermitian)
+        passes = recorded_passes(monkeypatch)
+        sizes = {}
+
+        def counted(decompose):
+            def wrapper(mat, *args, **kwargs):
+                sizes.setdefault(len(passes), []).append(mat.shape[0])
+                return decompose(mat, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+        out = augmented_restart(
+            oracle_from_dense(w, m1, m2), 2, 4, 1e-10, rng=rng, hermitian=hermitian
+        )
+        assert out.converged and out.restarts >= 2
+        assert len(sizes) == len(passes)
+        for per_pass in sizes.values():
+            assert len(per_pass) == len(set(per_pass)), per_pass
