@@ -84,7 +84,11 @@ SOLVER_SETTINGS = {
         "help": "most columns per Lanczos pass, one oracle action each (the recovery's "
                 "tensor is Hermitian); a pass stops at its first certified column",
     }),
-    "delta": Setting(_SOLVER.delta, _NUMBER, "--delta", _FLOAT),
+    "delta": Setting(_SOLVER.delta, _NUMBER, "--delta", {
+        "type": float,
+        "help": "floor of the relative threshold tolerance; each iteration's "
+                "tolerance follows the solve's progress down to it",
+    }),
     "rank_cap": Setting(_SOLVER.rank_cap, _INTEGER, "--rank-cap", _INT),
     "max_iter": Setting(_SOLVER.max_iter, _INTEGER, "--max-iter", _INT),
     "tol": Setting(_SOLVER.tol, _NUMBER, "--tol", _FLOAT),
@@ -134,7 +138,7 @@ RUN_CONFIG_SCHEMA = _closed({
     "solver": _nested(SOLVER_SETTINGS, lambda setting: setting.schema, _closed),
 })
 
-CSV_HEADER = ["n", "rank", "fidelity", "sigma0", "sigma1", "sigma2", "restarts", "ms"]
+CSV_HEADER = ["n", "rank", "fidelity", "sigma0", "sigma1", "sigma2", "restarts", "ms", "delta"]
 
 
 def _sha256(path):
@@ -346,7 +350,7 @@ def _solve_problem(masks_path, data_path, settings, seed, out_dir):
             writer.writerow(
                 [rec.n, rec.rank, f"{rec.fidelity:.16e}"]
                 + [f"{v:.16e}" for v in vals]
-                + [rec.restarts, f"{rec.ms:.3f}"]
+                + [rec.restarts, f"{rec.ms:.3f}", f"{rec.delta:.16e}"]
             )
     artifacts.append("iterations.csv")
     log = result.log

@@ -24,6 +24,9 @@ import numpy as np
 from .metric import orthonormalize, project_out
 
 BREAKDOWN_REL = 1e-13
+# a carried metric image is kept while the projection leaves at least this
+# much of a unit vector; below it the metric is applied afresh
+CARRY_MIN_NORM = 0.5
 
 
 class ActionOracle:
@@ -268,10 +271,12 @@ class _KrylovPass:
     bidiagonal (Golub-Kahan) or the upper triangle of a tridiagonal
     (Hermitian) block.  The right basis and its metric images are rows of
     arrays preallocated likewise, so the projections read them without
-    copying.  ``p_last`` / ``gamma_last`` are the continuation vector and its
-    norm, which the next pass starts from; both are zero once the Krylov
-    space is exhausted or the right basis spans the whole space, and
-    ``exact`` is then set.
+    copying.  ``p_last`` / ``hp_last`` / ``gamma_last`` are the continuation
+    vector, its metric image and its norm, which the next pass starts from;
+    all are zero once the Krylov space is exhausted or the right basis spans
+    the whole space, and ``exact`` is then set.  ``carried`` is the metric
+    image of the vector ``advance`` hands to the next ``add_e``, so a column
+    applies the metric once, for its continuation's norm and image.
     """
 
     def __init__(self, oracle, rng, cap, scale):
@@ -289,7 +294,9 @@ class _KrylovPass:
         self.exact = False
         self.scale = scale
         self.p_last = np.zeros(n1, dtype=complex)
+        self.hp_last = np.zeros(n1, dtype=complex)
         self.gamma_last = 0.0
+        self.carried = None
 
     @property
     def size(self):
@@ -346,8 +353,19 @@ class _KrylovPass:
         self.T[:j, j] = np.abs(coeff[:j])
 
     def add_e(self, vec):
-        vec, _ = project_out(vec.astype(complex), self.E[: self.ne], self.HE[: self.ne])
-        hvec, nrm = self.m1.apply_and_norm(vec)
+        """Append vec, projected off the basis and normalized; False when
+        nothing is left of it.  A carried image of the unit vec is projected
+        alongside, unless the projection removed most of vec, where its
+        image would lose digits to cancellation and the metric is applied."""
+        basis, applied = self.E[: self.ne], self.HE[: self.ne]
+        vec, coeff = project_out(vec.astype(complex), basis, applied)
+        carried, self.carried = self.carried, None
+        nrm = 0.0
+        if carried is not None:
+            hvec = carried - coeff @ applied
+            nrm = float(np.sqrt(max(np.vdot(vec, hvec).real, 0.0)))
+        if nrm < CARRY_MIN_NORM:
+            hvec, nrm = self.m1.apply_and_norm(vec)
         if nrm <= self.tol():
             return False
         self.E[self.ne] = vec / nrm
@@ -355,28 +373,33 @@ class _KrylovPass:
         self.ne += 1
         return True
 
-    def advance(self, p, gamma, k, stop=None):
-        """Append columns, starting from the continuation p / gamma.
+    def advance(self, p, gamma, hp, k, stop=None):
+        """Append columns, starting from the continuation p / gamma, whose
+        metric image is hp / gamma.
 
         k caps the pass: it ends at k columns, when the Krylov space is
         exhausted, once the right basis spans the whole space (the projected
         system then holds exactly, so no action is spent on a
         continuation), or after any column for which ``stop(self, gamma)``
         holds, gamma being the norm of that column's continuation, which is
-        kept as ``p_last`` / ``gamma_last``."""
+        kept as ``p_last`` / ``hp_last`` / ``gamma_last``."""
         while self.ne < k:
-            if gamma <= self.tol() or not self.add_e(p / gamma) or not self._column(gamma):
+            if gamma <= self.tol():
+                self.exact = True
+                return
+            self.carried = hp / gamma
+            if not self.add_e(p / gamma) or not self._column(gamma):
                 self.exact = True
                 return
             if self.spans_space:
                 self.exact = True
                 return
             p = self._continuation()
-            gamma = self.m1.norm(p)
+            hp, gamma = self.m1.apply_and_norm(p)
             self.scale = max(self.scale, gamma)
             if stop is not None and self.ne < k and stop(self, gamma):
                 break
-        self.p_last, self.gamma_last = p, float(gamma)
+        self.p_last, self.hp_last, self.gamma_last = p, hp, float(gamma)
 
 
 class LanczosFactorization(_KrylovPass):
@@ -522,12 +545,12 @@ class _HermitianLanczos(_KrylovPass):
 
 
 def _fresh_start(vec, metric):
-    """Continuation pair (p, gamma) of a pass from the direction vec."""
+    """Continuation (p, gamma, H p) of a pass from the direction vec."""
     vec = np.asarray(vec, dtype=complex)
-    nrm = metric.norm(vec)
+    hvec, nrm = metric.apply_and_norm(vec)
     if nrm == 0.0:
         raise ValueError("start direction must be nonzero")
-    return vec / nrm, 1.0
+    return vec / nrm, 1.0, hvec / nrm
 
 
 def lanczos_bidiagonalize(oracle, start_direction, k):
@@ -641,13 +664,13 @@ def augmented_restart(
         return fac.ne >= floor and certified(*fac.estimates(gamma))[0]
 
     floor = ell + 1 if start is None else 0
-    p, gamma = _fresh_start(start if start is not None else _random_unit(rng, n1, m1), m1)
+    begin = _fresh_start(start if start is not None else _random_unit(rng, n1, m1), m1)
     cap, kept, restarts = k, None, 0
     while True:
         fac = state(oracle, rng, cap, norm_est)
         if kept is not None:
             fac.seed(*kept)
-        fac.advance(p, gamma, cap, stop)
+        fac.advance(*begin, cap, stop)
         psvd = ritz_factorize(
             fac, fac.right_basis, fac.left_basis, fac.gamma_last, fac.basis_images
         )
@@ -675,10 +698,10 @@ def augmented_restart(
         cap = max(k, want + 1)
         if fac.exact:
             floor = ell + 1
-            p, gamma = _fresh_start(_random_unit(rng, n1, m1), m1)
+            begin = _fresh_start(_random_unit(rng, n1, m1), m1)
         else:
             floor = 0
-            p, gamma = fac.p_last, fac.gamma_last
+            begin = fac.p_last, fac.gamma_last, fac.hp_last
 
 
 def estimate_operator_norm(oracle, iters, rng=None, start=None):

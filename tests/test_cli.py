@@ -193,10 +193,10 @@ class TestSolveAndEval:
             reader = csvmod.reader(fh)
             header = next(reader)
             assert header == ["n", "rank", "fidelity", "sigma0", "sigma1", "sigma2",
-                              "restarts", "ms"]
+                              "restarts", "ms", "delta"]
             rows = list(reader)
         assert rows
-        assert all(len(r) == 8 for r in rows)
+        assert all(len(r) == 9 for r in rows)
         ns = [int(r[0]) for r in rows]
         assert ns == list(range(1, len(rows) + 1))
 
@@ -287,9 +287,12 @@ class TestSolveAndEval:
         assert main(args + ["--out", str(tmp_path / "r1")]) == 0
         assert main(args + ["--out", str(tmp_path / "r2")]) == 0
         # identical numerical columns; only the wall-clock column may differ
-        a = [ln.rsplit(",", 1)[0] for ln in (tmp_path / "r1" / "iterations.csv").read_text().splitlines()]
-        b = [ln.rsplit(",", 1)[0] for ln in (tmp_path / "r2" / "iterations.csv").read_text().splitlines()]
-        assert a == b
+        def untimed(run):
+            rows = [ln.split(",") for ln in (tmp_path / run / "iterations.csv").read_text().splitlines()]
+            timed = rows[0].index("ms")
+            return [row[:timed] + row[timed + 1:] for row in rows]
+
+        assert untimed("r1") == untimed("r2")
         ra = (tmp_path / "r1" / "recovered").read_bytes()
         rb = (tmp_path / "r2" / "recovered").read_bytes()
         assert ra == rb

@@ -488,6 +488,36 @@ class TestStoredMetricImages:
                     assert np.linalg.norm(images[j] - m.apply(basis[j])) <= 1e-12
 
 
+class TestCarriedImage:
+    """A new basis vector takes its metric image from the one carried with
+    it, projected like the vector, unless the projection removes most of
+    the vector; then the metric is applied afresh."""
+
+    @pytest.mark.parametrize("inside, applies", [(0.3, 0), (0.8, 0), (0.95, 1)])
+    def test_applies_only_after_a_large_projection(self, inside, applies, monkeypatch):
+        rng = np.random.default_rng(83)
+        m = random_spd_metric(rng, 8)
+        fac = partial_svd._HermitianLanczos(
+            oracle_from_dense(np.eye(8), m, m), rng, 4, 1.0
+        )
+        first = random_complex(rng, 8)
+        first /= m.norm(first)
+        fac.carried = m.apply(first)
+        assert fac.add_e(first)
+        # a unit vector with the share `inside` along the first basis vector
+        other = random_complex(rng, 8)
+        other = other - m.pairing(other, first) * first
+        vec = inside * first + np.sqrt(1.0 - inside**2) * other / m.norm(other)
+        fac.carried = m.apply(vec)
+        calls = []
+        apply = m.apply
+        monkeypatch.setattr(m, "apply", lambda x: calls.append(1) or apply(x))
+        assert fac.add_e(vec)
+        assert len(calls) == applies
+        assert np.linalg.norm(fac.HE[1] - apply(fac.E[1])) <= 1e-12
+        assert abs(np.vdot(fac.E[1], apply(fac.E[1])) - 1.0) <= 1e-12
+
+
 def recorded_passes(monkeypatch):
     """Patch the pass loop so that every pass state is appended to the
     returned list when it starts its columns."""

@@ -4,7 +4,18 @@ import pytest
 from liftkit.errors import ConfigError, NumericalError
 from liftkit.lowrank import FactoredTensor, HermitianFactored
 from liftkit.metric import EuclideanMetric, ReweightedMetric, SobolevMetric, orthonormalize
+from liftkit.phase_retrieval import (
+    PRProblem,
+    add_noise,
+    error_up_to_phase,
+    forward,
+    make_rademacher_masks,
+    recover,
+    synthetic_image,
+)
 from liftkit.solver import (
+    DELTA_MAX,
+    DELTA_PROGRESS,
     Fidelity,
     ReweightSettings,
     SolverConfig,
@@ -14,6 +25,7 @@ from liftkit.solver import (
     reweight_step,
     run_forward_backward,
     run_primal_dual,
+    threshold_delta,
 )
 
 from helpers import (
@@ -24,6 +36,7 @@ from helpers import (
     random_complex,
     random_factored,
     random_hermitian_factored,
+    random_hermitian_tensor_stack,
     random_spd_metric,
 )
 
@@ -468,3 +481,81 @@ class TestRunForwardBackward:
         )
         assert fb.w.values[0] == pytest.approx(pd.w.values[0], abs=1e-4)
         assert fb.w.values[0] == pytest.approx(4.0 - alpha, abs=1e-4)
+
+
+def phase_problem(mask_count, seed):
+    """An 8x8 phase-retrieval problem on a 16x16 DFT grid, with its exact data."""
+    image = synthetic_image((8, 8), seed=seed)
+    masks = make_rademacher_masks((8, 8), mask_count, seed=seed + 2)
+    problem = PRProblem(masks=masks, m2=16, m1=16, metric=EuclideanMetric(64))
+    return problem, forward(problem, image)
+
+
+class TestThresholdTolerance:
+    """Each iteration thresholds at a tolerance tied to the change of the
+    forward image, between SolverConfig.delta and DELTA_MAX."""
+
+    @pytest.mark.parametrize("floor", [1e-10, 1e-8, 1e-4, DELTA_MAX])
+    def test_bounded_by_floor_and_cap(self, floor):
+        cfg = SolverConfig(delta=floor)
+        for g_norm in (1e-3, 1.0, 7.5):
+            for change in (0.0, 1e-14, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 1e3, np.inf):
+                delta = threshold_delta(cfg, change, g_norm)
+                assert floor <= delta <= DELTA_MAX
+
+    def test_floor_when_images_coincide(self):
+        cfg = SolverConfig(delta=3e-7)
+        assert threshold_delta(cfg, 0.0, 1.0) == 3e-7
+        # between floor and cap it is proportional to the relative change
+        assert threshold_delta(cfg, 2e-3, 4.0) == pytest.approx(DELTA_PROGRESS * 2e-3 / 4.0)
+
+    def test_records_carry_the_scheduled_tolerance(self):
+        rng = np.random.default_rng(6)
+        qmap = DenseQuadratic(random_hermitian_tensor_stack(rng, 8, 4), EuclideanMetric(4))
+        g = np.real(qmap.apply(random_complex(rng, 4)))
+        cfg = SolverConfig(ell=2, k=4, rank_cap=4, max_iter=40, seed=11, delta=1e-9)
+        deltas = [rec.delta for rec in run_primal_dual(qmap, g, cfg).log]
+        # the first iteration starts from zero images
+        assert deltas[0] == 1e-9
+        assert all(1e-9 <= d <= DELTA_MAX for d in deltas)
+        assert max(deltas) > 1e-9
+
+    def test_zero_data_keeps_the_floor(self):
+        qmap = scalar_quadratic()
+        cfg = SolverConfig(tau=0.9, sigma=0.9, ell=1, k=2, max_iter=5, validate_steps=False)
+        res = run_primal_dual(qmap, np.zeros(1), cfg)
+        assert [rec.delta for rec in res.log] == [cfg.delta] * len(res.log)
+
+    def test_tightens_while_noisy_fidelity_stalls(self):
+        # Tikhonov on noisy data: the fidelity stalls near the 5 % noise level,
+        # yet the image change, and with it the tolerance, keeps falling.  A
+        # measured run fell ~57x in median from iterations 76-100 to 176-200,
+        # while the fidelity moved 0.6 %.
+        problem, g = phase_problem(6, seed=3)
+        problem.g = add_noise(g, 0.05, seed=3)
+        cfg = SolverConfig(
+            fidelity=Fidelity.tikhonov(), max_iter=200, tol=0.0, seed=0,
+            reweight=ReweightSettings(enabled=True),
+        )
+        _, res = recover(problem, cfg)
+        fidelity = np.array([rec.fidelity for rec in res.log])
+        deltas = np.array([rec.delta for rec in res.log])
+        assert abs(fidelity[-1] - fidelity[99]) <= 0.02 * fidelity[99]
+        # the recorded fidelity is relative to the data norm
+        assert fidelity[-1] >= 0.5 * 0.05
+        assert np.median(deltas[-25:]) <= 0.1 * np.median(deltas[75:100])
+        assert deltas[-1] < 1e-3 * DELTA_MAX
+
+    def test_exact_recovery_agrees_with_the_dense_engine(self):
+        # the dense engine decomposes every threshold argument exactly, so it
+        # reads no tolerance; the scheduled solve must reach the same image
+        problem, g = phase_problem(6, seed=5)
+        problem.g = g
+        images = []
+        for engine in ("lanczos", "dense"):
+            cfg = SolverConfig(max_iter=400, tol=1e-4, seed=0, engine=engine)
+            image, res = recover(problem, cfg)
+            assert res.converged
+            images.append(image)
+        # measured 5.1e-5; both solves stop at a fidelity of 1e-4
+        assert error_up_to_phase(images[0], images[1]) <= 5e-4
