@@ -354,7 +354,10 @@ def _solve_problem(masks_path, data_path, settings, seed, out_dir):
             )
     artifacts.append("iterations.csv")
     log = result.log
+    norm = result.step_norm
     summary = {
+        "step_norm": None if norm is None else {
+            "value": norm.value, "power_steps": norm.iterations},
         "factorization": {"values": factor_values},
         "converged": result.converged,
         "iterations": len(log),
@@ -381,7 +384,7 @@ def cmd_solve(args):
     config = {"solver": settings, "paths": paths, **summary}
     _write_manifest(out_dir, "solve", config, seed, artifacts)
     report = {key: summary[key] for key in ("iterations", "final_rank", "final_fidelity",
-                                            "converged")}
+                                            "converged", "step_norm")}
     print(json.dumps({"recovered": os.path.join(out_dir, "recovered"), **report}, indent=2))
     return 0
 

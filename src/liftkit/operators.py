@@ -33,6 +33,12 @@ class BilinearMap:
         otherwise redo on every call with it; ``vec`` itself by default."""
         return vec
 
+    def norm_starts(self):
+        """Candidate factors near the norm's maximum, for a map whose two
+        factor spaces coincide; ``operator_norm`` starts from the best of
+        them.  No candidates by default: the estimate then starts at random."""
+        return iter(())
+
     def partial_adjoint_left(self, y, e):
         """Adjoint of v -> B(e, v); maps data space into the left space."""
         raise NotImplementedError
@@ -69,10 +75,12 @@ def lifted_apply(bmap, w):
 
 
 def lifted_apply_quadratic(qmap, w):
-    """Forward image of a symmetric factored tensor: sum_k lambda_k Q(u_k)."""
-    out = np.zeros(qmap.data_dim, dtype=complex)
-    for j in range(w.rank):
-        out += w.values[j] * qmap.apply(w.factors[:, j])
+    """Forward image of a symmetric factored tensor: sum_k lambda_k Q(u_k),
+    real when the map's images are."""
+    terms = [w.values[j] * qmap.apply(w.factors[:, j]) for j in range(w.rank)]
+    out = np.zeros(qmap.data_dim, dtype=np.result_type(float, *terms))
+    for term in terms:
+        out += term
     return out
 
 
@@ -137,37 +145,63 @@ class NormEstimate(NamedTuple):
     iterations: int
 
 
+# A power iteration started from a norm start stops after the first step that
+# raises its best quotient by less than this, relative.
+NORM_SETTLE_RTOL = 1e-3
+
+
+def _best_start(bmap):
+    """The map's best norm start, prepared and normalized, with its forward
+    image; None when it has none.  Each candidate is scored by its rank-one
+    quotient |B(s, s)| / |s|^2 at one prepared factor, and only the best
+    prepared factor is held."""
+    best, best_quotient = None, -1.0
+    for s in bmap.norm_starts():
+        nrm = bmap.h1.norm(s)
+        if nrm == 0.0:
+            continue
+        factor = bmap.prepare_factor(s / nrm)
+        image = bmap.apply(factor, factor)
+        quotient = float(np.linalg.norm(image))
+        if quotient > best_quotient:
+            best, best_quotient = (factor, image), quotient
+    return best
+
+
 def operator_norm(op, iters=30, seed=0):
     """Alternating power-iteration estimate of the bilinear operator norm.
 
     Quadratic maps are measured through their associated bilinear map.  The
-    estimate is the best rank-one quotient found and never exceeds the true
-    norm; callers should apply a safety factor before using it for step-size
+    iteration starts from the map's best norm start (``norm_starts``) and
+    stops after the first power step that raises the best quotient by less
+    than ``NORM_SETTLE_RTOL``, relative; a map without starts takes all
+    ``iters`` steps from a random start drawn with ``seed``.  ``iterations``
+    counts the power steps: each maps the factors through both partial
+    adjoints, prepares each once and measures one quotient.  The estimate is
+    the best rank-one quotient found and never exceeds the true norm;
+    callers should apply a safety factor before using it for step-size
     rules.
     """
     bmap = op.bilinear() if isinstance(op, QuadraticMap) else op
-    rng = np.random.default_rng(seed)
-    n1 = bmap.h1.dim
-    n2 = bmap.h2.dim
+    start = _best_start(bmap)
+    if start is None:
+        rng = np.random.default_rng(seed)
 
-    def unit(metric, n):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return v / metric.norm(v)
+        def unit(metric):
+            v = rng.standard_normal(metric.dim) + 1j * rng.standard_normal(metric.dim)
+            return bmap.prepare_factor(v / metric.norm(v))
 
-    u = bmap.prepare_factor(unit(bmap.h1, n1))
-    v = unit(bmap.h2, n2)
-    best = 0.0
+        u = unit(bmap.h1)
+        v = unit(bmap.h2)
+        y = bmap.apply(u, v)
+    else:
+        u, y = start
+        v = u
+    ny = best = float(np.linalg.norm(y))
     done = 0
     for i in range(iters):
-        # each factor is prepared once: for the forward image and for the
-        # partial adjoint that reads it
-        v = bmap.prepare_factor(v)
-        y = bmap.apply(u, v)
-        ny = float(np.linalg.norm(y))
-        done = i + 1
         if ny == 0.0:
             break
-        best = max(best, ny)
         y = y / ny
         u_new = bmap.partial_adjoint_right(y, v)
         nu = bmap.h1.norm(u_new)
@@ -178,5 +212,12 @@ def operator_norm(op, iters=30, seed=0):
         nv = bmap.h2.norm(v_new)
         if nv == 0.0:
             break
-        v = v_new / nv
+        v = bmap.prepare_factor(v_new / nv)
+        y = bmap.apply(u, v)
+        ny = float(np.linalg.norm(y))
+        done = i + 1
+        settled = start is not None and ny < best * (1.0 + NORM_SETTLE_RTOL)
+        best = max(best, ny)
+        if settled:
+            break
     return NormEstimate(value=best, iterations=done)

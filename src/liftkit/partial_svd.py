@@ -663,7 +663,10 @@ def augmented_restart(
     def stop(fac, gamma):
         return fac.ne >= floor and certified(*fac.estimates(gamma))[0]
 
-    floor = ell + 1 if start is None else 0
+    # one Ritz value cannot stop a pass with ell >= 2: that needs ell
+    # converged values, a cut after the first, or more than ell values
+    least = min(ell, 2)
+    floor = ell + 1 if start is None else least
     begin = _fresh_start(start if start is not None else _random_unit(rng, n1, m1), m1)
     cap, kept, restarts = k, None, 0
     while True:
@@ -700,7 +703,7 @@ def augmented_restart(
             floor = ell + 1
             begin = _fresh_start(_random_unit(rng, n1, m1), m1)
         else:
-            floor = 0
+            floor = least
             begin = fac.p_last, fac.gamma_last, fac.hp_last
 
 

@@ -279,6 +279,16 @@ class MaskedFourierBilinear(BilinearMap):
         u, v = self.prepare_factor(u), self.prepare_factor(v)
         return (v.spectra * np.conj(u.spectra)).ravel()
 
+    def norm_starts(self):
+        """The constant image, the cheapest in a Sobolev metric, and each
+        conjugated mask, which puts that mask's whole masked spectrum into
+        the zero bin; each mapped by the inverse metric, as the partial
+        adjoints' outputs are."""
+        apply_inv = self.problem.metric.apply_inv
+        yield apply_inv(np.ones(self.problem.metric.dim, dtype=complex))
+        for mask in self.problem.masks.array:
+            yield apply_inv(np.conj(mask).ravel())
+
     def _adjoint(self, coeff, vec):
         factor = self._factor(vec)
         coeff = coeff.reshape(self.problem.masks.count, self.problem.m2, self.problem.m1)
@@ -301,7 +311,7 @@ class MaskedFourierMap(QuadraticMap):
         self.data_dim = problem.data_dim
 
     def apply(self, u):
-        return forward(self.problem, np.asarray(u).reshape(self.problem.shape)).astype(complex)
+        return forward(self.problem, np.asarray(u).reshape(self.problem.shape))
 
     def sym_adjoint_action(self, y, e):
         img = sym_adjoint_action(self.problem, y, np.asarray(e).reshape(self.problem.shape))

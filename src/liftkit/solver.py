@@ -180,6 +180,10 @@ class IterationRecord:
 
 @dataclass(eq=False)
 class SolverResult:
+    """The loop's outcome; ``step_norm`` is the operator-norm estimate the
+    step sizes were taken from or checked against (a ``NormEstimate``), None
+    when none was made."""
+
     w: object
     y: np.ndarray
     log: list
@@ -187,6 +191,7 @@ class SolverResult:
     converged: bool
     metric1: object
     metric2: object
+    step_norm: object = None
 
 
 def _shrink_euclidean(z, gamma):
@@ -304,10 +309,11 @@ def _base_metrics(problem):
 
 
 def _resolve_steps(problem, cfg, forward_backward=False):
+    """The config with its step sizes set, and the norm estimate behind them
+    (None when the steps are given and not validated)."""
     need_estimate = cfg.tau is None or cfg.sigma is None or cfg.validate_steps
-    est = 0.0
-    if need_estimate:
-        est = operator_norm(problem, seed=cfg.seed).value * 1.05
+    norm = operator_norm(problem, seed=cfg.seed) if need_estimate else None
+    est = norm.value * 1.05 if norm is not None else 0.0
     # reweighting shrinks the promoted norms, inflating the operator norm in
     # the new metric by up to 1/(1 - weight); reserve that headroom
     inflation = 1.0
@@ -317,7 +323,7 @@ def _resolve_steps(problem, cfg, forward_backward=False):
         eff = est * inflation
         tau = cfg.tau if cfg.tau is not None else (0.9 / eff**2 if eff > 0 else 1.0)
         sigma = cfg.sigma if cfg.sigma is not None else 1.0
-        return replace(cfg, tau=tau, sigma=sigma), est
+        return replace(cfg, tau=tau, sigma=sigma), norm
     default = 0.99 / (est * inflation) if est > 0 else 1.0
     tau = cfg.tau if cfg.tau is not None else default
     sigma = cfg.sigma if cfg.sigma is not None else default
@@ -326,7 +332,7 @@ def _resolve_steps(problem, cfg, forward_backward=False):
             f"step sizes violate tau*sigma*|B|^2 < 1 (tau={tau:.3g}, sigma={sigma:.3g}, "
             f"|B| est {est:.3g}, reweight inflation {inflation:.3g})"
         )
-    return replace(cfg, tau=tau, sigma=sigma), est
+    return replace(cfg, tau=tau, sigma=sigma), norm
 
 
 def _prepare_data(g, cfg):
@@ -355,11 +361,12 @@ def _record(state, n, fidelity, ms, delta, sink, records):
     return rec
 
 
-def _run(problem, g, cfg, sink, update_dual):
+def _run(problem, g, cfg, sink, update_dual, step_norm):
     """The proximal loop of both entries, from the zero start.
 
     ``update_dual(state, g, images)`` returns the new dual vector from the
-    forward images of the current and previous primal iterate.
+    forward images of the current and previous primal iterate, which are
+    real for a quadratic map.  ``step_norm`` is handed to the result.
     """
     g_work, scale = _prepare_data(g, cfg)
     base1, base2 = _base_metrics(problem)
@@ -374,8 +381,9 @@ def _run(problem, g, cfg, sink, update_dual):
         metric1=base1,
         metric2=base2,
     )
-    img_curr = np.zeros(problem.data_dim, dtype=complex)
-    img_prev = np.zeros(problem.data_dim, dtype=complex)
+    img_dtype = float if isinstance(problem, QuadraticMap) else complex
+    img_curr = np.zeros(problem.data_dim, dtype=img_dtype)
+    img_prev = np.zeros(problem.data_dim, dtype=img_dtype)
     records = []
     converged = False
     g_norm = max(float(np.linalg.norm(g_work)), 1e-300)
@@ -412,6 +420,7 @@ def _run(problem, g, cfg, sink, update_dual):
         converged=converged,
         metric1=state.metric1,
         metric2=state.metric2,
+        step_norm=step_norm,
     )
 
 
@@ -422,8 +431,9 @@ def run_primal_dual(problem, g, cfg, sink=None):
     the final dual vector, and the per-iteration log.  ``sink`` receives each
     IterationRecord as it is produced.
     """
-    cfg, _ = _resolve_steps(problem, cfg)
-    return _run(problem, g, cfg, sink, lambda state, g, images: dual_step(state, cfg, g, images))
+    cfg, norm = _resolve_steps(problem, cfg)
+    update = lambda state, g, images: dual_step(state, cfg, g, images)
+    return _run(problem, g, cfg, sink, update, norm)
 
 
 def run_forward_backward(problem, g, cfg, sink=None):
@@ -434,5 +444,5 @@ def run_forward_backward(problem, g, cfg, sink=None):
     """
     if cfg.fidelity.kind != "tikhonov":
         raise ConfigError("forward-backward splitting requires the tikhonov fidelity")
-    cfg, _ = _resolve_steps(problem, cfg, forward_backward=True)
-    return _run(problem, g, cfg, sink, lambda state, g, images: images[0] - g)
+    cfg, norm = _resolve_steps(problem, cfg, forward_backward=True)
+    return _run(problem, g, cfg, sink, lambda state, g, images: images[0] - g, norm)

@@ -297,6 +297,19 @@ class TestSolveAndEval:
         rb = (tmp_path / "r2" / "recovered").read_bytes()
         assert ra == rb
 
+    def test_step_norm_reported(self, solved, tmp_path, capsys):
+        # the estimate behind the step sizes, in the printed summary and the
+        # manifest, so a slow set-up shows without a profiler
+        code, out = run(["solve", "--masks", str(solved / "masks"), "--data",
+                         str(solved / "data"), "--out", str(tmp_path / "r"),
+                         "--max-iter", "3", "--seed", "0"], capsys)
+        assert code == 0
+        printed = json.loads(out)["step_norm"]
+        assert printed["value"] > 0
+        assert 1 <= printed["power_steps"] <= 30
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        assert manifest["config"]["step_norm"] == printed
+
     def test_seeded_solves_write_identical_manifests(self, solved, tmp_path):
         args = ["solve", "--masks", str(solved / "masks"), "--data", str(solved / "data"),
                 "--max-iter", "40", "--seed", "5"]

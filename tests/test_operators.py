@@ -344,27 +344,48 @@ class TestDuality:
             assert lhs == pytest.approx(rhs_metric, abs=1e-8 * max(1.0, abs(lhs)))
 
 
-def unshared_operator_norm(bmap, iters, seed):
-    """operator_norm's loop with every factor passed as a plain vector, so
-    each call recomputes what it needs."""
-    rng = np.random.default_rng(seed)
-
-    def unit(metric):
-        v = rng.standard_normal(metric.dim) + 1j * rng.standard_normal(metric.dim)
-        return v / metric.norm(v)
-
-    u, v = unit(bmap.h1), unit(bmap.h2)
-    best = 0.0
-    for _ in range(iters):
-        y = bmap.apply(u, v)
-        ny = float(np.linalg.norm(y))
-        best = max(best, ny)
+def unshared_operator_norm(bmap, iters):
+    """operator_norm's start and loop with every factor passed as a plain
+    vector, so each call recomputes what it needs.  Returns the estimate,
+    its power steps and the number of start candidates."""
+    starts = [s / bmap.h1.norm(s) for s in bmap.norm_starts()]
+    quotients = [float(np.linalg.norm(bmap.apply(s, s))) for s in starts]
+    u = v = starts[int(np.argmax(quotients))]
+    y = bmap.apply(u, v)
+    best = ny = float(np.linalg.norm(y))
+    steps = 0
+    while steps < iters:
         y = y / ny
         u_new = bmap.partial_adjoint_right(y, v)
         u = u_new / bmap.h1.norm(u_new)
         v_new = bmap.partial_adjoint_left(y, u)
         v = v_new / bmap.h2.norm(v_new)
-    return best
+        y = bmap.apply(u, v)
+        ny = float(np.linalg.norm(y))
+        steps += 1
+        settled = ny < best * (1.0 + 1e-3)
+        best = max(best, ny)
+        if settled:
+            break
+    return best, steps, len(starts)
+
+
+def fourier_problem(shape, metric_kind, count=3, seed=4):
+    return PRProblem(
+        masks=make_rademacher_masks(shape, count, seed=seed),
+        m2=2 * shape[0] + 1,
+        m1=2 * shape[1],
+        metric=default_metric(shape, metric_kind),
+    )
+
+
+def dense_lifted_norm(bmap):
+    """2-norm of the lifted linear map v u^* -> B(u, v), built column by
+    column from the images of basis factor pairs (Euclidean metrics)."""
+    n = bmap.h1.dim
+    basis = [bmap.prepare_factor(e) for e in np.eye(n, dtype=complex)]
+    columns = [bmap.apply(eb, ea) for ea in basis for eb in basis]
+    return float(np.linalg.norm(np.stack(columns, axis=1), 2))
 
 
 class TestOperatorNorm:
@@ -373,17 +394,11 @@ class TestOperatorNorm:
         "dense_limit", [pytest.param(np.inf, id="dense"), pytest.param(-1, id="pruned")]
     )
     def test_shared_spectra_keep_the_estimate(self, monkeypatch, metric_kind, dense_limit):
-        # both transform kernels; each power step transforms every factor once
+        # both transform kernels; each candidate is transformed once, and
+        # each power step transforms its two new factors once
         monkeypatch.setattr(phase_retrieval, "DENSE_DFT_MAX_WORK", dense_limit)
-        shape = (6, 7)
-        problem = PRProblem(
-            masks=make_rademacher_masks(shape, 3, seed=4),
-            m2=13,
-            m1=14,
-            metric=default_metric(shape, metric_kind),
-        )
-        qmap = MaskedFourierMap(problem)
-        expected = unshared_operator_norm(qmap.bilinear(), iters=30, seed=9)
+        qmap = MaskedFourierMap(fourier_problem((6, 7), metric_kind))
+        expected, steps, candidates = unshared_operator_norm(qmap.bilinear(), iters=30)
         calls = []
         inner = phase_retrieval._masked_spectra
 
@@ -393,9 +408,23 @@ class TestOperatorNorm:
 
         monkeypatch.setattr(phase_retrieval, "_masked_spectra", counting)
         est = operator_norm(qmap, iters=30, seed=9)
-        assert est.iterations == 30
+        assert 1 <= est.iterations == steps < 30
         assert est.value == expected
-        assert len(calls) == 2 * 30 + 1
+        assert len(calls) == candidates + 2 * est.iterations
+
+    @pytest.mark.parametrize("shape", [(4, 4), (6, 7)])
+    def test_never_exceeds_the_lifted_norm(self, shape):
+        bmap = MaskedFourierMap(fourier_problem(shape, "euclidean")).bilinear()
+        assert operator_norm(bmap).value <= dense_lifted_norm(bmap) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("metric_kind", ["euclidean", "sobolev"])
+    def test_at_least_the_best_start(self, metric_kind):
+        bmap = MaskedFourierMap(fourier_problem((6, 7), metric_kind)).bilinear()
+        quotients = [
+            np.linalg.norm(bmap.apply(s, s)) / bmap.h1.norm(s) ** 2 for s in bmap.norm_starts()
+        ]
+        assert len(quotients) == 4
+        assert operator_norm(bmap).value >= max(quotients) * (1.0 - 1e-12)
 
     def test_scalar_product_map(self):
         bmap = DenseBilinear(np.ones((1, 1, 1)), EuclideanMetric(1), EuclideanMetric(1))

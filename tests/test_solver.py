@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from liftkit import solver
 from liftkit.errors import ConfigError, NumericalError
 from liftkit.lowrank import FactoredTensor, HermitianFactored
 from liftkit.metric import EuclideanMetric, ReweightedMetric, SobolevMetric, orthonormalize
 from liftkit.phase_retrieval import (
+    MaskedFourierMap,
     PRProblem,
     add_noise,
     error_up_to_phase,
@@ -246,6 +248,30 @@ class TestReweightStep:
             assert np.allclose(action(metric, e), uncached(out, into, metric), rtol=0, atol=1e-12)
             # and back: the cache holds one metric per side
             assert np.allclose(action(base, e), uncached(out, into, base), rtol=0, atol=1e-12)
+
+
+class TestStepSizes:
+    def test_phase_retrieval_steps_do_not_depend_on_the_seed(self):
+        # the norm estimate starts from the map's norm starts, not at random
+        shape = (8, 8)
+        problem = PRProblem(
+            masks=make_rademacher_masks(shape, 4, seed=5), m2=16, m1=16,
+            metric=EuclideanMetric(64),
+        )
+        qmap = MaskedFourierMap(problem)
+        steps = {
+            (cfg.tau, cfg.sigma, norm)
+            for cfg, norm in (solver._resolve_steps(qmap, SolverConfig(seed=s)) for s in range(5))
+        }
+        assert len(steps) == 1
+
+    def test_result_reports_the_estimate(self):
+        qmap = scalar_quadratic()
+        res = run_primal_dual(qmap, np.array([4.0]), SolverConfig(ell=1, k=2, max_iter=2))
+        assert res.step_norm.value == pytest.approx(1.0)
+        assert res.step_norm.iterations == 30
+        given = SolverConfig(tau=0.5, sigma=0.5, ell=1, k=2, max_iter=2, validate_steps=False)
+        assert run_primal_dual(qmap, np.array([4.0]), given).step_norm is None
 
 
 class TestRunPrimalDual:
