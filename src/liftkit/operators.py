@@ -3,7 +3,9 @@
 A bilinear map B(u, v) is antilinear in u and linear in v, matching the
 rank-one lifting u (x) v ~ v u^*.  Implementations provide the two partial
 adjoints resolved against their domain metrics; the data space carries the
-Euclidean real inner product.
+Euclidean real inner product.  The step-size estimate ``operator_norm`` is a
+power iteration on the bilinear norm; a map whose norm is reached with equal
+factors (``BilinearMap.norm_on_diagonal``) takes one adjoint per power step.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ class BilinearMap:
     h1 = None
     h2 = None
     data_dim = 0
+    # True for a map whose norm is reached with equal factors,
+    # sup |B(u, v)| = sup |B(u, u)| over unit u and v (the two factor spaces
+    # coincide); ``operator_norm`` then updates one factor per power step
+    norm_on_diagonal = False
 
     def apply(self, u, v):
         raise NotImplementedError
@@ -77,10 +83,11 @@ def lifted_apply(bmap, w):
 def lifted_apply_quadratic(qmap, w):
     """Forward image of a symmetric factored tensor: sum_k lambda_k Q(u_k),
     real when the map's images are."""
-    terms = [w.values[j] * qmap.apply(w.factors[:, j]) for j in range(w.rank)]
-    out = np.zeros(qmap.data_dim, dtype=np.result_type(float, *terms))
-    for term in terms:
-        out += term
+    if w.rank == 0:
+        return np.zeros(qmap.data_dim)
+    out = w.values[0] * qmap.apply(w.factors[:, 0])
+    for j in range(1, w.rank):
+        out += w.values[j] * qmap.apply(w.factors[:, j])
     return out
 
 
@@ -177,7 +184,11 @@ def operator_norm(op, iters=30, seed=0):
     than ``NORM_SETTLE_RTOL``, relative; a map without starts takes all
     ``iters`` steps from a random start drawn with ``seed``.  ``iterations``
     counts the power steps: each maps the factors through both partial
-    adjoints, prepares each once and measures one quotient.  The estimate is
+    adjoints, prepares each once and measures one quotient.  For a map whose
+    norm is reached with equal factors (``norm_on_diagonal``) a step updates
+    one factor, u <- H^-1 B^*(y) u normalized and y <- B(u, u): one adjoint
+    and one prepared factor, the symmetric higher-order power method
+    (Kofidis & Regalia, SIAM J. Matrix Anal. Appl. 23, 2002).  The estimate is
     the best rank-one quotient found and never exceeds the true norm;
     callers should apply a safety factor before using it for step-size
     rules.
@@ -208,11 +219,14 @@ def operator_norm(op, iters=30, seed=0):
         if nu == 0.0:
             break
         u = bmap.prepare_factor(u_new / nu)
-        v_new = bmap.partial_adjoint_left(y, u)
-        nv = bmap.h2.norm(v_new)
-        if nv == 0.0:
-            break
-        v = bmap.prepare_factor(v_new / nv)
+        if bmap.norm_on_diagonal:
+            v = u
+        else:
+            v_new = bmap.partial_adjoint_left(y, u)
+            nv = bmap.h2.norm(v_new)
+            if nv == 0.0:
+                break
+            v = bmap.prepare_factor(v_new / nv)
         y = bmap.apply(u, v)
         ny = float(np.linalg.norm(y))
         done = i + 1

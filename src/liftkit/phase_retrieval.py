@@ -127,6 +127,11 @@ class PRProblem:
         return self.masks.count * self.m2 * self.m1
 
     @cached_property
+    def masks_conj(self):
+        """The conjugated mask stack, which every adjoint multiplies by."""
+        return np.conj(self.masks.array)
+
+    @cached_property
     def transforms(self):
         """The padded-DFT pair of this grid, chosen and built on first use."""
         n2, n1 = self.shape
@@ -218,7 +223,7 @@ def _sandwich(problem, coeff, image, spectra=None):
     else:
         spectra = spectra * coeff
     back = problem.transforms.inverse(spectra)
-    back *= np.conj(problem.masks.array)
+    back *= problem.masks_conj
     return np.sum(back, axis=0)
 
 
@@ -227,7 +232,8 @@ def forward(problem, image):
     if image.shape != problem.shape:
         raise ConfigError(f"image must have shape {problem.shape}")
     spectra = _masked_spectra(problem, image)
-    return np.abs(spectra).ravel() ** 2
+    # re^2 + im^2: no square root per bin, as abs() would take
+    return (spectra.real**2 + spectra.imag**2).ravel()
 
 
 def sym_adjoint_action(problem, y, e):
@@ -255,8 +261,12 @@ class MaskedFourierBilinear(BilinearMap):
 
     B(u, v) pairs the spectra of v against the conjugated spectra of u, so it
     is linear in v and antilinear in u.  Every argument may be a vector or a
-    ``prepare_factor`` result, whose spectra are then reused.
+    ``prepare_factor`` result, whose spectra are then reused.  Its norm is
+    reached with equal factors: B(u, v) = conj(Lu) Lv bin by bin, so by
+    Cauchy-Schwarz |B(u, v)|^2 <= |B(u, u)| |B(v, v)|.
     """
+
+    norm_on_diagonal = True
 
     def __init__(self, problem):
         self.problem = problem

@@ -138,13 +138,14 @@ class SolverConfig:
             raise ConfigError("tol must be finite and nonnegative")
         self.threshold_config(0.0)
 
-    def threshold_config(self, tau):
-        """The threshold-engine settings at level tau; raises ConfigError on bad ones."""
+    def threshold_config(self, tau, delta=None):
+        """The threshold-engine settings at level tau and relative tolerance
+        ``delta`` (``self.delta`` when None); raises ConfigError on bad ones."""
         return ThresholdConfig(
             tau=tau,
             ell=self.ell,
             k=self.k,
-            delta=self.delta,
+            delta=self.delta if delta is None else delta,
             engine=self.engine,
             rank_cap=self.rank_cap,
         )
@@ -243,16 +244,19 @@ def threshold_delta(cfg, image_change, g_norm):
     return max(cfg.delta, min(DELTA_MAX, DELTA_PROGRESS * image_change / g_norm))
 
 
-def primal_step(state, cfg, problem, rng=None):
+def primal_step(state, cfg, problem, rng=None, delta=None):
     """Threshold the implicit argument w - tau A^*(y) at level tau*alpha_reg,
-    to the relative tolerance ``cfg.delta``.
+    to the relative tolerance ``delta`` (``cfg.delta`` when None).
 
-    The result carries the thresholding statistics, ``actions`` among them.
+    The call starts from the converged Ritz pairs of the call that made
+    ``state.w`` (its ``ritz_pairs``), or from ``state.w`` itself when it
+    carries none.  The result carries the thresholding statistics,
+    ``actions`` and ``ritz_pairs`` among them.
     """
     oracle = _threshold_oracle(state, cfg, problem)
-    warm = state.w if state.w.rank else None
+    warm = getattr(state.w, "ritz_pairs", state.w)
     threshold = evt if isinstance(problem, QuadraticMap) else svt
-    tcfg = cfg.threshold_config(cfg.tau * cfg.alpha_reg)
+    tcfg = cfg.threshold_config(cfg.tau * cfg.alpha_reg, delta)
     return threshold(oracle, tcfg, rng=rng, warm_start=warm)
 
 
@@ -394,7 +398,7 @@ def _run(problem, g, cfg, sink, update_dual, step_norm):
         if not np.all(np.isfinite(state.y)):
             raise NumericalError(f"dual vector became non-finite at iteration {n}")
         delta = threshold_delta(cfg, float(np.linalg.norm(img_curr - img_prev)), g_norm)
-        w_new = primal_step(state, replace(cfg, delta=delta), problem, rng=rng)
+        w_new = primal_step(state, cfg, problem, rng=rng, delta=delta)
         state.w_prev = state.w
         state.w = w_new
         state.n = n + 1

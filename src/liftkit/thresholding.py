@@ -2,7 +2,10 @@
 
 The tensor-valued operators compute only as many singular triples as the
 threshold level requires, growing the subspace geometrically while the
-engine keeps reporting values above the level.
+engine keeps reporting values above the level.  Each call hands its final
+engine call's converged Ritz pairs to the next (``ritz_pairs``), below the
+level included, so a solve's next threshold call starts where the last one
+ended, not only from the directions it kept.
 """
 
 from __future__ import annotations
@@ -249,28 +252,56 @@ def _dense_sqrt(h):
     return root, inv_root
 
 
+def _triples(psvd, idx, metric):
+    """The engine result's triples at ``idx``; with a ``metric``, a subspace
+    result of a symmetric oracle, their values converted to signed
+    eigenvalues."""
+    values = psvd.values[idx]
+    right, left = psvd.right_vectors[:, idx], psvd.left_vectors[:, idx]
+    if metric is not None:
+        values = np.array(
+            [svd_to_evd(s, right[:, i], left[:, i], metric) for i, s in enumerate(values)]
+        )
+    return values, right, left
+
+
+def _ritz_pairs(psvd, metric, hermitian):
+    """The engine result's converged Ritz triples (the leading one when none
+    converged), weighted by max(value, 0): the start of the next call on a
+    nearby oracle, which then begins where this one ended, below the level
+    included."""
+    idx = np.flatnonzero(psvd.residuals <= psvd.tol)
+    if idx.size == 0:
+        idx = np.arange(min(psvd.count, 1))
+    values, right, left = _triples(psvd, idx, metric)
+    weights = np.maximum(values, 0.0)
+    if hermitian:
+        return HermitianFactored(factors=right, values=weights)
+    return FactoredTensor(right=right, left=left, values=weights)
+
+
 def _threshold(oracle, cfg, rng, warm_start, hermitian):
     """Soft-threshold the oracle's spectrum at cfg.tau; the path behind svt and evt.
 
     For symmetric oracles the lanczos engine returns signed eigenvalues; the
     subspace engine's singular triples are converted.  The result carries
-    ``restarts`` (summed over engine calls), ``norm_estimate`` (nonnegative)
-    and ``actions`` (the oracle calls made here).
+    ``restarts`` (summed over engine calls), ``norm_estimate`` (nonnegative),
+    ``actions`` (the oracle calls made here) and ``ritz_pairs``, the final
+    engine call's converged triples as ``_ritz_pairs`` weights them (None
+    from the dense engine), which a caller passes as the next call's
+    ``warm_start``.
     """
     calls = oracle.calls
     if cfg.engine == "dense":
         values, right, left = _dense_triples(oracle, hermitian)
         restarts, norm = 0, float(np.max(np.abs(values), initial=0.0))
+        pairs = None
     else:
         psvd, keep, restarts = _adaptive_triples(oracle, cfg, rng, warm_start, hermitian)
-        values = psvd.values[keep]
-        right, left = psvd.right_vectors[:, keep], psvd.left_vectors[:, keep]
+        metric = oracle.metrics[0] if hermitian and cfg.engine == "subspace" else None
+        values, right, left = _triples(psvd, keep, metric)
         norm = psvd.norm_estimate
-        if hermitian and cfg.engine == "subspace":
-            metric = oracle.metrics[0]
-            values = np.array(
-                [svd_to_evd(s, right[:, i], left[:, i], metric) for i, s in enumerate(values)]
-            )
+        pairs = _ritz_pairs(psvd, metric, hermitian)
     keep = values > cfg.tau
     values, right, left = values[keep] - cfg.tau, right[:, keep], left[:, keep]
     if hermitian:
@@ -281,7 +312,12 @@ def _threshold(oracle, cfg, rng, warm_start, hermitian):
     else:
         out = FactoredTensor(right=right, left=left, values=values)
     out = out.pruned()
-    stats = {"restarts": restarts, "norm_estimate": norm, "actions": oracle.calls - calls}
+    stats = {
+        "restarts": restarts,
+        "norm_estimate": norm,
+        "actions": oracle.calls - calls,
+        "ritz_pairs": pairs,
+    }
     for name, value in stats.items():
         object.__setattr__(out, name, value)
     return out

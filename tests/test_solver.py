@@ -116,6 +116,27 @@ class TestPrimalStep:
         expected = expected[expected > 0]
         assert np.allclose(np.sort(out.values)[::-1], expected, atol=1e-8)
 
+    def test_starts_from_the_handed_over_pairs(self, monkeypatch):
+        # the next call starts from the Ritz pairs the last call handed
+        # over, not from the iterate it kept, at the tolerance passed in
+        rng = np.random.default_rng(3)
+        n = 6
+        qmap = DenseQuadratic(random_hermitian_tensor_stack(rng, 5, n), EuclideanMetric(n))
+        cfg = SolverConfig(tau=0.25, sigma=0.25, ell=2, k=4, rank_cap=4, validate_steps=False)
+        state = make_state(qmap, w=random_hermitian_factored(rng, n, 2, EuclideanMetric(n)))
+        calls = []
+        evt = solver.evt
+
+        def recorded(oracle, tcfg, rng=None, warm_start=None):
+            calls.append((tcfg.delta, warm_start))
+            return evt(oracle, tcfg, rng=rng, warm_start=warm_start)
+
+        monkeypatch.setattr(solver, "evt", recorded)
+        state.w = primal_step(state, cfg, qmap, rng=rng)
+        primal_step(state, cfg, qmap, rng=rng, delta=1e-3)
+        assert calls[0][0] == cfg.delta and calls[1][0] == 1e-3
+        assert state.w.ritz_pairs is not None and calls[1][1] is state.w.ritz_pairs
+
     def test_negative_drift_gives_empty(self):
         qmap = scalar_quadratic()
         cfg = SolverConfig(tau=0.5, sigma=0.5, ell=1, k=2, validate_steps=False)

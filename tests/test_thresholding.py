@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from liftkit import partial_svd
+from liftkit import partial_svd, thresholding
 from liftkit.lowrank import FactoredTensor, HermitianFactored
 from liftkit.metric import EuclideanMetric, ReweightedMetric, orthonormalize
 from liftkit.partial_svd import (
@@ -738,3 +738,139 @@ class TestHermitianPass:
         assert oracle.left_calls == 0
         assert out.actions == oracle.right_calls == sum(columns) > 0
         assert np.max(np.abs(out.to_dense() - dense_evt(w, m.to_dense(), 0.5))) <= 1e-8
+
+
+# leading values of Z and the level: Z keeps nothing, 2Z keeps the values
+# above it; the other values lie in [-0.1, 0.1] (evt) or [0, 0.1] (svt)
+HANDOVER_SPECTRA = {
+    "separated": ([0.55, 0.5, 0.45], 0.6),
+    "clustered below the level": ([0.5, 0.25015, 0.25005, 0.24995, 0.24985], 0.52),
+    "clustered above the level": ([0.3002, 0.3001, 0.2999, 0.2998], 0.31),
+}
+
+
+class TestRitzPairHandover:
+    """Each call hands over its final engine call's converged Ritz pairs,
+    weighted by max(value, 0), as the next call's start."""
+
+    @staticmethod
+    def operator(rng, top, hermitian, kind):
+        n1 = 24 if hermitian else 20
+        m1 = TestStepRule.metric(rng, n1, kind)
+        if hermitian:
+            m2 = m1
+            rest = rng.uniform(-0.1, 0.1, size=n1 - len(top))
+        else:
+            m2 = TestStepRule.metric(rng, 24, kind)
+            rest = np.sort(rng.uniform(0.0, 0.1, size=n1 - len(top)))[::-1]
+        values = np.concatenate([top, rest])
+        return operator_with_factors(rng, values, m1, None if hermitian else m2)[0], m1, m2
+
+    @pytest.mark.parametrize("kind", ["spd", "reweighted"])
+    @pytest.mark.parametrize("spectrum", list(HANDOVER_SPECTRA))
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["evt", "svt"])
+    def test_empty_result_hands_over_a_cheaper_start(self, hermitian, spectrum, kind):
+        # the call on Z runs at a loose tolerance, as an early solver
+        # iteration does, and the call on 2Z at the solver's ell == rank_cap
+        top, tau = HANDOVER_SPECTRA[spectrum]
+        threshold = evt if hermitian else svt
+        rng = np.random.default_rng(90)
+        for draw in range(3):
+            z, m1, m2 = self.operator(rng, top, hermitian, kind)
+            loose = ThresholdConfig(tau=tau, ell=5, k=10, delta=1e-3, rank_cap=5)
+            first = threshold(oracle_from_dense(z, m1, m2), loose, rng=rng)
+            assert first.rank == 0 and first.ritz_pairs.rank >= 1, draw
+            cfg = ThresholdConfig(tau=tau, ell=5, k=10, delta=DELTA, rank_cap=5)
+            seed = int(rng.integers(1 << 30))
+            outs = [
+                threshold(
+                    oracle_from_dense(2 * z, m1, m2), cfg,
+                    rng=np.random.default_rng(seed), warm_start=start,
+                )
+                for start in (first.ritz_pairs, None)
+            ]
+            if hermitian:
+                expected = dense_evt(2 * z, m1.to_dense(), tau)
+            else:
+                expected = dense_svt(2 * z, m1.to_dense(), m2.to_dense(), tau)
+            for out in outs:
+                assert np.max(np.abs(out.to_dense() - expected)) <= 1e-8, draw
+            assert outs[0].actions < outs[1].actions, draw
+
+    @staticmethod
+    def final_engine_results(monkeypatch):
+        results = []
+        engine = thresholding.augmented_restart
+
+        def recorded(*args, **kwargs):
+            results.append(engine(*args, **kwargs))
+            return results[-1]
+
+        # the deflation probe looks the engine up in partial_svd, so only
+        # the calls of the threshold path itself are recorded
+        monkeypatch.setattr(thresholding, "augmented_restart", recorded)
+        return results
+
+    @pytest.mark.parametrize("kind", ["spd", "reweighted"])
+    def test_evt_hands_over_converged_pairs_only(self, kind, monkeypatch):
+        # -3 leads by modulus far from the other values, so its pair
+        # converges within the pass; its weight is 0
+        results = self.final_engine_results(monkeypatch)
+        rng = np.random.default_rng(91)
+        negative = unconverged = 0
+        for draw in range(4):
+            m = TestStepRule.metric(rng, 24, kind)
+            lam = np.concatenate([[1.0, 0.7, -3.0], rng.uniform(-0.01, 0.01, size=21)])
+            w = operator_with_factors(rng, lam, m)[0]
+            cfg = ThresholdConfig(tau=0.5, ell=2, k=10, delta=DELTA, rank_cap=2)
+            out = evt(oracle_from_dense(w, m, m), cfg, rng=rng)
+            psvd = results[-1]
+            conv = psvd.residuals <= psvd.tol
+            assert np.any(conv), draw
+            pairs = out.ritz_pairs
+            assert np.array_equal(pairs.factors, psvd.right_vectors[:, conv])
+            assert np.array_equal(pairs.values, np.maximum(psvd.values[conv], 0.0))
+            negative += int(np.sum(psvd.values[conv] < 0))
+            unconverged += int(np.sum(~conv))
+        assert negative > 0 and unconverged > 0
+
+    @pytest.mark.parametrize("kind", ["spd", "reweighted"])
+    def test_svt_hands_over_converged_triples_only(self, kind, monkeypatch):
+        results = self.final_engine_results(monkeypatch)
+        rng = np.random.default_rng(92)
+        unconverged = 0
+        for draw in range(4):
+            z, m1, m2 = self.operator(rng, [1.0, 0.7, 0.45], False, kind)
+            cfg = ThresholdConfig(tau=0.5, ell=5, k=10, delta=DELTA, rank_cap=5)
+            out = svt(oracle_from_dense(z, m1, m2), cfg, rng=rng)
+            psvd = results[-1]
+            conv = psvd.residuals <= psvd.tol
+            pairs = out.ritz_pairs
+            assert np.array_equal(pairs.right, psvd.right_vectors[:, conv])
+            assert np.array_equal(pairs.left, psvd.left_vectors[:, conv])
+            assert np.array_equal(pairs.values, psvd.values[conv])
+            unconverged += int(np.sum(~conv))
+        assert unconverged > 0
+
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["evt", "svt"])
+    def test_leading_pair_when_none_converged(self, hermitian, monkeypatch):
+        # the cut at index 0 is certified long before a triple converges
+        results = self.final_engine_results(monkeypatch)
+        rng = np.random.default_rng(93)
+        z, m1, m2 = self.operator(rng, [0.3, 0.2], hermitian, "spd")
+        cfg = ThresholdConfig(tau=0.6, ell=5, k=10, delta=DELTA, rank_cap=5)
+        out = (evt if hermitian else svt)(oracle_from_dense(z, m1, m2), cfg, rng=rng)
+        psvd = results[-1]
+        assert out.rank == 0 and not np.any(psvd.residuals <= psvd.tol)
+        pairs = out.ritz_pairs
+        assert pairs.rank == 1 and pairs.values[0] == psvd.values[0]
+        vectors = pairs.factors if hermitian else pairs.right
+        assert np.array_equal(vectors, psvd.right_vectors[:, :1])
+
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["evt", "svt"])
+    def test_dense_engine_hands_over_none(self, hermitian):
+        rng = np.random.default_rng(94)
+        z, m1, m2 = self.operator(rng, [1.0, 0.7], hermitian, "spd")
+        cfg = ThresholdConfig(tau=0.5, engine="dense")
+        out = (evt if hermitian else svt)(oracle_from_dense(z, m1, m2), cfg, rng=rng)
+        assert out.rank == 2 and out.ritz_pairs is None
