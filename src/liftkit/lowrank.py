@@ -5,7 +5,9 @@ A general tensor is kept as value/factor triples ``w = sum_k sigma_k
 as signed eigenpairs ``w = sum_k lambda_k (u_k (x) u_k)``.  The represented
 matrix is never materialized outside of diagnostics.  An action in a metric H
 pairs e with the H-images of the factors, u_k^* H e = (H u_k)^* e, so H is
-applied to the factors once per metric, not to every e.
+applied to the factors once per metric, not to every e, and not at all in a
+metric whose images the tensor was built with (``carry``): a thresholded
+iterate and its Ritz pairs carry the images their engine pass rotated.
 """
 
 from __future__ import annotations
@@ -20,14 +22,24 @@ PRUNE_REL = 1e-14
 DEFAULT_RANK_CAP = 64
 
 
-def _images_conj(cache, side, factors, metric):
-    """conj(H u_k) for the factor columns u_k, kept per side for the last
-    metric object asked; a reweight builds a new metric, so none is stale."""
-    held = cache.get(side)
+def carried_images(tensor, side, metric):
+    """conj(H u_k) for the factor columns u_k on ``side`` when ``tensor``
+    holds them for this metric object, else None; a reweight builds a new
+    metric, so none is stale."""
+    held = tensor._images.get(side)
+    return held[1] if held is not None and held[0] is metric else None
+
+
+def _act(tensor, side, factors, into, metric, e):
+    """sum_k value_k ((H u_k)^* e) into_k over the factor columns u_k on
+    ``side``; conj(H u_k) is kept per side for the last metric object asked."""
+    if tensor.rank == 0:
+        return np.zeros(into.shape[0], dtype=complex)
+    held = tensor._images.get(side)
     if held is None or held[0] is not metric:
         images = np.stack([metric.apply(col) for col in factors.T], axis=1)
-        held = cache[side] = (metric, images.conj())
-    return held[1]
+        held = tensor._images[side] = (metric, np.conj(images, dtype=complex))
+    return into @ (tensor.values * (held[1].T @ e))
 
 
 def _phase_fix(u):
@@ -67,19 +79,19 @@ class FactoredTensor:
     def shape(self):
         return (self.left.shape[0], self.right.shape[0])
 
+    def carry(self, metrics, images):
+        """Hold the factors' images (H1 right, H2 left) in ``metrics``; returns self."""
+        self._images["right"] = (metrics[0], images[0].conj())
+        self._images["left"] = (metrics[1], images[1].conj())
+        return self
+
     def right_action(self, metric1, e):
         """Return w H1 e = sum_k sigma_k (u_k^* H1 e) v_k."""
-        if self.rank == 0:
-            return np.zeros(self.left.shape[0], dtype=complex)
-        images = _images_conj(self._images, "right", self.right, metric1)
-        return self.left @ (self.values * (images.T @ e))
+        return _act(self, "right", self.right, self.left, metric1, e)
 
     def left_action(self, metric2, f):
         """Return w^* H2 f = sum_k sigma_k (v_k^* H2 f) u_k."""
-        if self.rank == 0:
-            return np.zeros(self.right.shape[0], dtype=complex)
-        images = _images_conj(self._images, "left", self.left, metric2)
-        return self.right @ (self.values * (images.T @ f))
+        return _act(self, "left", self.left, self.right, metric2, f)
 
     def projective_norm(self):
         return float(np.sum(self.values))
@@ -129,12 +141,14 @@ class HermitianFactored:
     def dim(self):
         return self.factors.shape[0]
 
+    def carry(self, metric, images):
+        """Hold the factors' images H factors in ``metric``; returns self."""
+        self._images["factors"] = (metric, images.conj())
+        return self
+
     def action(self, metric, e):
         """Return w H e = sum_k lambda_k (u_k^* H e) u_k."""
-        if self.rank == 0:
-            return np.zeros(self.dim, dtype=complex)
-        images = _images_conj(self._images, "factors", self.factors, metric)
-        return self.factors @ (self.values * (images.T @ e))
+        return _act(self, "factors", self.factors, self.factors, metric, e)
 
     def projective_norm(self):
         return float(np.sum(self.values))

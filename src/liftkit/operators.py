@@ -112,19 +112,23 @@ def reweighted_composed_right(w_prev, tau, bmap, y, e, metric1, metric2):
     The forward-map adjoint is taken in the base metrics and mapped by the
     left-space transform adjoint (the identity for a metric that is not
     reweighted); the low-rank pairing uses the reweighted inner product.
+    Each composed action sums into the low-rank action's own fresh output.
     """
-    adj = bmap.partial_adjoint_left(y, e)
-    return -tau * metric2.transform(adj, adjoint=True) + w_prev.right_action(metric1, e)
+    out = w_prev.right_action(metric1, e)
+    out -= tau * metric2.transform(bmap.partial_adjoint_left(y, e), adjoint=True)
+    return out
 
 
 def reweighted_composed_left(w_prev, tau, bmap, y, f, metric1, metric2):
-    adj = bmap.partial_adjoint_right(y, f)
-    return -tau * metric1.transform(adj, adjoint=True) + w_prev.left_action(metric2, f)
+    out = w_prev.left_action(metric2, f)
+    out -= tau * metric1.transform(bmap.partial_adjoint_right(y, f), adjoint=True)
+    return out
 
 
 def reweighted_composed_hermitian(w_prev, tau, qmap, y, e, metric):
-    adj = qmap.sym_adjoint_action(y, e)
-    return -tau * metric.transform(adj, adjoint=True) + w_prev.action(metric, e)
+    out = w_prev.action(metric, e)
+    out -= tau * metric.transform(qmap.sym_adjoint_action(y, e), adjoint=True)
+    return out
 
 
 def adjoint_metric_transform(hs_left, hs_right, metrics, y):

@@ -17,6 +17,7 @@ the ``rng`` its caller passes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,6 +127,7 @@ class PartialSVD:
     sweep_history: list | None = None
     images: tuple | None = None  # (H1 right_vectors, H2 left_vectors), when known
     tol: float = 0.0  # the tolerance of the engine's stopping verdict
+    cut: int | None = None  # the verdict's certified cut (``_certified_cut``)
 
     @property
     def count(self):
@@ -175,16 +177,15 @@ def _stopped(values, residuals, ell, delta, norm_est, stop_below, empty_after=0)
     are converged (their residuals are at most tol), or, with ``stop_below``
     set, a triple is certified below that level (``_certified_cut``).  A cut
     at index 0, which leaves nothing above the level, counts only once there
-    are more than ``empty_after`` values.  Returns the verdict and tol, which
-    the engines hand on as their result's ``tol``.
+    are more than ``empty_after`` values.  Returns the verdict, tol and the
+    cut (None without ``stop_below``), which the engines hand on as their
+    result's ``tol`` and ``cut``.
     """
     tol = delta * max(norm_est, values[0] if values.size else 0.0, 1e-300)
-    if values.size >= ell and np.all(residuals[:ell] <= tol):
-        return True, tol
-    if stop_below is None:
-        return False, tol
-    cut = _certified_cut(values, residuals, stop_below, tol)
-    return cut is not None and (cut > 0 or values.size > empty_after), tol
+    cut = None if stop_below is None else _certified_cut(values, residuals, stop_below, tol)
+    if values.size >= ell and (residuals[:ell] <= tol).all():
+        return True, tol, cut
+    return cut is not None and (cut > 0 or values.size > empty_after), tol, cut
 
 
 def subspace_iterate(oracle, ell, delta, max_sweeps=300, rng=None, start=None, stop_below=None):
@@ -225,18 +226,19 @@ def subspace_iterate(oracle, ell, delta, max_sweeps=300, rng=None, start=None, s
             residuals = np.array(
                 [m1.norm(images[m] - values[m] * u_mat[:, m]) for m in range(len(values))]
             )
-            converged, tol = _stopped(values, residuals, values.size, delta, norm_est, stop_below)
-            if converged or sweep == max_sweeps:
+            done, tol, cut = _stopped(values, residuals, values.size, delta, norm_est, stop_below)
+            if done or sweep == max_sweeps:
                 return PartialSVD(
                     right_vectors=u_mat,
                     left_vectors=v_mat,
                     values=values,
                     residuals=residuals,
-                    converged=converged,
+                    converged=done,
                     sweeps=sweep,
                     norm_estimate=norm_est,
                     sweep_history=history,
                     tol=tol,
+                    cut=cut,
                 )
 
         e_cols = orthonormalize(images, m1)
@@ -273,10 +275,10 @@ class _KrylovPass:
     arrays preallocated likewise, so the projections read them without
     copying.  ``p_last`` / ``hp_last`` / ``gamma_last`` are the continuation
     vector, its metric image and its norm, which the next pass starts from;
-    all are zero once the Krylov space is exhausted or the right basis spans
-    the whole space, and ``exact`` is then set.  ``carried`` is the metric
-    image of the vector ``advance`` hands to the next ``add_e``, so a column
-    applies the metric once, for its continuation's norm and image.
+    the norm is zero once the Krylov space is exhausted or the right basis
+    spans the whole space, and ``exact`` is then set.  ``carried`` is the
+    metric image of the vector ``advance`` hands to the next ``add_e``, so a
+    column applies the metric once, for its continuation's norm and image.
     """
 
     def __init__(self, oracle, rng, cap, scale):
@@ -292,9 +294,9 @@ class _KrylovPass:
         self.seeded = (self.E, self.HE)
         self.decomposed = (-1, None)
         self.exact = False
-        self.scale = scale
-        self.p_last = np.zeros(n1, dtype=complex)
-        self.hp_last = np.zeros(n1, dtype=complex)
+        # the breakdown tolerance is BREAKDOWN_REL times this running scale
+        self.scale = max(scale, 1e-300)
+        self.p_last = self.hp_last = None
         self.gamma_last = 0.0
         self.carried = None
 
@@ -311,13 +313,6 @@ class _KrylovPass:
         """The metric images of the right and left bases, as columns."""
         return self.HE[: self.ne].T, self.left_images
 
-    @property
-    def spans_space(self):
-        return self.ne == self.E.shape[1]
-
-    def tol(self):
-        return BREAKDOWN_REL * max(self.scale, 1e-300)
-
     def decompose(self):
         """The projected matrix's left vectors, values (descending) and right
         vectors as rows, None where they are the left ones.  Computed once
@@ -330,7 +325,7 @@ class _KrylovPass:
         """Ritz values and residual estimates of the columns so far, gamma
         being the norm of the last column's continuation."""
         y_small, values, _ = self.decompose()
-        return values, gamma * np.abs(y_small[-1, :])
+        return values, gamma * np.abs(y_small[-1])
 
     def seed(self, u_mat, v_mat, values, images):
         """Start from Ritz triples; ``images`` are their vectors' metric
@@ -340,7 +335,7 @@ class _KrylovPass:
         self.HE[:r] = images[0].T
         self.ne = self.first = r
         self.T[np.arange(r), np.arange(r)] = values
-        self.scale = max(self.scale, float(np.max(np.abs(values))) if r else 0.0)
+        self.scale = max(self.scale, float(np.abs(values).max()) if r else 0.0)
 
     def _couple(self, coeff):
         """Enter the first column's coefficients against the seeded basis as
@@ -356,21 +351,23 @@ class _KrylovPass:
         """Append vec, projected off the basis and normalized; False when
         nothing is left of it.  A carried image of the unit vec is projected
         alongside, unless the projection removed most of vec, where its
-        image would lose digits to cancellation and the metric is applied."""
-        basis, applied = self.E[: self.ne], self.HE[: self.ne]
-        vec, coeff = project_out(vec.astype(complex), basis, applied)
-        carried, self.carried = self.carried, None
-        nrm = 0.0
-        if carried is not None:
-            hvec = carried - coeff @ applied
-            nrm = float(np.sqrt(max(np.vdot(vec, hvec).real, 0.0)))
+        image would lose digits to cancellation and the metric is applied.
+        The first column of an unseeded pass has no basis to leave."""
+        ne = self.ne
+        hvec, self.carried = self.carried, None
+        if ne:
+            applied = self.HE[:ne]
+            vec, coeff = project_out(vec, self.E[:ne], applied)
+            if hvec is not None:
+                hvec = hvec - coeff @ applied
+        nrm = 0.0 if hvec is None else math.sqrt(max(np.vdot(vec, hvec).real, 0.0))
         if nrm < CARRY_MIN_NORM:
             hvec, nrm = self.m1.apply_and_norm(vec)
-        if nrm <= self.tol():
+        if nrm <= BREAKDOWN_REL * self.scale:
             return False
-        self.E[self.ne] = vec / nrm
-        self.HE[self.ne] = hvec / nrm
-        self.ne += 1
+        np.divide(vec, nrm, out=self.E[ne])
+        np.divide(hvec, nrm, out=self.HE[ne])
+        self.ne = ne + 1
         return True
 
     def advance(self, p, gamma, hp, k, stop=None):
@@ -383,23 +380,22 @@ class _KrylovPass:
         continuation), or after any column for which ``stop(self, gamma)``
         holds, gamma being the norm of that column's continuation, which is
         kept as ``p_last`` / ``hp_last`` / ``gamma_last``."""
+        dim = self.E.shape[1]
         while self.ne < k:
-            if gamma <= self.tol():
+            if gamma <= BREAKDOWN_REL * self.scale:
                 self.exact = True
                 return
             self.carried = hp / gamma
-            if not self.add_e(p / gamma) or not self._column(gamma):
-                self.exact = True
-                return
-            if self.spans_space:
+            if not self.add_e(p / gamma) or not self._column(gamma) or self.ne == dim:
                 self.exact = True
                 return
             p = self._continuation()
             hp, gamma = self.m1.apply_and_norm(p)
-            self.scale = max(self.scale, gamma)
+            if gamma > self.scale:
+                self.scale = gamma
             if stop is not None and self.ne < k and stop(self, gamma):
                 break
-        self.p_last, self.hp_last, self.gamma_last = p, hp, float(gamma)
+        self.p_last, self.hp_last, self.gamma_last = p, hp, gamma
 
 
 class LanczosFactorization(_KrylovPass):
@@ -450,9 +446,9 @@ class LanczosFactorization(_KrylovPass):
         stalls.  Returns q's norm (0 for a random direction) and its
         projection coefficients, or None when no left direction remains."""
         basis, applied = self.F[: self.nf], self.HF[: self.nf]
-        q, coeff = project_out(q.astype(complex), basis, applied)
+        q, coeff = project_out(q, basis, applied)
         hq, beta = self.m2.apply_and_norm(q)
-        if beta <= self.tol():
+        if beta <= BREAKDOWN_REL * self.scale:
             # stalled left direction: continue in a fresh random direction
             f, _ = project_out(_random_unit(self.rng, q.shape[0], self.m2), basis, applied)
             hf, nrm = self.m2.apply_and_norm(f)
@@ -482,7 +478,7 @@ class LanczosFactorization(_KrylovPass):
             self.ne -= 1
             return False
         beta, coeff = added
-        if j == self.first:
+        if j and j == self.first:
             self._couple(coeff)
         self.T[j, j] = beta
         self.scale = max(self.scale, beta)
@@ -521,22 +517,23 @@ class _HermitianLanczos(_KrylovPass):
 
     def _column(self, gamma):
         """The newest column's entries of ``T``.  The first column's
-        coefficients against the seeded basis form the coupling column;
-        later columns follow the three-term recurrence, and ``add_e``
+        coefficients against a seeded basis form the coupling column; every
+        other column follows the three-term recurrence, and ``add_e``
         reorthogonalizes each new column (CGS2)."""
         j = self.ne - 1
         q = self.oracle.right(self.E[j])
-        if j > self.first:
-            self.T[j - 1, j] = gamma
-            q = q - gamma * self.E[j - 1]
-            alpha = np.vdot(self.HE[j], q)
-            q = q - alpha * self.E[j]
-        else:
+        if j and j == self.first:
             q, coeff = project_out(q, self.E[: self.ne], self.HE[: self.ne])
             alpha = coeff[j]
             self._couple(coeff)
-        self.T[j, j] = alpha.real
-        self.scale = max(self.scale, abs(alpha.real))
+        else:
+            if j:
+                self.T[j - 1, j] = gamma
+                q = q - gamma * self.E[j - 1]
+            alpha = np.vdot(self.HE[j], q)
+            q = q - alpha * self.E[j]
+        self.T[j, j] = alpha = alpha.real
+        self.scale = max(self.scale, abs(alpha))
         self.q = q
         return True
 
@@ -544,10 +541,15 @@ class _HermitianLanczos(_KrylovPass):
         return self.q
 
 
-def _fresh_start(vec, metric):
-    """Continuation (p, gamma, H p) of a pass from the direction vec."""
-    vec = np.asarray(vec, dtype=complex)
-    hvec, nrm = metric.apply_and_norm(vec)
+def _fresh_start(start, metric):
+    """Continuation (p, gamma, H p) of a pass from the direction ``start``:
+    a vector, or a pair of a vector and its metric image."""
+    if isinstance(start, tuple):
+        vec, hvec = start
+        nrm = math.sqrt(max(np.vdot(vec, hvec).real, 0.0))
+    else:
+        vec = np.asarray(start, dtype=complex)
+        hvec, nrm = metric.apply_and_norm(vec)
     if nrm == 0.0:
         raise ValueError("start direction must be nonzero")
     return vec / nrm, 1.0, hvec / nrm
@@ -599,14 +601,14 @@ def ritz_factorize(system, right_basis, left_basis, gamma_last=0.0, images=None)
     u_mat, v_mat = rotated(right_basis, left_basis)
     if images is not None:
         images = rotated(*images)
-    residuals = float(gamma_last) * np.abs(y_small[-1, :])
     return PartialSVD(
         right_vectors=u_mat,
         left_vectors=v_mat,
         values=values,
-        residuals=residuals,
+        residuals=gamma_last * np.abs(y_small[-1]),
         converged=False,
-        norm_estimate=float(np.max(np.abs(values))),
+        # values descend, so the largest modulus is at one end
+        norm_estimate=float(max(values[0], -values[-1])),
         images=images,
     )
 
@@ -661,7 +663,11 @@ def augmented_restart(
         return _stopped(values, residuals, ell, delta, norm_est, stop_below, empty_after=ell)
 
     def stop(fac, gamma):
-        return fac.ne >= floor and certified(*fac.estimates(gamma))[0]
+        nonlocal verdict
+        if fac.ne < floor:
+            return False
+        verdict = certified(*fac.estimates(gamma))
+        return verdict[0]
 
     # one Ritz value cannot stop a pass with ell >= 2: that needs ell
     # converged values, a cut after the first, or more than ell values
@@ -673,13 +679,17 @@ def augmented_restart(
         fac = state(oracle, rng, cap, norm_est)
         if kept is not None:
             fac.seed(*kept)
+        verdict = None
         fac.advance(*begin, cap, stop)
         psvd = ritz_factorize(
             fac, fac.right_basis, fac.left_basis, fac.gamma_last, fac.basis_images
         )
-        norm_est = max(norm_est, psvd.norm_estimate)
-
-        done, psvd.tol = certified(psvd.values, psvd.residuals)
+        # a pass that ended on a certified column holds that check's verdict,
+        # unless the Ritz values raised the norm estimate behind its tol
+        if psvd.norm_estimate > norm_est or verdict is None or not verdict[0]:
+            norm_est = max(norm_est, psvd.norm_estimate)
+            verdict = certified(psvd.values, psvd.residuals)
+        done, psvd.tol, psvd.cut = verdict
         done = done or psvd.count == 0
         if done or restarts >= max_restarts:
             psvd.converged = done

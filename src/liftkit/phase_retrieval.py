@@ -224,7 +224,7 @@ def _sandwich(problem, coeff, image, spectra=None):
         spectra = spectra * coeff
     back = problem.transforms.inverse(spectra)
     back *= problem.masks_conj
-    return np.sum(back, axis=0)
+    return back.sum(axis=0)
 
 
 def forward(problem, image):
@@ -233,7 +233,9 @@ def forward(problem, image):
         raise ConfigError(f"image must have shape {problem.shape}")
     spectra = _masked_spectra(problem, image)
     # re^2 + im^2: no square root per bin, as abs() would take
-    return (spectra.real**2 + spectra.imag**2).ravel()
+    out = spectra.real**2
+    out += spectra.imag**2
+    return out.ravel()
 
 
 def sym_adjoint_action(problem, y, e):
@@ -244,9 +246,7 @@ def sym_adjoint_action(problem, y, e):
     """
     if e.shape != problem.shape:
         raise ConfigError(f"image must have shape {problem.shape}")
-    coeff = np.real(np.asarray(y)).reshape(problem.masks.count, problem.m2, problem.m1)
-    out = _sandwich(problem, coeff, e)
-    return problem.metric.apply_inv(out.ravel()).reshape(problem.shape)
+    return MaskedFourierMap(problem).sym_adjoint_action(y, e).reshape(problem.shape)
 
 
 class SpectralFactor(NamedTuple):
@@ -319,13 +319,16 @@ class MaskedFourierMap(QuadraticMap):
         self.problem = problem
         self.h = problem.metric
         self.data_dim = problem.data_dim
+        self.shape = problem.shape
+        self.bins = (problem.masks.count, problem.m2, problem.m1)
 
     def apply(self, u):
-        return forward(self.problem, np.asarray(u).reshape(self.problem.shape))
+        return forward(self.problem, np.asarray(u).reshape(self.shape))
 
     def sym_adjoint_action(self, y, e):
-        img = sym_adjoint_action(self.problem, y, np.asarray(e).reshape(self.problem.shape))
-        return img.ravel()
+        coeff = np.asarray(y).real.reshape(self.bins)
+        out = _sandwich(self.problem, coeff, np.asarray(e).reshape(self.shape))
+        return self.h.apply_inv(out.ravel())
 
     def bilinear(self):
         return MaskedFourierBilinear(self.problem)

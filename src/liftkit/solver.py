@@ -195,11 +195,9 @@ class SolverResult:
     step_norm: object = None
 
 
-def _shrink_euclidean(z, gamma):
-    nrm = float(np.linalg.norm(z))
-    if nrm <= gamma:
-        return np.zeros_like(z)
-    return (1.0 - gamma / nrm) * z
+def _norm(x):
+    """Euclidean norm of a data-space vector, from one dot product."""
+    return math.sqrt(np.vdot(x, x).real)
 
 
 def dual_step(state, cfg, g, lifted_images):
@@ -207,28 +205,31 @@ def dual_step(state, cfg, g, lifted_images):
 
     ``lifted_images`` holds the forward images of the current and previous
     primal iterate; the extrapolation is folded into their combination.
+    The update is fused into one new vector; its inputs are only read.
     """
     img_curr, img_prev = lifted_images
-    residual = (1.0 + cfg.theta) * img_curr - cfg.theta * img_prev - g
-    z = state.y + cfg.sigma * residual
+    z = np.multiply(1.0 + cfg.theta, img_curr, dtype=np.result_type(img_curr, g))
+    z -= cfg.theta * img_prev
+    z -= g
+    z *= cfg.sigma
+    z += state.y
     kind = cfg.fidelity.kind
-    if kind == "exact":
-        return z
     if kind == "tikhonov":
-        return z / (cfg.sigma + 1.0)
-    return _shrink_euclidean(z, cfg.sigma * cfg.fidelity.eps)
+        z /= cfg.sigma + 1.0
+    elif kind == "epsball":
+        # shrink toward the origin by sigma * eps in the Euclidean norm
+        nrm, gamma = _norm(z), cfg.sigma * cfg.fidelity.eps
+        z *= 0.0 if nrm <= gamma else 1.0 - gamma / nrm
+    return z
 
 
 def _threshold_oracle(state, cfg, problem):
     """Composed-action oracle for the threshold argument w - tau A^*(y)."""
-    tau = cfg.tau
-    y = state.y
+    tau, y = cfg.tau, state.y
     if isinstance(problem, QuadraticMap):
         metric = state.metric1
         action = lambda e: reweighted_composed_hermitian(state.w, tau, problem, y, e, metric)
-        return ActionOracle.hermitian(
-            action, metric.dim, metric, norm_estimate=state.norm_carry or None
-        )
+        return ActionOracle.hermitian(action, metric.dim, metric, state.norm_carry or None)
     m1, m2 = state.metric1, state.metric2
     right = lambda e: reweighted_composed_right(state.w, tau, problem, y, e, m1, m2)
     left = lambda f: reweighted_composed_left(state.w, tau, problem, y, f, m1, m2)
@@ -294,24 +295,6 @@ def reweight_step(state, cfg, base1, base2):
     return metric1, ReweightedMetric(base2, (q2 @ y_small[:, :count]).T, weights)
 
 
-def _empty_primal(problem):
-    if isinstance(problem, QuadraticMap):
-        return HermitianFactored.empty(problem.h.dim)
-    return FactoredTensor.empty(problem.h1.dim, problem.h2.dim)
-
-
-def _lifted(problem, w):
-    if isinstance(problem, QuadraticMap):
-        return lifted_apply_quadratic(problem, w)
-    return lifted_apply(problem, w)
-
-
-def _base_metrics(problem):
-    if isinstance(problem, QuadraticMap):
-        return problem.h, problem.h
-    return problem.h1, problem.h2
-
-
 def _resolve_steps(problem, cfg, forward_backward=False):
     """The config with its step sizes set, and the norm estimate behind them
     (None when the steps are given and not validated)."""
@@ -349,20 +332,11 @@ def _prepare_data(g, cfg):
 
 def _record(state, n, fidelity, ms, delta, sink, records):
     w = state.w
-    rec = IterationRecord(
-        n=n,
-        rank=w.rank,
-        fidelity=fidelity,
-        values=tuple(float(v) for v in w.values),
-        restarts=w.restarts,
-        ms=ms,
-        actions=w.actions,
-        delta=delta,
-    )
+    rec = IterationRecord(n=n, rank=w.rank, fidelity=fidelity, values=tuple(w.values.tolist()),
+                          restarts=w.restarts, ms=ms, actions=w.actions, delta=delta)
     records.append(rec)
     if sink is not None:
         sink(rec)
-    return rec
 
 
 def _run(problem, g, cfg, sink, update_dual, step_norm):
@@ -373,41 +347,43 @@ def _run(problem, g, cfg, sink, update_dual, step_norm):
     real for a quadratic map.  ``step_norm`` is handed to the result.
     """
     g_work, scale = _prepare_data(g, cfg)
-    base1, base2 = _base_metrics(problem)
     if g_work.shape != (problem.data_dim,):
         raise ConfigError(f"data vector must have length {problem.data_dim}")
+    quadratic = isinstance(problem, QuadraticMap)
+    if quadratic:
+        base1 = base2 = problem.h
+        empty = HermitianFactored.empty(base1.dim)
+    else:
+        base1, base2 = problem.h1, problem.h2
+        empty = FactoredTensor.empty(base1.dim, base2.dim)
 
     rng = np.random.default_rng(cfg.seed)
     state = SolverState(
-        w=_empty_primal(problem),
-        w_prev=_empty_primal(problem),
-        y=np.zeros(problem.data_dim),
-        metric1=base1,
-        metric2=base2,
+        w=empty, w_prev=empty, y=np.zeros(problem.data_dim), metric1=base1, metric2=base2
     )
-    img_dtype = float if isinstance(problem, QuadraticMap) else complex
+    img_dtype = float if quadratic else complex
     img_curr = np.zeros(problem.data_dim, dtype=img_dtype)
     img_prev = np.zeros(problem.data_dim, dtype=img_dtype)
     records = []
     converged = False
-    g_norm = max(float(np.linalg.norm(g_work)), 1e-300)
+    g_norm = max(_norm(g_work), 1e-300)
 
     for n in range(cfg.max_iter):
         t0 = time.perf_counter()
         state.y = update_dual(state, g_work, (img_curr, img_prev))
-        if not np.all(np.isfinite(state.y)):
+        if not np.isfinite(state.y).all():
             raise NumericalError(f"dual vector became non-finite at iteration {n}")
-        delta = threshold_delta(cfg, float(np.linalg.norm(img_curr - img_prev)), g_norm)
+        delta = threshold_delta(cfg, _norm(img_curr - img_prev), g_norm)
         w_new = primal_step(state, cfg, problem, rng=rng, delta=delta)
         state.w_prev = state.w
         state.w = w_new
         state.n = n + 1
         state.norm_carry = max(state.norm_carry, w_new.norm_estimate)
         img_prev = img_curr
-        img_curr = _lifted(problem, state.w)
-        if state.w.rank and not np.all(np.isfinite(state.w.values)):
+        img_curr = (lifted_apply_quadratic if quadratic else lifted_apply)(problem, w_new)
+        if not np.isfinite(w_new.values).all():
             raise NumericalError(f"primal values became non-finite at iteration {n}")
-        fidelity = float(np.linalg.norm(img_curr - g_work))
+        fidelity = _norm(img_curr - g_work)
         if cfg.reweight.enabled and state.n % cfg.reweight.period == 0:
             state.metric1, state.metric2 = reweight_step(state, cfg, base1, base2)
         ms = (time.perf_counter() - t0) * 1e3

@@ -5,7 +5,10 @@ threshold level requires, growing the subspace geometrically while the
 engine keeps reporting values above the level.  Each call hands its final
 engine call's converged Ritz pairs to the next (``ritz_pairs``), below the
 level included, so a solve's next threshold call starts where the last one
-ended, not only from the directions it kept.
+ended, not only from the directions it kept.  The result and its Ritz pairs
+carry their factors' metric images, rotated by the engine pass from its
+basis images, so neither the next actions on the result nor the next call's
+start apply the metric to them again.
 """
 
 from __future__ import annotations
@@ -16,8 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EngineError
-from .lowrank import DEFAULT_RANK_CAP, FactoredTensor, HermitianFactored, svd_to_evd
-from .partial_svd import _certified_cut, augmented_restart, subspace_iterate
+from .lowrank import (
+    DEFAULT_RANK_CAP,
+    PRUNE_REL,
+    FactoredTensor,
+    HermitianFactored,
+    carried_images,
+    svd_to_evd,
+)
+from .partial_svd import augmented_restart, subspace_iterate
 
 ENGINES = ("lanczos", "subspace", "dense")
 
@@ -79,25 +89,30 @@ class ThresholdConfig:
             raise ConfigError("rank cap must be positive")
 
 
-def _warm_vector(warm_start):
-    """Start direction from a previous iterate: weighted sum of its right factors."""
+def _warm_vector(warm_start, metric):
+    """Start direction from a previous iterate: weighted sum of its right
+    factors, paired with its metric image when the iterate carries its
+    factors' images in ``metric``."""
     if warm_start is None or warm_start.rank == 0:
         return None
     if isinstance(warm_start, HermitianFactored):
-        weights = np.abs(warm_start.values)
-        vec = warm_start.factors @ weights
+        factors, weights, side = warm_start.factors, np.abs(warm_start.values), "factors"
     else:
-        vec = warm_start.right @ warm_start.values
-    return vec if np.linalg.norm(vec) > 0 else None
+        factors, weights, side = warm_start.right, warm_start.values, "right"
+    vec = factors @ weights
+    images = carried_images(warm_start, side, metric)
+    if images is None:
+        return vec if vec.any() else None
+    # carried images come with metric-orthonormal factors: nonzero weights, nonzero start
+    return (vec, (images @ weights).conj()) if weights.any() else None
 
 
 def _warm_columns(warm_start):
     """Initial subspace columns from a previous iterate's left factors."""
     if warm_start is None or warm_start.rank == 0:
         return None
-    if isinstance(warm_start, HermitianFactored):
-        return [warm_start.factors[:, j] for j in range(warm_start.rank)]
-    return [warm_start.left[:, j] for j in range(warm_start.rank)]
+    hermitian = isinstance(warm_start, HermitianFactored)
+    return list((warm_start.factors if hermitian else warm_start.left).T)
 
 
 def _deflated_leading(oracle, psvd, span, cfg, rng, hermitian):
@@ -162,14 +177,12 @@ def _adaptive_triples(oracle, cfg, rng, warm_start, hermitian):
             )
         else:
             psvd = augmented_restart(
-                oracle, ell, k, cfg.delta, rng=rng, start=_warm_vector(warm),
+                oracle, ell, k, cfg.delta, rng=rng, start=_warm_vector(warm, oracle.metrics[0]),
                 stop_below=cfg.tau, hermitian=hermitian,
             )
         restarts += psvd.restarts
 
-        values = psvd.values
-        tol = psvd.tol
-        cut = _certified_cut(values, psvd.residuals, cfg.tau, tol)
+        values, tol, cut = psvd.values, psvd.tol, psvd.cut
 
         if cut is not None:
             if not psvd.exact and (ell < cap or grown):
@@ -186,9 +199,9 @@ def _adaptive_triples(oracle, cfg, rng, warm_start, hermitian):
                     warm = None
                     grown = False
                     continue
-            keep = np.flatnonzero(values[:cut] > cfg.tau)
+            keep = (values[:cut] > cfg.tau).nonzero()[0]
         elif psvd.exact:
-            keep = np.flatnonzero(values > cfg.tau)
+            keep = (values > cfg.tau).nonzero()[0]
         elif ell < cap:
             # no value certified below the level yet: enlarge the subspace
             ell = min(2 * ell, cap)
@@ -197,21 +210,19 @@ def _adaptive_triples(oracle, cfg, rng, warm_start, hermitian):
             # would otherwise steer the next start below the level
             weights = np.maximum(psvd.values, 0.0)
             warm = FactoredTensor(psvd.right_vectors, psvd.left_vectors, weights)
+            if psvd.images is not None:
+                warm.carry(oracle.metrics, psvd.images)
             grown = True
             continue
         else:
             # rank growth capped: accept the converged prefix (inexact regime)
             conv = psvd.residuals <= tol
-            prefix = values.shape[0]
-            for j in range(values.shape[0]):
-                if not conv[j]:
-                    prefix = j
-                    break
+            prefix = conv.size if conv.all() else int(conv.argmin())
             if prefix == 0 and values.size:
                 raise EngineError(
                     f"no singular triple converged (ell={ell}, k={k})", partial=psvd
                 )
-            keep = np.flatnonzero(conv[:prefix] & (values[:prefix] > cfg.tau))
+            keep = (conv[:prefix] & (values[:prefix] > cfg.tau)).nonzero()[0]
         return psvd, keep, restarts
 
 
@@ -252,32 +263,15 @@ def _dense_sqrt(h):
     return root, inv_root
 
 
-def _triples(psvd, idx, metric):
-    """The engine result's triples at ``idx``; with a ``metric``, a subspace
-    result of a symmetric oracle, their values converted to signed
-    eigenvalues."""
-    values = psvd.values[idx]
-    right, left = psvd.right_vectors[:, idx], psvd.left_vectors[:, idx]
-    if metric is not None:
-        values = np.array(
-            [svd_to_evd(s, right[:, i], left[:, i], metric) for i, s in enumerate(values)]
-        )
-    return values, right, left
-
-
-def _ritz_pairs(psvd, metric, hermitian):
-    """The engine result's converged Ritz triples (the leading one when none
-    converged), weighted by max(value, 0): the start of the next call on a
-    nearby oracle, which then begins where this one ended, below the level
-    included."""
-    idx = np.flatnonzero(psvd.residuals <= psvd.tol)
-    if idx.size == 0:
-        idx = np.arange(min(psvd.count, 1))
-    values, right, left = _triples(psvd, idx, metric)
-    weights = np.maximum(values, 0.0)
+def _factored(values, right, left, idx, hermitian, metrics, images):
+    """The triples at ``idx`` as a factored tensor (eigenpairs when
+    ``hermitian``), carrying their metric images when ``images`` holds the
+    engine result's."""
     if hermitian:
-        return HermitianFactored(factors=right, values=weights)
-    return FactoredTensor(right=right, left=left, values=weights)
+        out = HermitianFactored(factors=right[:, idx], values=values)
+        return out if images is None else out.carry(metrics[0], images[0][:, idx])
+    out = FactoredTensor(right=right[:, idx], left=left[:, idx], values=values)
+    return out if images is None else out.carry(metrics, (images[0][:, idx], images[1][:, idx]))
 
 
 def _threshold(oracle, cfg, rng, warm_start, hermitian):
@@ -286,40 +280,43 @@ def _threshold(oracle, cfg, rng, warm_start, hermitian):
     For symmetric oracles the lanczos engine returns signed eigenvalues; the
     subspace engine's singular triples are converted.  The result carries
     ``restarts`` (summed over engine calls), ``norm_estimate`` (nonnegative),
-    ``actions`` (the oracle calls made here) and ``ritz_pairs``, the final
-    engine call's converged triples as ``_ritz_pairs`` weights them (None
-    from the dense engine), which a caller passes as the next call's
-    ``warm_start``.
+    ``actions`` (the oracle calls made here) and ``ritz_pairs``, which a
+    caller passes as the next call's ``warm_start``: the final engine call's
+    converged triples (its leading one when none converged), weighted by
+    max(value, 0); None from the dense engine.  Both are read off the engine
+    result in one pass, carrying the metric images its pass rotated.
     """
     calls = oracle.calls
+    images = pairs = None
     if cfg.engine == "dense":
         values, right, left = _dense_triples(oracle, hermitian)
         restarts, norm = 0, float(np.max(np.abs(values), initial=0.0))
-        pairs = None
+        keep = (values > cfg.tau).nonzero()[0]
     else:
         psvd, keep, restarts = _adaptive_triples(oracle, cfg, rng, warm_start, hermitian)
-        metric = oracle.metrics[0] if hermitian and cfg.engine == "subspace" else None
-        values, right, left = _triples(psvd, keep, metric)
-        norm = psvd.norm_estimate
-        pairs = _ritz_pairs(psvd, metric, hermitian)
-    keep = values > cfg.tau
-    values, right, left = values[keep] - cfg.tau, right[:, keep], left[:, keep]
-    if hermitian:
-        order = np.argsort(-values)
-        # a C-ordered copy: the layout fixes the summation order of every
-        # later action on these factors, and so the warm start's bits
-        out = HermitianFactored(factors=np.ascontiguousarray(right[:, order]), values=values[order])
-    else:
-        out = FactoredTensor(right=right, left=left, values=values)
-    out = out.pruned()
-    stats = {
-        "restarts": restarts,
-        "norm_estimate": norm,
-        "actions": oracle.calls - calls,
-        "ritz_pairs": pairs,
-    }
-    for name, value in stats.items():
-        object.__setattr__(out, name, value)
+        values, right, left = psvd.values, psvd.right_vectors, psvd.left_vectors
+        if hermitian and cfg.engine == "subspace":
+            metric = oracle.metrics[0]
+            values = np.array(
+                [svd_to_evd(s, right[:, i], left[:, i], metric) for i, s in enumerate(values)]
+            )
+            keep = keep[values[keep] > cfg.tau]
+            keep = keep[np.argsort(-values[keep])]
+        images, norm = psvd.images, psvd.norm_estimate
+        conv = (psvd.residuals <= psvd.tol).nonzero()[0]
+        idx = conv if conv.size else np.arange(min(psvd.count, 1))
+        weights = np.maximum(values[idx], 0.0)
+        pairs = _factored(weights, right, left, idx, hermitian, oracle.metrics, images)
+    # the values above the level, descending, less those that ``pruned``
+    # drops once shifted
+    shifted = values[keep] - cfg.tau
+    if keep.size > 1:
+        large = shifted > PRUNE_REL * shifted[0]
+        keep, shifted = keep[large], shifted[large]
+    out = _factored(shifted, right, left, keep, hermitian, oracle.metrics, images)
+    out.__dict__.update(
+        restarts=restarts, norm_estimate=norm, actions=oracle.calls - calls, ritz_pairs=pairs
+    )
     return out
 
 

@@ -91,6 +91,34 @@ class TestDualStep:
         assert np.allclose(out, 0.0)
 
 
+    @pytest.mark.parametrize("fidelity", [Fidelity.exact(), Fidelity.tikhonov(),
+                                          Fidelity.eps_ball(0.1)], ids=lambda f: f.kind)
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["quadratic", "bilinear"])
+    def test_reads_its_inputs_only(self, fidelity, dtype):
+        # the update is fused in place into one new vector, never into an input
+        rng = np.random.default_rng(4)
+
+        def draw():
+            vec = rng.standard_normal(12)
+            return vec + 1j * rng.standard_normal(12) if dtype is complex else vec
+
+        g, img_curr, img_prev, y = rng.standard_normal(12), draw(), draw(), draw()
+        cfg = SolverConfig(tau=0.5, sigma=0.7, theta=0.8, fidelity=fidelity,
+                           validate_steps=False)
+        state = SolverState(w=None, w_prev=None, y=y, metric1=None, metric2=None)
+        before = [arr.copy() for arr in (g, img_curr, img_prev, y)]
+        out = dual_step(state, cfg, g, (img_curr, img_prev))
+        for arr, copy in zip((g, img_curr, img_prev, state.y), before):
+            assert np.array_equal(arr, copy)
+        assert state.y is y and all(out is not arr for arr in (g, img_curr, img_prev, y))
+        z = y + 0.7 * (1.8 * img_curr - 0.8 * img_prev - g)
+        if fidelity.kind == "tikhonov":
+            z = z / 1.7
+        elif fidelity.kind == "epsball":
+            z = z * max(0.0, 1.0 - 0.07 / np.linalg.norm(z))
+        assert np.allclose(out, z, rtol=1e-14, atol=0)
+
+
 class TestPrimalStep:
     def test_zero_everything_stays_zero(self):
         qmap = scalar_quadratic()

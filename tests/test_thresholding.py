@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from liftkit import partial_svd, thresholding
-from liftkit.lowrank import FactoredTensor, HermitianFactored
-from liftkit.metric import EuclideanMetric, ReweightedMetric, orthonormalize
+from liftkit.lowrank import FactoredTensor, HermitianFactored, carried_images
+from liftkit.metric import EuclideanMetric, ReweightedMetric, SobolevMetric, orthonormalize
 from liftkit.partial_svd import (
     _certified_cut,
     _random_unit,
@@ -13,6 +13,7 @@ from liftkit.partial_svd import (
     lanczos_bidiagonalize,
     ritz_factorize,
 )
+from liftkit.solver import ReweightSettings, SolverConfig, SolverState, reweight_step
 from liftkit.thresholding import ENGINES, ThresholdConfig, evt, shrink, soft, soft_plus, svt
 
 from helpers import (
@@ -874,3 +875,85 @@ class TestRitzPairHandover:
         cfg = ThresholdConfig(tau=0.5, engine="dense")
         out = (evt if hermitian else svt)(oracle_from_dense(z, m1, m2), cfg, rng=rng)
         assert out.rank == 2 and out.ritz_pairs is None
+
+
+class TestCarriedFactorImages:
+    """The result and its Ritz pairs carry their factors' metric images,
+    rotated by the engine pass from its basis images; an action in a metric
+    object they do not carry applies that metric afresh."""
+
+    @staticmethod
+    def metric(rng, n, kind):
+        if kind == "euclidean":
+            return EuclideanMetric(n)
+        sobolev = SobolevMetric((4, n // 4), (0.5, 1.0, 2.0))
+        if kind == "sobolev":
+            return sobolev
+        dirs = orthonormalize([random_complex(rng, n) for _ in range(2)], sobolev)
+        return ReweightedMetric(sobolev, np.stack(dirs), np.array([0.5, 0.25]))
+
+    @staticmethod
+    def sides(tensor, hermitian, metrics):
+        """(side, factors, metric) of every factor block of ``tensor``."""
+        if hermitian:
+            return [("factors", tensor.factors, metrics[0])]
+        return [("right", tensor.right, metrics[0]), ("left", tensor.left, metrics[1])]
+
+    def case(self, hermitian, kind):
+        rng = np.random.default_rng(95)
+        m1 = self.metric(rng, 24, kind)
+        m2 = m1 if hermitian else self.metric(rng, 28, kind)
+        rest = rng.uniform(-0.1, 0.1, size=21) if hermitian else rng.uniform(0.0, 0.1, size=21)
+        values = np.concatenate([[1.0, 0.8, 0.35], rest])
+        w = operator_with_factors(rng, values, m1, None if hermitian else m2)[0]
+        cfg = ThresholdConfig(tau=0.5, ell=5, k=10, delta=DELTA, rank_cap=5)
+        out = (evt if hermitian else svt)(oracle_from_dense(w, m1, m2), cfg, rng=rng)
+        return out, (m1, m2), rng
+
+    @pytest.mark.parametrize("kind", ["euclidean", "sobolev", "reweighted"])
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["evt", "svt"])
+    def test_carried_images_are_metric_images(self, hermitian, kind):
+        out, metrics, _ = self.case(hermitian, kind)
+        assert out.rank == 2 and out.ritz_pairs.rank >= 2
+        for tensor in (out, out.ritz_pairs):
+            for side, factors, metric in self.sides(tensor, hermitian, metrics):
+                images = carried_images(tensor, side, metric)
+                assert images is not None and images.shape == factors.shape
+                for j in range(factors.shape[1]):
+                    exact = metric.apply(factors[:, j])
+                    err = np.linalg.norm(images[:, j].conj() - exact)
+                    assert err <= 1e-12 * np.linalg.norm(exact), (side, j, err)
+
+    @pytest.mark.parametrize("kind", ["euclidean", "sobolev", "reweighted"])
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["evt", "svt"])
+    def test_a_reweighted_metric_is_applied_afresh(self, hermitian, kind, monkeypatch):
+        out, metrics, rng = self.case(hermitian, kind)
+        base = metrics[0] if kind != "reweighted" else metrics[0].base
+        base2 = metrics[1] if kind != "reweighted" else metrics[1].base
+        state = SolverState(w=out, w_prev=out, y=np.zeros(1), metric1=metrics[0],
+                            metric2=metrics[1])
+        cfg = SolverConfig(reweight=ReweightSettings(enabled=True, weight=0.5))
+        new = reweight_step(state, cfg, base, base2)
+        assert all(m is not old for m, old in zip(new, metrics))
+        # the pairs hand over a bare start direction in the new metric
+        assert not isinstance(thresholding._warm_vector(out.ritz_pairs, new[0]), tuple)
+        applied = []
+        for m in set(new):
+            apply = m.apply
+            monkeypatch.setattr(m, "apply", lambda x, apply=apply: applied.append(1) or apply(x))
+        if hermitian:
+            actions = [(out.action, new[0], out.factors, out.factors)]
+        else:
+            actions = [(out.right_action, new[0], out.left, out.right),
+                       (out.left_action, new[1], out.right, out.left)]
+        for action, metric, into, paired in actions:
+            e = random_complex(rng, paired.shape[0])
+            applied.clear()
+            got = action(metric, e)
+            assert len(applied) == paired.shape[1]
+            fresh = np.stack([metric.apply(col) for col in paired.T], axis=1)
+            expected = into @ (out.values * (fresh.conj().T @ e))
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+            applied.clear()
+            action(metric, e)
+            assert applied == []
