@@ -246,7 +246,7 @@ def sym_adjoint_action(problem, y, e):
     """
     if e.shape != problem.shape:
         raise ConfigError(f"image must have shape {problem.shape}")
-    return MaskedFourierMap(problem).sym_adjoint_action(y, e).reshape(problem.shape)
+    return MaskedFourierMap(problem).sym_adjoint_action(np.asarray(y), e).reshape(problem.shape)
 
 
 class SpectralFactor(NamedTuple):
@@ -326,8 +326,8 @@ class MaskedFourierMap(QuadraticMap):
         return forward(self.problem, np.asarray(u).reshape(self.shape))
 
     def sym_adjoint_action(self, y, e):
-        coeff = np.asarray(y).real.reshape(self.bins)
-        out = _sandwich(self.problem, coeff, np.asarray(e).reshape(self.shape))
+        coeff = y.real.reshape(self.bins)
+        out = _sandwich(self.problem, coeff, e.reshape(self.shape))
         return self.h.apply_inv(out.ravel())
 
     def bilinear(self):
