@@ -325,7 +325,7 @@ class _KrylovPass:
         """Ritz values and residual estimates of the columns so far, gamma
         being the norm of the last column's continuation."""
         y_small, values, _ = self.decompose()
-        return values, gamma * np.abs(y_small[-1])
+        return values, gamma * np.abs(y_small[-1, :])
 
     def seed(self, u_mat, v_mat, values, images):
         """Start from Ritz triples; ``images`` are their vectors' metric
@@ -335,7 +335,7 @@ class _KrylovPass:
         self.HE[:r] = images[0].T
         self.ne = self.first = r
         self.T[np.arange(r), np.arange(r)] = values
-        self.scale = max(self.scale, float(np.abs(values).max()) if r else 0.0)
+        self.scale = max(self.scale, float(np.max(np.abs(values))) if r else 0.0)
 
     def _couple(self, coeff):
         """Enter the first column's coefficients against the seeded basis as
@@ -391,8 +391,7 @@ class _KrylovPass:
                 return
             p = self._continuation()
             hp, gamma = self.m1.apply_and_norm(p)
-            if gamma > self.scale:
-                self.scale = gamma
+            self.scale = max(self.scale, gamma)
             if stop is not None and self.ne < k and stop(self, gamma):
                 break
         self.p_last, self.hp_last, self.gamma_last = p, hp, gamma

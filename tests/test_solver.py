@@ -90,7 +90,6 @@ class TestDualStep:
         out = dual_step(state, cfg, g, (zero, zero))
         assert np.allclose(out, 0.0)
 
-
     @pytest.mark.parametrize("fidelity", [Fidelity.exact(), Fidelity.tikhonov(),
                                           Fidelity.eps_ball(0.1)], ids=lambda f: f.kind)
     @pytest.mark.parametrize("dtype", [float, complex], ids=["quadratic", "bilinear"])
