@@ -224,7 +224,7 @@ def _sandwich(problem, coeff, image, spectra=None):
         spectra = spectra * coeff
     back = problem.transforms.inverse(spectra)
     back *= problem.masks_conj
-    return back.sum(axis=0)
+    return np.add.reduce(back, axis=0)
 
 
 def forward(problem, image):
