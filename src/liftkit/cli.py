@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -476,7 +477,13 @@ def cmd_demo(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The `liftkit` parser, built once per process.
+
+    Every parse returns a fresh namespace, so calls share no parsed values;
+    callers must not add arguments to the shared parser.
+    """
     parser = argparse.ArgumentParser(
         prog="liftkit",
         description="Matrix-free lifted solvers for masked Fourier phase retrieval.",

@@ -10,8 +10,9 @@ import pytest
 
 import liftkit
 from liftkit import storage
-from liftkit.cli import _artifact_sha256, main
+from liftkit.cli import _artifact_sha256, build_parser, main
 from liftkit.phase_retrieval import synthetic_image
+from liftkit.solver import SolverConfig
 
 
 def run(argv, capsys):
@@ -324,6 +325,24 @@ class TestSolveAndEval:
         row[2] = "0.0"
         csv_path.write_text("\n".join([lines[0], ",".join(row)] + lines[2:]) + "\n")
         assert _artifact_sha256(str(csv_path)) != json.loads(first)["artifacts"]["iterations.csv"]
+
+
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_successive_solves_share_no_parsed_values(self, solved, tmp_path):
+        args = ["solve", "--masks", str(solved / "masks"), "--data", str(solved / "data"),
+                "--max-iter", "3", "--seed", "0"]
+        assert main(args + ["--rank-cap", "3", "--out", str(tmp_path / "capped")]) == 0
+        assert main(args + ["--out", str(tmp_path / "default")]) == 0
+
+        def rank_cap(run):
+            manifest = json.loads((tmp_path / run / "manifest.json").read_text())
+            return manifest["config"]["solver"]["rank_cap"]
+
+        assert rank_cap("capped") == 3
+        assert rank_cap("default") == SolverConfig().rank_cap != 3
 
 
 SOLVE = ["solve", "--masks", "{dir}/masks", "--data", "{dir}/data", "--out", "{tmp}/r",

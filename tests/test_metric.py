@@ -3,7 +3,10 @@ import pytest
 
 from liftkit.errors import MetricSolveError
 from liftkit.metric import (
+    DENSE_DCT_MAX_WORK,
+    DenseDCT,
     EuclideanMetric,
+    FastDCT,
     ReweightedMetric,
     SobolevMetric,
     SobolevStencil,
@@ -176,6 +179,70 @@ class TestApplyInv:
             x = random_complex(rng, 10)
             out = m.apply_inv(m.apply(x))
             assert np.linalg.norm(out - x) <= 1e-10 * np.linalg.norm(x)
+
+
+def crossover_grids():
+    """The largest 1 x n grid that the DCT matrices serve, and the next grid up,
+    turned to (n + 1) x 1, which scipy's DCT serves."""
+    n = 1
+    while (n + 1) * (n + 2) <= DENSE_DCT_MAX_WORK:
+        n += 1
+    return [(1, n), (n + 1, 1)]
+
+
+def dense_sobolev(shape, mu):
+    """H assembled column by column from the stencil's difference operators."""
+    st = SobolevStencil(shape)
+
+    def full(img):
+        return mu[0] * img + mu[1] * st.d1_adjoint(st.d1(img)) + mu[2] * st.d2_adjoint(st.d2(img))
+
+    return dense_stencil_matrix(shape, full, shape)
+
+
+SOBOLEV_MUS = [(0.25, 1.0, 1.0), (0.7, 0.0, 3.0), (0.7, 2.0, 0.0)]
+
+
+class TestSobolevDenseReference:
+    """apply and apply_inv against the assembled H and its dense solve."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (3, 5), (5, 3), (16, 16)]
+                             + crossover_grids())
+    @pytest.mark.parametrize("mu", SOBOLEV_MUS)
+    def test_matches_dense_matrix_and_solve(self, shape, mu):
+        rng = np.random.default_rng(shape[0] * 131 + shape[1])
+        m = SobolevMetric(shape, mu)
+        dense = dense_sobolev(shape, mu)
+        inputs = (rng.standard_normal(m.dim), random_complex(rng, m.dim))
+        columns = np.stack(inputs, axis=1)
+        applied = dense @ columns
+        solved = np.linalg.solve(dense, columns)
+        for k, x in enumerate(inputs):
+            ref = applied[:, k]
+            assert np.linalg.norm(m.apply(x) - ref) <= 1e-12 * np.linalg.norm(ref)
+            ref = solved[:, k]
+            assert np.linalg.norm(m.apply_inv(x) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_crossover_grids_cover_both_dct_pairs(self):
+        below, above = crossover_grids()
+        assert isinstance(SobolevMetric(below, SOBOLEV_MUS[0])._dct, DenseDCT)
+        assert isinstance(SobolevMetric(above, SOBOLEV_MUS[0])._dct, FastDCT)
+
+    @pytest.mark.parametrize("shape", [(3, 5)] + crossover_grids())
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_refused(self, shape, bad):
+        m = SobolevMetric(shape, SOBOLEV_MUS[0])
+        b = np.ones(m.dim, dtype=complex)
+        b[-1] = bad
+        with pytest.raises(MetricSolveError):
+            m.apply_inv(b)
+
+    @pytest.mark.parametrize("shape", [(3, 5)] + crossover_grids())
+    def test_wrong_length_refused(self, shape):
+        m = SobolevMetric(shape, SOBOLEV_MUS[0])
+        for op in (m.apply, m.apply_inv):
+            with pytest.raises(ValueError):
+                op(np.ones(m.dim + 1, dtype=complex))
 
 
 class TestReweightedApply:
