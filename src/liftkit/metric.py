@@ -14,6 +14,7 @@ as scipy's DCT above it, where the n^3 products cost more.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -226,7 +227,9 @@ class SobolevMetric(Metric):
 
     def apply_inv(self, b):
         self._check(b)
-        if not np.all(np.isfinite(b)):
+        # a sum with a non-finite term is non-finite, so a finite sum clears
+        # every entry; only a sum that overflowed needs the entrywise check
+        if not cmath.isfinite(np.add.reduce(b)) and not np.all(np.isfinite(b)):
             raise MetricSolveError("Sobolev inverse of a non-finite vector")
         img = np.ascontiguousarray(b, dtype=complex).reshape(self.grid_shape)
         return self._dct.filter(img).ravel()

@@ -12,6 +12,15 @@ row-column FFTs pruned of the zero padding (Markel 1971), where the forward
 transforms rows only where the image has them and the adjoint
 inverse-transforms rows only where it keeps them.  The mask products, the
 coefficient multiply and the conjugate-mask sum are the same for both.
+
+Each transform pair owns a workspace, allocated once with the pair: the
+padded spectra of every mask and, for the dense blocks, their intermediate
+products.  Every transform on the problem writes into it, so an action
+allocates nothing of the padded grid, and the pruned FFTs zero only the
+padding instead of copying into a new zeroed grid.  What
+the workspace holds is valid until the next transform on the same problem,
+and one problem must not be transformed from two threads at once; every
+result handed out of this module is an array of its own.
 """
 
 from __future__ import annotations
@@ -133,10 +142,11 @@ class PRProblem:
 
     @cached_property
     def transforms(self):
-        """The padded-DFT pair of this grid, chosen and built on first use."""
+        """The padded-DFT pair of this grid with its workspace, chosen and
+        built on first use."""
         n2, n1 = self.shape
         dense = n2 * self.m1 * (n1 + self.m2) <= DENSE_DFT_MAX_WORK
-        return (DenseDFT if dense else PrunedFFT)(self.shape, self.m2, self.m1)
+        return (DenseDFT if dense else PrunedFFT)(self.masks.count, self.shape, self.m2, self.m1)
 
 
 METRIC_KINDS = ("euclidean", "sobolev")
@@ -151,25 +161,45 @@ def default_metric(shape, kind="euclidean", mu=SOBOLEV_DEFAULT_MU):
 
 
 class PrunedFFT:
-    """Row-column FFTs pruned of the zero padding.
+    """Row-column FFTs pruned of the zero padding, in place.
 
-    The forward transforms the n2 image rows to length m1 first and only then
-    every column to length m2, so the m2 - n2 zero rows of the padding are
-    never row-transformed.  The inverse transforms the columns first, then
-    only the n2 kept rows, of which the first n1 entries are kept.
+    The forward writes the mask products into the top-left block of its
+    destination, zeroes the rest of the n2 image rows and transforms them to
+    length m1, and only then zeroes the m2 - n2 padding rows and transforms
+    every column to length m2: the padding rows are never row-transformed.
+    The inverse transforms the columns first, then only the n2 kept rows, of
+    which the first n1 entries are kept.  ``spectra`` is the (count, m2, m1)
+    workspace.
+
+    Both run in the buffer they are given: with ``overwrite_x`` a complex
+    array, view or not, is scipy's output array, and without ``n=`` scipy
+    makes no zero-padded copy.  The results are read from the buffer itself,
+    not from the arrays scipy returns: those are views of the buffer with an
+    equal but distinct dtype object, and numpy copies an input that overlaps
+    its ufunc output unless the two have the same dtype object.
     """
 
-    def __init__(self, shape, m2, m1):
-        self.shape, self.m2, self.m1 = shape, m2, m1
+    def __init__(self, count, shape, m2, m1):
+        self.shape = shape
+        self.spectra = np.empty((count, m2, m1), dtype=complex)
 
-    def forward(self, stack):
-        rows = fft(stack, n=self.m1, axis=-1, overwrite_x=True)
-        return fft(rows, n=self.m2, axis=-2, overwrite_x=True)
+    def forward(self, masks, image, out):
+        n2, n1 = self.shape
+        rows = out[:, :n2, :]
+        np.multiply(masks, image, out=rows[:, :, :n1])
+        rows[:, :, n1:] = 0
+        fft(rows, axis=-1, overwrite_x=True)
+        out[:, n2:, :] = 0
+        fft(out, axis=-2, overwrite_x=True)
+        return out
 
     def inverse(self, spectra):
+        """The unscaled inverse restricted to the image, computed in place in
+        ``spectra`` and returned as a view of it."""
         n2, n1 = self.shape
-        cols = ifft(spectra, axis=-2, norm="forward", overwrite_x=True)
-        return ifft(cols[:, :n2, :], axis=-1, norm="forward", overwrite_x=True)[:, :, :n1]
+        ifft(spectra, axis=-2, norm="forward", overwrite_x=True)
+        ifft(spectra[:, :n2, :], axis=-1, norm="forward", overwrite_x=True)
+        return spectra[:, :n2, :n1]
 
 
 def _dft_block(m, n):
@@ -187,27 +217,46 @@ class DenseDFT:
     With A2 (m2, n2) and A1 (m1, n1) the blocks of the zero-padded DFTs, the
     forward is A2 @ X @ A1^T per mask and the inverse A2^H @ S @ conj(A1):
     the padding never enters.  The rows of every mask are one product.
+    Every product writes into the workspace: ``spectra`` (count, m2, m1),
+    the image-grid stack (count, n2, n1) that holds the mask products and
+    the inverse's result, and the half-transformed rows and columns.
     """
 
-    def __init__(self, shape, m2, m1):
-        a2, a1 = _dft_block(m2, shape[0]), _dft_block(m1, shape[1])
+    def __init__(self, count, shape, m2, m1):
+        n2, n1 = shape
+        a2, a1 = _dft_block(m2, n2), _dft_block(m1, n1)
         self.a2, self.a1t = a2, np.ascontiguousarray(a1.T)
         self.a2h, self.a1c = np.ascontiguousarray(a2.conj().T), a1.conj()
+        self.spectra = np.empty((count, m2, m1), dtype=complex)
+        self._grid = np.empty((count, n2, n1), dtype=complex)
+        self._rows = np.empty((count, n2, m1), dtype=complex)
+        self._cols = np.empty((count, m2, n1), dtype=complex)
 
-    def forward(self, stack):
-        count, n2, n1 = stack.shape
-        rows = stack.reshape(count * n2, n1) @ self.a1t
-        return self.a2 @ rows.reshape(count, n2, -1)
+    def forward(self, masks, image, out):
+        count, n2, n1 = self._grid.shape
+        np.multiply(masks, image, out=self._grid)
+        rows = self._rows.reshape(count * n2, -1)
+        np.matmul(self._grid.reshape(count * n2, n1), self.a1t, out=rows)
+        return np.matmul(self.a2, self._rows, out=out)
 
     def inverse(self, spectra):
+        """The unscaled inverse restricted to the image, in the workspace."""
         count, m2, m1 = spectra.shape
-        cols = spectra.reshape(count * m2, m1) @ self.a1c
-        return self.a2h @ cols.reshape(count, m2, -1)
+        cols = self._cols.reshape(count * m2, -1)
+        np.matmul(spectra.reshape(count * m2, m1), self.a1c, out=cols)
+        return np.matmul(self.a2h, self._cols, out=self._grid)
 
 
-def _masked_spectra(problem, image):
-    """Padded DFTs of every mask-image product, shape (count, m2, m1)."""
-    return problem.transforms.forward(problem.masks.array * image[None, :, :])
+def _masked_spectra(problem, image, out=None):
+    """Padded DFTs of every mask-image product, shape (count, m2, m1).
+
+    They are written into ``out`` when given (the problem's workspace, for a
+    result that only lives until the next transform) and into a new array
+    otherwise.
+    """
+    if out is None:
+        out = np.empty((problem.masks.count, problem.m2, problem.m1), dtype=complex)
+    return problem.transforms.forward(problem.masks.array, image, out)
 
 
 def _sandwich(problem, coeff, image, spectra=None):
@@ -215,14 +264,14 @@ def _sandwich(problem, coeff, image, spectra=None):
 
     F^H is the unscaled inverse DFT restricted to the image.  ``spectra``,
     when given, are the image's masked spectra; they are read, not
-    recomputed or changed.
+    recomputed or changed.  The scaled spectra and their inverse stay in the
+    problem's workspace; only the sum over the masks is a new array.
     """
+    work = problem.transforms.spectra
     if spectra is None:
-        spectra = _masked_spectra(problem, image)
-        spectra *= coeff
-    else:
-        spectra = spectra * coeff
-    back = problem.transforms.inverse(spectra)
+        spectra = _masked_spectra(problem, image, work)
+    np.multiply(spectra, coeff, out=work)
+    back = problem.transforms.inverse(work)
     back *= problem.masks_conj
     return np.add.reduce(back, axis=0)
 
@@ -231,11 +280,12 @@ def forward(problem, image):
     """Squared masked Fourier intensities as one real vector (mask-major)."""
     if image.shape != problem.shape:
         raise ConfigError(f"image must have shape {problem.shape}")
-    spectra = _masked_spectra(problem, image)
-    # re^2 + im^2: no square root per bin, as abs() would take
-    out = spectra.real**2
-    out += spectra.imag**2
-    return out.ravel()
+    spectra = _masked_spectra(problem, image, problem.transforms.spectra)
+    # re^2 + im^2: no square root per bin, as abs() would take; both squares
+    # are taken in place, on the workspace's contiguous real view
+    parts = spectra.view(float)
+    np.square(parts, out=parts)
+    return np.add(spectra.real, spectra.imag).ravel()
 
 
 def sym_adjoint_action(problem, y, e):

@@ -238,6 +238,43 @@ class TestSobolevDenseReference:
             m.apply_inv(b)
 
     @pytest.mark.parametrize("shape", [(3, 5)] + crossover_grids())
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("where", [0, 1, -1])
+    def test_non_finite_entry_anywhere_refused(self, shape, bad, part, where):
+        # next to huge finite entries, so the input's sum overflows as well
+        m = SobolevMetric(shape, SOBOLEV_MUS[0])
+        b = np.full(m.dim, 1e308 * (1 - 1j))
+        b[where] = complex(bad, 1.0) if part == "real" else complex(1.0, bad)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(MetricSolveError):
+            m.apply_inv(b)
+
+    def test_opposite_infinities_refused(self):
+        # their sum is NaN, not inf
+        m = SobolevMetric((3, 5), SOBOLEV_MUS[0])
+        b = np.ones(m.dim, dtype=complex)
+        b[0], b[-1] = np.inf, -np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(MetricSolveError):
+            m.apply_inv(b)
+
+    @pytest.mark.parametrize("shape", [(3, 5)] + crossover_grids())
+    def test_finite_input_whose_sum_overflows_accepted(self, shape):
+        # apply_inv sums its input before it checks entry by entry; finite
+        # entries near 1e308 overflow that sum and must still be solved
+        m = SobolevMetric(shape, (16.0, 1.0, 1.0))
+        b = np.zeros(m.dim, dtype=complex)
+        b[0] = b[-1] = 1e308 * (1 - 1j)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(np.add.reduce(b))
+            got = m.apply_inv(b)
+        if isinstance(m._dct, DenseDCT):
+            # scipy's unnormalized DCT overflows on such entries; the DCT
+            # matrices do not, and the inverse is linear
+            scale = 2.0**-1000
+            ref = m.apply_inv(b * scale)
+            assert np.linalg.norm(got * scale - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("shape", [(3, 5)] + crossover_grids())
     def test_wrong_length_refused(self, shape):
         m = SobolevMetric(shape, SOBOLEV_MUS[0])
         for op in (m.apply, m.apply_inv):

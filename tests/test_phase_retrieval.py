@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,107 @@ class TestPrunedKernels:
             calls.clear()
             action()
             assert len(calls) == 1
+
+
+class TestTransformWorkspace:
+    """Each problem's transforms run in one workspace of their own; nothing
+    handed out of the module lives in it."""
+
+    # one grid on each side of the size rule, each with 16,384 bins: numpy's
+    # ufunc buffers hold up to 8,192 elements, so the allocation guard below
+    # needs more bins than that to tell a buffer from a spectra-sized copy
+    GRIDS = [((16, 16), 16, 32, 32), ((32, 32), 4, 64, 64)]
+
+    @staticmethod
+    def problem(monkeypatch, grid, kernel, seed=40):
+        shape, count, m2, m1 = grid
+        monkeypatch.setattr(
+            phase_retrieval, "DENSE_DFT_MAX_WORK", np.inf if kernel == "dense" else -1
+        )
+        masks = make_rademacher_masks(shape, count, seed=seed)
+        metric = EuclideanMetric(shape[0] * shape[1])
+        problem = PRProblem(masks=masks, m2=m2, m1=m1, metric=metric)
+        assert type(problem.transforms) is TestPrunedKernels.KERNELS[kernel]
+        return problem
+
+    @staticmethod
+    def results(problem, image, y):
+        """Every result the module hands out for one image."""
+        bmap = MaskedFourierBilinear(problem)
+        vec = image.ravel()
+        factor = bmap.prepare_factor(vec)
+        coeff = y.real.reshape(problem.masks.count, problem.m2, problem.m1)
+        return [
+            forward(problem, image),
+            phase_retrieval._masked_spectra(problem, image),
+            factor.spectra,
+            phase_retrieval._sandwich(problem, coeff, image),
+            phase_retrieval._sandwich(problem, coeff, image, factor.spectra),
+            MaskedFourierMap(problem).sym_adjoint_action(y.real, vec),
+            bmap.partial_adjoint_left(y, factor),
+            bmap.partial_adjoint_right(y, vec),
+            bmap.apply(factor, factor),
+        ]
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("kernel", ["dense", "pruned"])
+    def test_results_survive_later_transforms(self, monkeypatch, grid, kernel):
+        rng = np.random.default_rng(41)
+        problem = self.problem(monkeypatch, grid, kernel)
+        images = [random_complex(rng, problem.metric.dim).reshape(problem.shape) for _ in range(2)]
+        y = random_complex(rng, problem.data_dim)
+        first = self.results(problem, images[0], y)
+        kept = [r.copy() for r in first]
+        second = self.results(problem, images[1], y)
+        for got, ref in zip(first, kept):
+            assert np.array_equal(got, ref)
+        # a fresh problem, whose workspace no earlier transform touched,
+        # gives the same bits
+        fresh = self.problem(monkeypatch, grid, kernel)
+        for got, ref in zip(second, self.results(fresh, images[1], y)):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("kernel", ["dense", "pruned"])
+    def test_problems_do_not_share_a_workspace(self, monkeypatch, grid, kernel):
+        rng = np.random.default_rng(42)
+        one, two = (self.problem(monkeypatch, grid, kernel) for _ in range(2))
+        buffers = [
+            [v for v in vars(p.transforms).values() if isinstance(v, np.ndarray)] for p in (one, two)
+        ]
+        for a in buffers[0]:
+            assert not any(np.shares_memory(a, b) for b in buffers[1])
+        image = random_complex(rng, one.metric.dim).reshape(one.shape)
+        y = random_complex(rng, one.data_dim)
+        alone = self.results(two, image, y)
+        # the forward's spectra wait in one problem's workspace while the
+        # other problem transforms
+        spectra = phase_retrieval._masked_spectra(one, image, one.transforms.spectra)
+        kept = spectra.copy()
+        for got, ref in zip(self.results(two, image, y), alone):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(spectra, kept)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("kernel", ["dense", "pruned"])
+    def test_warm_actions_allocate_less_than_one_spectra_array(self, monkeypatch, grid, kernel):
+        rng = np.random.default_rng(43)
+        problem = self.problem(monkeypatch, grid, kernel)
+        qmap = MaskedFourierMap(problem)
+        vec = random_complex(rng, problem.metric.dim)
+        y = rng.standard_normal(problem.data_dim)
+        spectra_bytes = problem.data_dim * np.dtype(complex).itemsize
+        for action in (lambda: qmap.sym_adjoint_action(y, vec), lambda: qmap.apply(vec)):
+            action()  # builds the transforms and their workspace
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                action()
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < spectra_bytes
 
 
 class TestLiftedConsistency:
