@@ -35,6 +35,7 @@ from .phase_retrieval import (
     forward,
     make_rademacher_masks,
     MaskSet,
+    _phase_aligned,
     recover,
     synthetic_image,
 )
@@ -408,9 +409,7 @@ def cmd_eval(args):
         cov = coverage_map(masks)
         holes = cov == 0
         if np.any(holes):
-            corr = np.vdot(reference.ravel(), recovered.ravel())
-            phase = np.exp(-1j * np.angle(corr)) if corr != 0 else 1.0
-            aligned = phase * recovered
+            aligned = _phase_aligned(recovered, reference)
             ref_mag = np.linalg.norm(reference[holes])
             report["uncovered_pixels"] = int(holes.sum())
             report["uncovered_relative_error"] = (

@@ -2,12 +2,13 @@
 
 A general tensor is kept as value/factor triples ``w = sum_k sigma_k
 (u_k (x) v_k)`` (the matrix ``sum_k sigma_k v_k u_k^*``); a symmetric tensor
-as signed eigenpairs ``w = sum_k lambda_k (u_k (x) u_k)``.  The represented
-matrix is never materialized outside of diagnostics.  An action in a metric H
-pairs e with the H-images of the factors, u_k^* H e = (H u_k)^* e, so H is
-applied to the factors once per metric, not to every e, and not at all in a
-metric whose images the tensor was built with (``carry``): a thresholded
-iterate and its Ritz pairs carry the images their engine pass rotated.
+as signed eigenpairs ``w = sum_k lambda_k (u_k (x) u_k)``, the same form with
+one factor set for both sides.  The represented matrix is never materialized
+outside of diagnostics.  An action in a metric H pairs e with the H-images of
+the factors, u_k^* H e = (H u_k)^* e, so H is applied to the factors once per
+metric, not to every e, and not at all in a metric whose images the tensor was
+built with (``carry``): a thresholded iterate and its Ritz pairs carry the
+images their engine pass rotated.
 """
 
 from __future__ import annotations
@@ -96,88 +97,70 @@ class FactoredTensor:
     def projective_norm(self):
         return float(np.sum(self.values))
 
+    def _select(self, keep, values):
+        """The tensor of the same kind on the factor columns ``keep``."""
+        return FactoredTensor(right=self.right[:, keep], left=self.left[:, keep], values=values)
+
     def scaled(self, s):
         if self.rank == 0:
             return self
-        return FactoredTensor(right=self.right, left=self.left, values=self.values * s)
+        return self._select(slice(None), self.values * s)
 
     def pruned(self, rel_tol=PRUNE_REL):
+        """Drop the triples whose |value| is at most rel_tol times the largest."""
         if self.rank == 0:
             return self
-        keep = self.values > rel_tol * self.values[0]
+        magnitude = np.abs(self.values)
+        keep = magnitude > rel_tol * np.max(magnitude)
         if np.all(keep):
             return self
-        if not np.any(keep):
-            return FactoredTensor.empty(self.right.shape[0], self.left.shape[0])
-        return FactoredTensor(
-            right=self.right[:, keep], left=self.left[:, keep], values=self.values[keep]
-        )
+        return self._select(keep, self.values[keep])
 
     def to_dense(self):
         """Materialize the represented matrix; small problems and tests only."""
         return (self.left * self.values) @ self.right.conj().T
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianFactored:
-    """Signed eigenpairs of a symmetric lifted variable.
+class HermitianFactored(FactoredTensor):
+    """Signed eigenpairs of a symmetric lifted variable: a factored tensor
+    whose right and left factors are one array, ``factors``.
 
     ``factors`` has shape (n, r); ``values`` are real, sorted descending.
     """
 
-    factors: np.ndarray
-    values: np.ndarray
-    _images: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, factors, values):
+        super().__init__(right=factors, left=factors, values=values)
 
     @classmethod
     def empty(cls, n):
         return cls(factors=np.zeros((n, 0), dtype=complex), values=np.zeros(0))
 
     @property
-    def rank(self):
-        return self.values.shape[0]
+    def factors(self):
+        return self.right
 
     @property
     def dim(self):
-        return self.factors.shape[0]
+        return self.right.shape[0]
 
-    def carry(self, metric, images):
-        """Hold the factors' images H factors in ``metric``; returns self."""
-        self._images["factors"] = (metric, images.conj())
+    def _select(self, keep, values):
+        return HermitianFactored(factors=self.right[:, keep], values=values)
+
+    def carry(self, metrics, images):
+        """Hold the factors' images H factors in ``metrics[0]`` once, under
+        the side they live on; ``images[1]`` is not read.  Returns self."""
+        self._images["right"] = (metrics[0], images[0].conj())
         return self
 
     def action(self, metric, e):
         """Return w H e = sum_k lambda_k (u_k^* H e) u_k."""
-        return _act(self, "factors", self.factors, self.factors, metric, e)
-
-    def projective_norm(self):
-        return float(np.sum(self.values))
-
-    def scaled(self, s):
-        if self.rank == 0:
-            return self
-        return HermitianFactored(factors=self.factors, values=self.values * s)
-
-    def pruned(self, rel_tol=PRUNE_REL):
-        if self.rank == 0:
-            return self
-        scale = np.max(np.abs(self.values))
-        keep = np.abs(self.values) > rel_tol * scale
-        if np.all(keep):
-            return self
-        if not np.any(keep):
-            return HermitianFactored.empty(self.dim)
-        return HermitianFactored(factors=self.factors[:, keep], values=self.values[keep])
+        return _act(self, "right", self.right, self.right, metric, e)
 
     def leading_rank_one(self):
         """Extract u = sqrt(lambda_0) u_0 with a deterministic global phase."""
         if self.rank == 0 or self.values[0] <= 0:
             raise NoSolutionError("factorization has no positive leading component")
-        return _phase_fix(np.sqrt(self.values[0]) * self.factors[:, 0])
-
-    def to_dense(self):
-        """Materialize the represented matrix; small problems and tests only."""
-        return (self.factors * self.values) @ self.factors.conj().T
+        return _phase_fix(np.sqrt(self.values[0]) * self.right[:, 0])
 
 
 def svd_to_evd(sigma, u, v, metric):

@@ -397,11 +397,16 @@ def add_noise(g, level_fraction, seed):
     return g + noise
 
 
-def error_up_to_phase(u, reference):
-    """Relative error minimized over a global phase factor.
+def _phase_aligned(u, reference):
+    """u times the global phase factor that best aligns it with
+    ``reference``: the angle of their complex correlation, in closed form."""
+    corr = np.vdot(reference, u)
+    phase = np.exp(-1j * np.angle(corr)) if corr != 0 else 1.0
+    return phase * u
 
-    The optimal angle comes from the complex correlation in closed form.
-    """
+
+def error_up_to_phase(u, reference):
+    """Relative error minimized over a global phase factor."""
     u = np.asarray(u).ravel()
     ref = np.asarray(reference).ravel()
     if u.shape != ref.shape:
@@ -409,9 +414,7 @@ def error_up_to_phase(u, reference):
     ref_norm = np.linalg.norm(ref)
     if ref_norm == 0:
         raise ConfigError("reference image must be nonzero")
-    corr = np.vdot(ref, u)
-    phase = np.exp(-1j * np.angle(corr)) if corr != 0 else 1.0
-    return float(np.linalg.norm(phase * u - ref) / ref_norm)
+    return float(np.linalg.norm(_phase_aligned(u, ref) - ref) / ref_norm)
 
 
 def recover(problem, cfg, sink=None):

@@ -136,6 +136,8 @@ class SolverConfig:
             raise ConfigError("max_iter must be positive")
         if not 0 <= self.tol < math.inf:
             raise ConfigError("tol must be finite and nonnegative")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         self.threshold_config(0.0)
 
     def threshold_config(self, tau, delta=None):
@@ -282,7 +284,7 @@ def reweight_step(state, cfg, base1, base2):
     if w.rank == 0:
         return base1, base2
     hermitian = isinstance(w, HermitianFactored)
-    q1, r1 = _base_frame(w.factors if hermitian else w.right, base1)
+    q1, r1 = _base_frame(w.right, base1)
     q2, r2 = (q1, r1) if hermitian else _base_frame(w.left, base2)
     y_small, sig, zh_small = np.linalg.svd((r2 * w.values) @ r1.conj().T, full_matrices=False)
     sig = sig[: cfg.reweight.max_promoted]
@@ -306,17 +308,20 @@ def _resolve_steps(problem, cfg, forward_backward=False):
     inflation = 1.0
     if cfg.reweight.enabled and cfg.reweight.weight < 1.0:
         inflation = 1.0 / (1.0 - cfg.reweight.weight)
+    eff = est * inflation
     if forward_backward:
-        eff = est * inflation
         tau = cfg.tau if cfg.tau is not None else (0.9 / eff**2 if eff > 0 else 1.0)
         sigma = cfg.sigma if cfg.sigma is not None else 1.0
-        return replace(cfg, tau=tau, sigma=sigma), norm
-    default = 0.99 / (est * inflation) if est > 0 else 1.0
-    tau = cfg.tau if cfg.tau is not None else default
-    sigma = cfg.sigma if cfg.sigma is not None else default
-    if cfg.validate_steps and est > 0 and tau * sigma * (est * inflation) ** 2 >= 1.0:
+        # forward-backward converges for tau < 2 / |B|^2
+        rule, product, bound = "tau*|B|^2 < 2", tau * eff**2, 2.0
+    else:
+        default = 0.99 / eff if eff > 0 else 1.0
+        tau = cfg.tau if cfg.tau is not None else default
+        sigma = cfg.sigma if cfg.sigma is not None else default
+        rule, product, bound = "tau*sigma*|B|^2 < 1", tau * sigma * eff**2, 1.0
+    if cfg.validate_steps and est > 0 and product >= bound:
         raise ConfigError(
-            f"step sizes violate tau*sigma*|B|^2 < 1 (tau={tau:.3g}, sigma={sigma:.3g}, "
+            f"step sizes violate {rule} (tau={tau:.3g}, sigma={sigma:.3g}, "
             f"|B| est {est:.3g}, reweight inflation {inflation:.3g})"
         )
     return replace(cfg, tau=tau, sigma=sigma), norm

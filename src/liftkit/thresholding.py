@@ -90,29 +90,18 @@ class ThresholdConfig:
 
 
 def _warm_vector(warm_start, metric):
-    """Start direction from a previous iterate: weighted sum of its right
-    factors, paired with its metric image when the iterate carries its
-    factors' images in ``metric``."""
+    """Start direction from a previous iterate: sum of its right factors
+    weighted by |value|, paired with its metric image when the iterate
+    carries its factors' images in ``metric``."""
     if warm_start is None or warm_start.rank == 0:
         return None
-    if isinstance(warm_start, HermitianFactored):
-        factors, weights, side = warm_start.factors, np.abs(warm_start.values), "factors"
-    else:
-        factors, weights, side = warm_start.right, warm_start.values, "right"
-    vec = factors @ weights
-    images = carried_images(warm_start, side, metric)
+    weights = np.abs(warm_start.values)
+    vec = warm_start.right @ weights
+    images = carried_images(warm_start, "right", metric)
     if images is None:
         return vec if vec.any() else None
     # carried images come with metric-orthonormal factors: nonzero weights, nonzero start
     return (vec, (images @ weights).conj()) if weights.any() else None
-
-
-def _warm_columns(warm_start):
-    """Initial subspace columns from a previous iterate's left factors."""
-    if warm_start is None or warm_start.rank == 0:
-        return None
-    hermitian = isinstance(warm_start, HermitianFactored)
-    return list((warm_start.factors if hermitian else warm_start.left).T)
 
 
 def _deflated_leading(oracle, psvd, span, cfg, rng, hermitian):
@@ -172,8 +161,9 @@ def _adaptive_triples(oracle, cfg, rng, warm_start, hermitian):
 
     while True:
         if cfg.engine == "subspace":
+            start = None if warm is None else list(warm.left.T)
             psvd = subspace_iterate(
-                oracle, ell, cfg.delta, rng=rng, start=_warm_columns(warm), stop_below=cfg.tau
+                oracle, ell, cfg.delta, rng=rng, start=start, stop_below=cfg.tau
             )
         else:
             psvd = augmented_restart(
@@ -269,9 +259,9 @@ def _factored(values, right, left, idx, hermitian, metrics, images):
     engine result's."""
     if hermitian:
         out = HermitianFactored(factors=right[:, idx], values=values)
-        return out if images is None else out.carry(metrics[0], images[0][:, idx])
-    out = FactoredTensor(right=right[:, idx], left=left[:, idx], values=values)
-    return out if images is None else out.carry(metrics, (images[0][:, idx], images[1][:, idx]))
+    else:
+        out = FactoredTensor(right=right[:, idx], left=left[:, idx], values=values)
+    return out if images is None else out.carry(metrics, [side[:, idx] for side in images])
 
 
 def _threshold(oracle, cfg, rng, warm_start, hermitian):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from liftkit.errors import NoSolutionError
-from liftkit.lowrank import FactoredTensor, HermitianFactored, svd_to_evd
+from liftkit.lowrank import FactoredTensor, HermitianFactored, carried_images, svd_to_evd
 from liftkit.metric import EuclideanMetric
 
 from helpers import (
@@ -22,6 +22,19 @@ def basis_vec(n, i):
     return e
 
 
+def factored_case(rng, hermitian, n1, n2, rank):
+    """A random tensor and its two metrics; a Hermitian one has signed values
+    and lives in one metric of dimension n1."""
+    m1 = random_spd_metric(rng, n1)
+    if hermitian:
+        return random_hermitian_factored(rng, n1, rank, m1, signed=True), m1, m1
+    m2 = random_spd_metric(rng, n2)
+    return random_factored(rng, n1, n2, rank, m1, m2), m1, m2
+
+
+KINDS = pytest.mark.parametrize("hermitian", [False, True], ids=["general", "hermitian"])
+
+
 class TestRightAction:
     def test_empty_gives_zero(self):
         w = FactoredTensor.empty(3, 4)
@@ -36,11 +49,10 @@ class TestRightAction:
         out = w.right_action(EuclideanMetric(2), basis_vec(2, 0))
         assert np.allclose(out, 2.0 * basis_vec(2, 1))
 
-    def test_matches_dense_action(self):
+    @KINDS
+    def test_matches_dense_action(self, hermitian):
         rng = np.random.default_rng(1)
-        m1 = random_spd_metric(rng, 5)
-        m2 = random_spd_metric(rng, 7)
-        w = random_factored(rng, 5, 7, 3, m1, m2)
+        w, m1, m2 = factored_case(rng, hermitian, 5, 7, 3)
         dense = w.to_dense()
         for _ in range(10):
             e = random_complex(rng, 5)
@@ -62,14 +74,13 @@ class TestLeftAction:
         out = w.left_action(EuclideanMetric(2), basis_vec(2, 1))
         assert np.allclose(out, 2.0 * basis_vec(2, 0))
 
-    def test_matches_dense_action(self):
+    @KINDS
+    def test_matches_dense_action(self, hermitian):
         rng = np.random.default_rng(2)
-        m1 = random_spd_metric(rng, 6)
-        m2 = random_spd_metric(rng, 4)
-        w = random_factored(rng, 6, 4, 3, m1, m2)
+        w, m1, m2 = factored_case(rng, hermitian, 6, 4, 3)
         dense = w.to_dense()
         for _ in range(10):
-            f = random_complex(rng, 4)
+            f = random_complex(rng, w.shape[0])
             expected = dense.conj().T @ m2.apply(f)
             assert np.linalg.norm(w.left_action(m2, f) - expected) <= 1e-12 * np.linalg.norm(
                 expected
@@ -95,6 +106,25 @@ class TestHermitianAction:
             e = random_complex(rng, 6)
             expected = dense @ m.apply(e)
             assert np.linalg.norm(w.action(m, e) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_right_left_and_factors_are_one_array(self):
+        w = random_hermitian_factored(np.random.default_rng(12), 6, 3, EuclideanMetric(6))
+        assert w.right is w.factors and w.left is w.factors
+        assert w.shape == (6, 6) and w.dim == 6
+
+    def test_carry_holds_the_images_under_right(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        m = random_spd_metric(rng, 6)
+        w = random_hermitian_factored(rng, 6, 3, m, signed=True)
+        images = np.stack([m.apply(col) for col in w.factors.T], axis=1)
+        assert w.carry((m, m), (images, images)) is w
+        assert np.array_equal(carried_images(w, "right", m), images.conj())
+        assert carried_images(w, "left", m) is None
+        # the action pairs e with the carried images and applies no metric
+        e = random_complex(rng, 6)
+        expected = w.to_dense() @ m.apply(e)
+        monkeypatch.setattr(m, "apply", lambda x: pytest.fail("metric applied"))
+        assert np.linalg.norm(w.action(m, e) - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestSvdToEvd:
@@ -216,10 +246,30 @@ class TestInvariants:
         tensor_sq = tensor_inner(w.to_dense(), w.to_dense(), m1.to_dense(), m2.to_dense())
         assert tensor_sq == pytest.approx(float(np.sum(w.values**2)), abs=1e-10)
 
-    def test_pruning_drops_tiny_values(self):
-        w = FactoredTensor(
-            right=np.eye(3, dtype=complex),
-            left=np.eye(3, dtype=complex),
-            values=np.array([1.0, 1e-10, 1e-16]),
-        )
-        assert w.pruned().rank == 2
+    @KINDS
+    def test_pruning_drops_tiny_values(self, hermitian):
+        if hermitian:
+            # signed values: the tiny negative one goes, the large negative one stays
+            values, kept = np.array([1.0, 1e-10, -1e-16, -0.5]), [0, 1, 3]
+            w = HermitianFactored(factors=np.eye(4, dtype=complex), values=values)
+        else:
+            values, kept = np.array([1.0, 1e-10, 1e-16]), [0, 1]
+            w = FactoredTensor(
+                right=np.eye(3, dtype=complex), left=np.eye(3, dtype=complex), values=values
+            )
+        out = w.pruned()
+        assert type(out) is type(w)
+        assert np.array_equal(out.values, values[kept])
+        assert np.array_equal(out.right, w.right[:, kept])
+        assert np.array_equal(out.left, w.left[:, kept])
+        assert (out.left is out.right) == hermitian
+
+    @KINDS
+    def test_scaling_keeps_the_kind_and_signs(self, hermitian):
+        rng = np.random.default_rng(14)
+        w, _, _ = factored_case(rng, hermitian, 5, 4, 3)
+        out = w.scaled(2.5)
+        assert type(out) is type(w)
+        assert np.array_equal(out.values, 2.5 * w.values)
+        assert np.allclose(out.to_dense(), 2.5 * w.to_dense(), atol=1e-14)
+        assert (out.left is out.right) == hermitian

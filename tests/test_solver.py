@@ -322,6 +322,17 @@ class TestStepSizes:
         assert run_primal_dual(qmap, np.array([4.0]), given).step_norm is None
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_rejects_a_seed_that_is_no_nonnegative_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            SolverConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(3), np.uint32(2)])
+    def test_accepts_python_and_numpy_integers(self, seed):
+        assert SolverConfig(seed=seed).seed == seed
+
+
 class TestRunPrimalDual:
     def test_zero_data_zero_solution(self):
         qmap = scalar_quadratic()
@@ -491,6 +502,17 @@ class TestRunForwardBackward:
         cfg = SolverConfig(tau=0.5, sigma=0.5, validate_steps=False)
         with pytest.raises(ConfigError):
             run_forward_backward(qmap, np.zeros(1), cfg)
+
+    @pytest.mark.parametrize("tau, valid", [(1.5, True), (2.0, False), (1e6, False)])
+    def test_step_rule_validation(self, tau, valid):
+        # the step must satisfy tau |A|^2 < 2; here |A| = 1, estimated with a 5 % margin
+        qmap = scalar_quadratic()
+        cfg = SolverConfig(tau=tau, fidelity=Fidelity.tikhonov(), ell=1, k=2, max_iter=3)
+        if valid:
+            assert run_forward_backward(qmap, np.array([1.0]), cfg).step_norm is not None
+        else:
+            with pytest.raises(ConfigError, match=r"tau\*\|B\|\^2 < 2"):
+                run_forward_backward(qmap, np.array([1.0]), cfg)
 
     def test_zero_data(self):
         qmap = scalar_quadratic()

@@ -896,7 +896,7 @@ class TestCarriedFactorImages:
     def sides(tensor, hermitian, metrics):
         """(side, factors, metric) of every factor block of ``tensor``."""
         if hermitian:
-            return [("factors", tensor.factors, metrics[0])]
+            return [("right", tensor.factors, metrics[0])]
         return [("right", tensor.right, metrics[0]), ("left", tensor.left, metrics[1])]
 
     def case(self, hermitian, kind):
