@@ -14,7 +14,7 @@ from .errors import (
     NoSolutionError,
     NumericalError,
 )
-from .lowrank import FactoredTensor, HermitianFactored, svd_to_evd
+from .lowrank import FactoredTensor, HermitianFactored
 from .metric import (
     EuclideanMetric,
     Metric,

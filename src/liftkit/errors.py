@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numbers
+
 
 class ConfigError(ValueError):
     """Invalid configuration, file header, or command-line input."""
@@ -26,3 +28,12 @@ class EngineError(NumericalError):
 
 class NoSolutionError(NumericalError):
     """A factorization has no usable leading component."""
+
+
+def check_integers(settings, *names):
+    """Raise ConfigError unless each named field of ``settings`` is a Python
+    or numpy integer; a JSON schema's integer type also admits 3.0."""
+    for name in names:
+        value = getattr(settings, name)
+        if not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")

@@ -162,10 +162,3 @@ class HermitianFactored(FactoredTensor):
             raise NoSolutionError("factorization has no positive leading component")
         return _phase_fix(np.sqrt(self.values[0]) * self.right[:, 0])
 
-
-def svd_to_evd(sigma, u, v, metric):
-    """Convert a singular triple of a symmetric tensor into a signed eigenvalue.
-
-    Returns sigma * Re[v^* H u]; the corresponding eigenvector is u.
-    """
-    return float(sigma) * metric.inner(u, v)

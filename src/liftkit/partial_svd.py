@@ -3,16 +3,16 @@
 Two engines work purely through operator actions in arbitrary metrics:
 subspace iteration with Ritz acceleration, and a Krylov engine with
 augmented (thick) restarts.  Both return leading triples together with
-per-triple residual estimates, and both stop by one rule, ``_stopped``.  The
-Krylov engine runs its first pass, each thick restart and each re-entry after
-an exhausted Krylov space through one loop over one pass state: Golub-Kahan
-bidiagonalization (``LanczosFactorization``, two actions per column) for a
-general oracle, or, for an oracle the caller declares Hermitian, Hermitian
-Lanczos (one action per column), which returns signed eigenvalues, largest
-first.  Both fill one real projected matrix, decomposed at most once per
-column count: a pass that ends on a checked column hands the stop check's
-decomposition to the Ritz step.  Every random draw of an engine comes from
-the ``rng`` its caller passes.
+per-triple residual estimates, or, for an oracle the caller declares
+Hermitian, signed eigenpairs, largest first, at one action per column; both
+stop by one rule, ``_stopped``.  The Krylov engine runs its first pass, each
+thick restart and each re-entry after an exhausted Krylov space through one
+loop over one pass state: Golub-Kahan bidiagonalization
+(``LanczosFactorization``, two actions per column) for a general oracle, or
+Hermitian Lanczos for a Hermitian one.  Both fill one real projected matrix,
+decomposed at most once per column count: a pass that ends on a checked
+column hands the stop check's decomposition to the Ritz step.  Every random
+draw of an engine comes from the ``rng`` its caller passes.
 """
 
 from __future__ import annotations
@@ -188,16 +188,22 @@ def _stopped(values, residuals, ell, delta, norm_est, stop_below, empty_after=0)
     return cut is not None and (cut > 0 or values.size > empty_after), tol, cut
 
 
-def subspace_iterate(oracle, ell, delta, max_sweeps=300, rng=None, start=None, stop_below=None):
+def subspace_iterate(
+    oracle, ell, delta, max_sweeps=300, rng=None, start=None, stop_below=None, hermitian=False
+):
     """Orthogonal iteration with Ritz acceleration for the leading triples.
 
     Alternates left and right operator actions over an ell-dimensional
     subspace pair, reorthonormalizing in the respective metrics, and rotates
-    by the SVD of the small cross matrix.  It stops by ``_stopped`` with
-    every triple of the subspace required, the residual of triple m being
-    ``|w^* H2 v_m - sigma_m u_m|_{H1}``, or after ``max_sweeps`` sweeps, once
-    the residuals of the last one are known.  An operator that maps the
-    subspace to zero returns no triples.
+    by the SVD of the small cross matrix.  For an oracle the caller declares
+    Hermitian, a sweep is one-sided Rayleigh-Ritz: the images are both bases,
+    ``eigh`` gives signed eigenvalues, largest first, and the rotated actions
+    are the next images, so a sweep after the first costs one action per
+    column.  It stops by ``_stopped`` with every triple of the subspace
+    required, the residual of triple m being ``|w^* H2 v_m - sigma_m
+    u_m|_{H1}``, or after ``max_sweeps`` sweeps, once the residuals of the
+    last one are known.  An operator that maps the subspace to zero returns
+    no triples.
     """
     if ell < 1 or delta <= 0 or max_sweeps < 1:
         raise ValueError("need ell >= 1, delta > 0 and max_sweeps >= 1")
@@ -217,10 +223,11 @@ def subspace_iterate(oracle, ell, delta, max_sweeps=300, rng=None, start=None, s
 
     norm_est = float(oracle.norm_estimate or 0.0)
     history = []
-    values = None
+    values = images = None
 
     for sweep in range(max_sweeps + 1):
-        images = [oracle.left(v) for v in v_cols]
+        if images is None:
+            images = [oracle.left(v) for v in v_cols]
 
         if values is not None:
             residuals = np.array(
@@ -243,22 +250,28 @@ def subspace_iterate(oracle, ell, delta, max_sweeps=300, rng=None, start=None, s
 
         e_cols = orthonormalize(images, m1)
         raw = [oracle.right(e) for e in e_cols]
-        f_cols = orthonormalize(raw, m2)
+        f_cols = e_cols if hermitian else orthonormalize(raw, m2)
         if not f_cols:
             return _empty_psvd(n1, n2, sweeps=sweep + 1, sweep_history=history)
 
         hf = [m2.apply(f) for f in f_cols]
-        cross = np.asarray(hf).conj() @ np.asarray(raw).T
-        y_small, sig, zh_small = np.linalg.svd(cross)
-        r = sig.shape[0]
+        raw_mat = np.asarray(raw).T
+        cross = np.asarray(hf).conj() @ raw_mat
         e_mat = np.stack(e_cols, axis=1)
-        f_mat = np.stack(f_cols, axis=1)
-        u_mat = e_mat @ zh_small.conj().T[:, :r]
-        v_mat = f_mat @ y_small[:, :r]
-        values = sig
-        v_cols = [v_mat[:, j] for j in range(r)]
-        norm_est = max(norm_est, float(sig[0]) if r else 0.0)
-        history.append(sig.copy())
+        if hermitian:
+            lam, rot = np.linalg.eigh(0.5 * (cross + cross.conj().T))
+            values, rot = lam[::-1], rot[:, ::-1]
+            u_mat = v_mat = e_mat @ rot
+            images = list((raw_mat @ rot).T)
+        else:
+            y_small, values, zh_small = np.linalg.svd(cross)
+            r = values.shape[0]
+            u_mat = e_mat @ zh_small.conj().T[:, :r]
+            v_mat = np.stack(f_cols, axis=1) @ y_small[:, :r]
+            v_cols = list(v_mat.T)
+            images = None
+        norm_est = max(norm_est, float(np.max(np.abs(values), initial=0.0)))
+        history.append(values.copy())
 
 
 class _KrylovPass:

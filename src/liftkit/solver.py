@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, check_integers
 from .lowrank import FactoredTensor, HermitianFactored
 from .metric import ReweightedMetric, orthonormalize
 from .operators import (
@@ -89,6 +89,7 @@ class ReweightSettings:
     max_promoted: int = 5
 
     def __post_init__(self):
+        check_integers(self, "period", "max_promoted")
         if not 0.0 <= self.weight <= 1.0:
             raise ConfigError("reweight weight must lie in [0, 1]")
         if self.period < 1 or self.max_promoted < 1:
@@ -124,6 +125,7 @@ class SolverConfig:
     normalize_data: bool = True
 
     def __post_init__(self):
+        check_integers(self, "max_iter", "seed")
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError("theta must lie in [0, 1]")
         if not 0 <= self.alpha_reg < math.inf:
@@ -136,8 +138,8 @@ class SolverConfig:
             raise ConfigError("max_iter must be positive")
         if not 0 <= self.tol < math.inf:
             raise ConfigError("tol must be finite and nonnegative")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed!r}")
         self.threshold_config(0.0)
 
     def threshold_config(self, tau, delta=None):

@@ -18,14 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EngineError
+from .errors import ConfigError, EngineError, check_integers
 from .lowrank import (
     DEFAULT_RANK_CAP,
     PRUNE_REL,
     FactoredTensor,
     HermitianFactored,
     carried_images,
-    svd_to_evd,
 )
 from .partial_svd import augmented_restart, subspace_iterate
 
@@ -77,6 +76,7 @@ class ThresholdConfig:
     rank_cap: int = DEFAULT_RANK_CAP
 
     def __post_init__(self):
+        check_integers(self, "ell", "k", "rank_cap")
         if not 0 <= self.tau < math.inf:
             raise ConfigError("threshold level must be finite and nonnegative")
         if not 0 < self.ell < self.k:
@@ -138,9 +138,9 @@ def _deflated_leading(oracle, psvd, span, cfg, rng, hermitian):
 def _adaptive_triples(oracle, cfg, rng, warm_start, hermitian):
     """Run the configured engine, growing the subspace until a value is
     certified below the threshold level behind a converged prefix (or the
-    rank is exhausted).  With ``hermitian`` the lanczos engine's triples are
-    eigenpairs with signed values; the subspace engine's are singular
-    triples either way.
+    rank is exhausted).  With ``hermitian`` both engines return eigenpairs
+    with signed values, largest first, and run on one action per column
+    (after the subspace engine's first sweep); otherwise singular triples.
 
     Each engine call starts from one warm iterate: the caller's, the last
     result after a growth, or none after a probe finds a hidden value.  A
@@ -163,7 +163,8 @@ def _adaptive_triples(oracle, cfg, rng, warm_start, hermitian):
         if cfg.engine == "subspace":
             start = None if warm is None else list(warm.left.T)
             psvd = subspace_iterate(
-                oracle, ell, cfg.delta, rng=rng, start=start, stop_below=cfg.tau
+                oracle, ell, cfg.delta, rng=rng, start=start, stop_below=cfg.tau,
+                hermitian=hermitian,
             )
         else:
             psvd = augmented_restart(
@@ -267,14 +268,14 @@ def _factored(values, right, left, idx, hermitian, metrics, images):
 def _threshold(oracle, cfg, rng, warm_start, hermitian):
     """Soft-threshold the oracle's spectrum at cfg.tau; the path behind svt and evt.
 
-    For symmetric oracles the lanczos engine returns signed eigenvalues; the
-    subspace engine's singular triples are converted.  The result carries
-    ``restarts`` (summed over engine calls), ``norm_estimate`` (nonnegative),
-    ``actions`` (the oracle calls made here) and ``ritz_pairs``, which a
-    caller passes as the next call's ``warm_start``: the final engine call's
-    converged triples (its leading one when none converged), weighted by
-    max(value, 0); None from the dense engine.  Both are read off the engine
-    result in one pass, carrying the metric images its pass rotated.
+    For symmetric oracles every engine returns signed eigenvalues, largest
+    first.  The result carries ``restarts`` (summed over engine calls),
+    ``norm_estimate`` (nonnegative), ``actions`` (the oracle calls made here)
+    and ``ritz_pairs``, which a caller passes as the next call's
+    ``warm_start``: the final engine call's converged triples (its leading
+    one when none converged), weighted by max(value, 0); None from the dense
+    engine.  Both are read off the engine result in one pass, carrying the
+    metric images its pass rotated.
     """
     calls = oracle.calls
     images = pairs = None
@@ -285,13 +286,6 @@ def _threshold(oracle, cfg, rng, warm_start, hermitian):
     else:
         psvd, keep, restarts = _adaptive_triples(oracle, cfg, rng, warm_start, hermitian)
         values, right, left = psvd.values, psvd.right_vectors, psvd.left_vectors
-        if hermitian and cfg.engine == "subspace":
-            metric = oracle.metrics[0]
-            values = np.array(
-                [svd_to_evd(s, right[:, i], left[:, i], metric) for i, s in enumerate(values)]
-            )
-            keep = keep[values[keep] > cfg.tau]
-            keep = keep[np.argsort(-values[keep])]
         images, norm = psvd.images, psvd.norm_estimate
         conv = (psvd.residuals <= psvd.tol).nonzero()[0]
         idx = conv if conv.size else np.arange(min(psvd.count, 1))

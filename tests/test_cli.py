@@ -479,6 +479,13 @@ BAD_SOLVER_SETTINGS = {
     # json reads NaN, and the schema's number type accepts it
     "tau-nan": {"tau": float("nan")},
     "eps-negative": {"eps": -1},
+    # the schema's integer type accepts 3.0; the config classes do not
+    "ell-float": {"ell": 3.0},
+    "k-float": {"k": 10.0},
+    "rank-cap-float": {"rank_cap": 4.0},
+    "max-iter-float": {"max_iter": 5.0},
+    "reweight-period-float": {"reweight": {"period": 5.0}},
+    "max-promoted-float": {"reweight": {"max_promoted": 2.0}},
 }
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from liftkit.errors import NoSolutionError
-from liftkit.lowrank import FactoredTensor, HermitianFactored, carried_images, svd_to_evd
+from liftkit.lowrank import FactoredTensor, HermitianFactored, carried_images
 from liftkit.metric import EuclideanMetric
 
 from helpers import (
@@ -125,32 +125,6 @@ class TestHermitianAction:
         expected = w.to_dense() @ m.apply(e)
         monkeypatch.setattr(m, "apply", lambda x: pytest.fail("metric applied"))
         assert np.linalg.norm(w.action(m, e) - expected) <= 1e-12 * np.linalg.norm(expected)
-
-
-class TestSvdToEvd:
-    def test_aligned_pair(self):
-        rng = np.random.default_rng(4)
-        m = EuclideanMetric(4)
-        u = random_complex(rng, 4)
-        u /= m.norm(u)
-        assert svd_to_evd(3.0, u, u, m) == pytest.approx(3.0, abs=1e-12)
-
-    def test_antialigned_pair(self):
-        rng = np.random.default_rng(5)
-        m = EuclideanMetric(4)
-        u = random_complex(rng, 4)
-        u /= m.norm(u)
-        assert svd_to_evd(3.0, u, -u, m) == pytest.approx(-3.0, abs=1e-12)
-
-    def test_two_by_two_indefinite(self):
-        w = np.diag([2.0, -3.0]).astype(complex)
-        m = EuclideanMetric(2)
-        y, sig, zh = np.linalg.svd(w)
-        lams = sorted(
-            svd_to_evd(sig[i], zh.conj().T[:, i], y[:, i], m) for i in range(2)
-        )
-        assert lams[0] == pytest.approx(-3.0, abs=1e-12)
-        assert lams[1] == pytest.approx(2.0, abs=1e-12)
 
 
 class TestProjectiveNorm:

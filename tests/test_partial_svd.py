@@ -15,6 +15,7 @@ from liftkit.partial_svd import (
 
 from helpers import (
     DenseMetric,
+    dense_weighted_evd,
     dense_weighted_svd,
     metric_sqrt,
     oracle_from_dense,
@@ -58,6 +59,27 @@ class TestSubspaceIterate:
         assert out.converged
         assert out.count == 0 and out.exact
         assert np.allclose(out.values, 0.0)
+
+    def test_hermitian_signed_values_match_dense(self):
+        # the three values of largest modulus, two of them of one sign,
+        # come back as signed eigenpairs, largest first
+        rng = np.random.default_rng(3)
+        n = 12
+        m = random_spd_metric(rng, n)
+        _, inv_root = metric_sqrt(m.to_dense())
+        q, _ = np.linalg.qr(random_complex(rng, n * n).reshape(n, n))
+        lam = np.concatenate([[4.0, -3.0, 2.0], rng.uniform(-0.5, 0.5, size=n - 3)])
+        w = inv_root @ (q * lam) @ q.conj().T @ inv_root.conj().T
+        out = subspace_iterate(oracle_from_dense(w, m, m), 3, 1e-11, rng=rng, hermitian=True)
+        ref, vecs = dense_weighted_evd(w, m.to_dense())
+        assert out.converged
+        assert np.allclose(out.values, [4.0, 2.0, -3.0], atol=1e-9)
+        assert np.allclose(out.values, ref[[0, 1, -1]], atol=1e-9)
+        assert out.right_vectors is out.left_vectors
+        h = m.to_dense()
+        for j, col in enumerate((0, 1, n - 1)):
+            overlap = vecs[:, col].conj() @ h @ out.right_vectors[:, j]
+            assert abs(overlap) == pytest.approx(1.0, abs=1e-8)
 
     def test_max_sweeps_flag(self):
         rng = np.random.default_rng(1)
@@ -428,14 +450,23 @@ class TestOrthonormalityAndCalls:
         off = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off)) <= 1e-8
 
-    def test_subspace_call_budget(self):
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_subspace_call_budget(self, hermitian):
         rng = np.random.default_rng(16)
         w = random_complex(rng, 100).reshape(10, 10)
+        if hermitian:
+            w = w + w.conj().T
         oracle = euclid_oracle(w)
         ell = 3
-        out = subspace_iterate(oracle, ell, 1e-9, rng=rng)
+        out = subspace_iterate(oracle, ell, 1e-9, rng=rng, hermitian=hermitian)
         assert out.converged
-        assert oracle.calls <= 2 * ell * (out.sweeps + 1)
+        if hermitian:
+            # 2 ell actions in the first sweep; a later sweep's images are
+            # the last one's rotated actions, so it acts ell times
+            assert out.sweeps > 1
+            assert oracle.calls == 2 * ell + ell * (out.sweeps - 1)
+        else:
+            assert oracle.calls <= 2 * ell * (out.sweeps + 1)
 
     def test_lanczos_call_budget(self):
         rng = np.random.default_rng(17)

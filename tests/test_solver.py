@@ -332,6 +332,26 @@ class TestSolverConfig:
     def test_accepts_python_and_numpy_integers(self, seed):
         assert SolverConfig(seed=seed).seed == seed
 
+    @pytest.mark.parametrize(
+        "field, value", [("ell", 3.0), ("k", 10.0), ("rank_cap", 4.0), ("max_iter", 5.0)]
+    )
+    def test_rejects_a_float_count(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["period", "max_promoted"])
+    def test_reweight_rejects_a_float_count(self, field):
+        with pytest.raises(ConfigError, match=field):
+            ReweightSettings(**{field: 5.0})
+
+    def test_accepts_numpy_integer_counts(self):
+        reweight = ReweightSettings(period=np.int64(5), max_promoted=np.int8(2))
+        cfg = SolverConfig(
+            ell=np.int64(3), k=np.int32(6), rank_cap=np.int64(4), max_iter=np.uint16(5),
+            reweight=reweight,
+        )
+        assert cfg.threshold_config(0.1).ell == 3 and cfg.reweight.period == 5
+
 
 class TestRunPrimalDual:
     def test_zero_data_zero_solution(self):

@@ -568,6 +568,21 @@ class TestStartBelowLevel:
             assert out.rank == 4, draw
             assert np.max(np.abs(out.to_dense() - dense_evt(w, m.to_dense(), 0.5))) <= 1e-8
 
+    @pytest.mark.parametrize("kind", ["spd", "reweighted"])
+    def test_evt_subspace_start_crowded_by_negative_values(self, kind):
+        # the five values of largest modulus are negative, so the first
+        # subspace holds nothing above the level; the probe behind its cut
+        # finds the 1.0 and the growth to the cap keeps it
+        rng = np.random.default_rng(111)
+        for draw in range(3):
+            top = [1.0, -5.0, -4.0, -3.0, -2.0, -1.5]
+            w, m, _, _ = TestHermitianPass.problem(rng, kind, top=top)
+            cfg = ThresholdConfig(
+                tau=0.5, ell=5, k=10, delta=DELTA, engine="subspace", rank_cap=10
+            )
+            out = evt(oracle_from_dense(w, m, m), cfg, rng=rng)
+            assert out.rank == 1, draw
+            assert np.max(np.abs(out.to_dense() - dense_evt(w, m.to_dense(), 0.5))) <= 1e-8
 
 
 class TestGrowthToCap:
