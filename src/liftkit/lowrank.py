@@ -43,12 +43,15 @@ def _act(tensor, side, factors, into, metric, e):
     return into @ (tensor.values * (held[1].T @ e))
 
 
+def _phase_factor(u):
+    """The unit factor that makes the largest-magnitude entry of u real
+    positive (1 for a zero u)."""
+    pivot = u[int(np.argmax(np.abs(u)))]
+    return np.conj(pivot) / np.abs(pivot) if pivot else 1.0
+
+
 def _phase_fix(u):
-    idx = int(np.argmax(np.abs(u)))
-    pivot = u[idx]
-    if np.abs(pivot) > 0:
-        return u * (np.conj(pivot) / np.abs(pivot))
-    return u
+    return u * _phase_factor(u)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.fft import dct, dctn, idctn
 
 from .errors import ConfigError, MetricSolveError
-from .lowrank import _phase_fix
+from .lowrank import _phase_factor
 
 # The Sobolev inverse uses DCT-II matrices while its matrix work per plane,
 # n2 * n1 * (n2 + n1) real multiply-adds for one product pair, stays at or
@@ -33,6 +33,10 @@ from .lowrank import _phase_fix
 # 96x96 (1,769,472) the n^3 products lose (379-386 against 322-345 us;
 # 0.92 against 0.62 ms at 128x128).
 DENSE_DCT_MAX_WORK = 1_400_000
+
+# a projected metric image is kept while the projection leaves at least this
+# fraction of the vector's norm; below it the metric is applied afresh
+CARRY_MIN_NORM = 0.5
 
 
 class SobolevStencil:
@@ -72,6 +76,8 @@ class Metric:
     """Base class: a symmetric positive definite inner-product structure."""
 
     kind = "abstract"
+    # a positive lower bound on the eigenvalues of H, None where unknown
+    spectral_floor = None
 
     def __init__(self, dim):
         self.dim = int(dim)
@@ -117,6 +123,7 @@ class Metric:
 
 class EuclideanMetric(Metric):
     kind = "euclidean"
+    spectral_floor = 1.0
 
     def apply(self, x):
         self._check(x)
@@ -193,6 +200,8 @@ class SobolevMetric(Metric):
             raise ConfigError(f"weights must be finite with mu_I > 0, mu_D1, mu_D2 >= 0, got {mu}")
         self.grid_shape = (int(shape[0]), int(shape[1]))
         self.mu = mu
+        # the spectrum below is smallest at the constant image
+        self.spectral_floor = mu[0]
         self.stencil = SobolevStencil(self.grid_shape)  # also checks the shape
         super().__init__(self.grid_shape[0] * self.grid_shape[1])
         n2, n1 = self.grid_shape
@@ -316,27 +325,36 @@ def project_out(vec, basis, applied):
     return vec - second @ basis, first + second
 
 
-def orthonormalize(vectors, metric, drop_tol=1e-10):
+def orthonormalize(vectors, metric, drop_tol=1e-10, images=False):
     """Gram-Schmidt in the metric's inner product.
 
     The span of the first m outputs equals the span of the first m inputs;
     vectors that are dependent beyond ``drop_tol`` (relative to their input
     norm) are dropped, so the returned list may be shorter than the input.
     Each output is scaled so that its largest-magnitude entry is real
-    positive, which fixes the free global phase.
+    positive, which fixes the free global phase.  With ``images`` the
+    outputs' metric images come back too, as a second list.
+
+    Each input's image is taken once and projected alongside it, unless the
+    projection removed most of the input (less than ``CARRY_MIN_NORM`` of
+    its norm is left), where the projected image would lose digits to
+    cancellation and the metric is applied again.
     """
     kept = []
     kept_applied = []
     for v in vectors:
-        q = np.asarray(v, dtype=complex).copy()
-        orig = metric.norm(q)
+        q = np.asarray(v, dtype=complex)
+        hq, orig = metric.apply_and_norm(q)
         if orig == 0.0:
             continue
-        q, _ = project_out(q, kept, kept_applied)
-        nrm = metric.norm(q)
+        q, coeff = project_out(q, kept, kept_applied)
+        hq = hq - coeff @ kept_applied if kept else hq
+        nrm = math.sqrt(max(np.vdot(q, hq).real, 0.0))
+        if nrm < CARRY_MIN_NORM * orig:
+            hq, nrm = metric.apply_and_norm(q)
         if nrm <= drop_tol * orig:
             continue
-        q = _phase_fix(q / nrm)
-        kept.append(q)
-        kept_applied.append(metric.apply(q))
-    return kept
+        phase = _phase_factor(q) / nrm
+        kept.append(q * phase)
+        kept_applied.append(hq * phase)
+    return (kept, kept_applied) if images else kept

@@ -45,6 +45,12 @@ class BilinearMap:
         them.  No candidates by default: the estimate then starts at random."""
         return iter(())
 
+    def adjoint_bound(self):
+        """A bound K such that, at every y, the tensor whose actions the
+        partial adjoints give has largest singular value in ``h1``/``h2`` at
+        most K max_k |y_k|; None (no bound) by default."""
+        return None
+
     def partial_adjoint_left(self, y, e):
         """Adjoint of v -> B(e, v); maps data space into the left space."""
         raise NotImplementedError
@@ -66,6 +72,12 @@ class QuadraticMap:
     def sym_adjoint_action(self, y, e):
         """Action of the symmetric adjoint lifting, resolved against h."""
         raise NotImplementedError
+
+    def adjoint_bound(self):
+        """A bound K such that e -> sym_adjoint_action(y, e) has operator
+        norm at most K max_k |y_k| in ``h``, for every y; None (no bound) by
+        default."""
+        return None
 
     def bilinear(self):
         """The associated bilinear map."""

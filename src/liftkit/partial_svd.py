@@ -22,12 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import orthonormalize, project_out
+from .metric import CARRY_MIN_NORM, orthonormalize, project_out
 
 BREAKDOWN_REL = 1e-13
-# a carried metric image is kept while the projection leaves at least this
-# much of a unit vector; below it the metric is applied afresh
-CARRY_MIN_NORM = 0.5
 
 
 class ActionOracle:
@@ -248,13 +245,12 @@ def subspace_iterate(
                     cut=cut,
                 )
 
-        e_cols = orthonormalize(images, m1)
+        e_cols, he_cols = orthonormalize(images, m1, images=True)
         raw = [oracle.right(e) for e in e_cols]
-        f_cols = e_cols if hermitian else orthonormalize(raw, m2)
+        f_cols, hf = (e_cols, he_cols) if hermitian else orthonormalize(raw, m2, images=True)
         if not f_cols:
             return _empty_psvd(n1, n2, sweeps=sweep + 1, sweep_history=history)
 
-        hf = [m2.apply(f) for f in f_cols]
         raw_mat = np.asarray(raw).T
         cross = np.asarray(hf).conj() @ raw_mat
         e_mat = np.stack(e_cols, axis=1)

@@ -299,6 +299,18 @@ def sym_adjoint_action(problem, y, e):
     return MaskedFourierMap(problem).sym_adjoint_action(np.asarray(y), e).reshape(problem.shape)
 
 
+def _adjoint_bound(problem):
+    """K with |H^-1 D^* F^H diag(y) F D| <= K max|y| in the problem's metric:
+    the unscaled DFT multiplies norms by sqrt(m2 m1), the masks by at most
+    the root of their largest per-pixel energy, and H^-1 by at most one
+    over the metric's spectral floor."""
+    floor = problem.metric.spectral_floor
+    if floor is None:
+        return None
+    energy = float(np.max(np.sum(np.abs(problem.masks.array) ** 2, axis=0)))
+    return problem.m2 * problem.m1 * energy / floor
+
+
 class SpectralFactor(NamedTuple):
     """A factor image with its masked spectra (None until computed)."""
 
@@ -349,6 +361,9 @@ class MaskedFourierBilinear(BilinearMap):
         for mask in self.problem.masks.array:
             yield apply_inv(np.conj(mask).ravel())
 
+    def adjoint_bound(self):
+        return _adjoint_bound(self.problem)
+
     def _adjoint(self, coeff, vec):
         factor = self._factor(vec)
         coeff = coeff.reshape(self.problem.masks.count, self.problem.m2, self.problem.m1)
@@ -379,6 +394,9 @@ class MaskedFourierMap(QuadraticMap):
         coeff = y.real.reshape(self.bins)
         out = _sandwich(self.problem, coeff, e.reshape(self.shape))
         return self.h.apply_inv(out.ravel())
+
+    def adjoint_bound(self):
+        return _adjoint_bound(self.problem)
 
     def bilinear(self):
         return MaskedFourierBilinear(self.problem)

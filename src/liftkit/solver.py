@@ -10,6 +10,7 @@ formed; only its forward image is combined linearly.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -42,7 +43,9 @@ FIDELITY_KINDS = ("exact", "tikhonov", "epsball")
 # far from the solution needs no sharp cut (inexact primal-dual steps:
 # Rasch & Chambolle, Comput. Optim. Appl. 76, 2020).  Progress is measured
 # by the change of the forward image, which goes to zero at any fixed point;
-# the fidelity would stall at the noise level of noisy data.
+# the fidelity would stall at the noise level of noisy data.  While the
+# current and the previous iterate are empty, both images are zero and only
+# the dual moves, so progress is its relative change there.
 DELTA_PROGRESS = 0.1
 DELTA_MAX = 1e-2
 
@@ -103,8 +106,10 @@ class SolverConfig:
     ``tau``/``sigma`` default to 0.99 over the (safety-factored) operator
     norm estimate; ``alpha_reg`` scales the effective threshold level.
     ``delta`` is the floor of the per-iteration threshold tolerance
-    (``threshold_delta``): the first iteration and a settled solve threshold
-    at it, earlier iterations more loosely, at most at ``DELTA_MAX``.
+    (``threshold_delta``): a settled solve thresholds at it, earlier
+    iterations more loosely, at most at ``DELTA_MAX``.  The iterations from
+    the empty start run near ``DELTA_MAX``; with zero data, where nothing
+    moves, at the floor.
     """
 
     tau: float | None = None
@@ -242,11 +247,47 @@ def _threshold_oracle(state, cfg, problem):
     )
 
 
-def threshold_delta(cfg, image_change, g_norm):
+def threshold_delta(cfg, change, scale):
     """The relative threshold tolerance of an iteration whose last step moved
-    the forward image by ``image_change``: DELTA_PROGRESS times that change
-    over the data norm ``g_norm``, at most DELTA_MAX, at least ``cfg.delta``."""
-    return max(cfg.delta, min(DELTA_MAX, DELTA_PROGRESS * image_change / g_norm))
+    by ``change``: DELTA_PROGRESS times that change over ``scale``, at most
+    DELTA_MAX, at least ``cfg.delta``; the floor when ``scale`` is zero.
+
+    The loop passes the change of the forward image over the data norm, and,
+    while the current and the previous iterate are empty, the change of the
+    dual vector over its new norm.  No change reads as settled."""
+    if not scale:
+        return cfg.delta
+    return max(cfg.delta, min(DELTA_MAX, DELTA_PROGRESS * change / scale))
+
+
+def _rescaled_empty(reference, state, cfg, delta, adjoint_bound):
+    """The empty threshold result of an empty-start iteration, decided from
+    an earlier engine call's certificate at no action; None when it does
+    not decide it.
+
+    ``reference`` is (y_ref, result): an empty result of the argument
+    -tau A^*(y_ref) and its ``certificate``.  With y = c y_ref + r, c > 0 by
+    least squares, the argument -tau A^*(y) is c times that one plus
+    -tau A^*(r), whose norm is at most tau * adjoint_bound * max|r|, so by
+    Weyl's inequality its leading value is at most c * certificate plus that
+    slack.  It is empty when that stays below the level by the tolerance
+    this iteration's engine call would use.  The result has 0 actions and
+    restarts, and hands on the reference's ``ritz_pairs``, eigenpairs of the
+    same operator, as the next call's start.
+    """
+    y_ref, ref = reference
+    ref_sq = np.vdot(y_ref, y_ref).real
+    c = np.vdot(y_ref, state.y).real / ref_sq
+    if not c > 0:
+        return None
+    slack = cfg.tau * adjoint_bound * float(np.max(np.abs(state.y - c * y_ref)))
+    norm = c * ref.norm_estimate
+    tol = delta * max(state.norm_carry, norm, 1e-300)
+    if c * ref.certificate + slack >= cfg.tau * cfg.alpha_reg - tol:
+        return None
+    out = copy.copy(ref)
+    out.__dict__.update(restarts=0, norm_estimate=norm, actions=0, certificate=None)
+    return out
 
 
 def primal_step(state, cfg, problem, rng=None, delta=None):
@@ -267,9 +308,8 @@ def primal_step(state, cfg, problem, rng=None, delta=None):
 
 def _base_frame(factors, metric):
     """Metric-orthonormal basis Q of the factors' span and R = Q^* H X, so X = Q R."""
-    q = np.stack(orthonormalize(list(factors.T), metric), axis=1)
-    hq = np.stack([metric.apply(col) for col in q.T], axis=1)
-    return q, hq.conj().T @ factors
+    q, hq = orthonormalize(list(factors.T), metric, images=True)
+    return np.stack(q, axis=1), np.conj(hq) @ factors
 
 
 def reweight_step(state, cfg, base1, base2):
@@ -352,6 +392,13 @@ def _run(problem, g, cfg, sink, update_dual, step_norm):
     ``update_dual(state, g, images)`` returns the new dual vector from the
     forward images of the current and previous primal iterate, which are
     real for a quadratic map.  ``step_norm`` is handed to the result.
+
+    Until the first non-empty iterate every threshold argument is
+    -tau A^*(y), y a multiple of the first dual vector, so the last engine
+    call there that returned an empty result with a certificate decides the
+    next iterations by ``_rescaled_empty``, for a map with an adjoint bound.
+    The bound is for the base metrics, which the reweighting of an empty
+    iterate keeps.
     """
     g_work, scale = _prepare_data(g, cfg)
     if g_work.shape != (problem.data_dim,):
@@ -374,14 +421,28 @@ def _run(problem, g, cfg, sink, update_dual, step_norm):
     records = []
     converged = False
     g_norm = max(_norm(g_work), 1e-300)
+    adjoint_bound = problem.adjoint_bound()
+    # the empty start's (y, result) that decides its later iterations
+    shortcut, reference = adjoint_bound is not None, None
 
     for n in range(cfg.max_iter):
         t0 = time.perf_counter()
+        y_prev = state.y
         state.y = update_dual(state, g_work, (img_curr, img_prev))
         if not np.isfinite(state.y).all():
             raise NumericalError(f"dual vector became non-finite at iteration {n}")
-        delta = threshold_delta(cfg, _norm(img_curr - img_prev), g_norm)
-        w_new = primal_step(state, cfg, problem, rng=rng, delta=delta)
+        if state.w.rank or state.w_prev.rank:
+            delta = threshold_delta(cfg, _norm(img_curr - img_prev), g_norm)
+        else:
+            delta = threshold_delta(cfg, _norm(state.y - y_prev), _norm(state.y))
+        w_new = None
+        if shortcut and reference is not None:
+            w_new = _rescaled_empty(reference, state, cfg, delta, adjoint_bound)
+        if w_new is None:
+            w_new = primal_step(state, cfg, problem, rng=rng, delta=delta)
+            if shortcut and w_new.certificate is not None and state.y.any():
+                reference = (state.y, w_new)
+        shortcut = shortcut and not w_new.rank
         state.w_prev = state.w
         state.w = w_new
         state.n = n + 1

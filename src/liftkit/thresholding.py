@@ -275,7 +275,12 @@ def _threshold(oracle, cfg, rng, warm_start, hermitian):
     ``warm_start``: the final engine call's converged triples (its leading
     one when none converged), weighted by max(value, 0); None from the dense
     engine.  Both are read off the engine result in one pass, carrying the
-    metric images its pass rotated.
+    metric images its pass rotated.  An empty result also carries its
+    ``certificate``: the bound theta + r of the leading Ritz value (the
+    largest value, exactly, from the dense engine; 0 when the engine found no
+    value), which the verdict certified below the level, or None when the
+    verdict accepted the result uncertified at the rank cap; a non-empty
+    result carries None.
     """
     calls = oracle.calls
     images = pairs = None
@@ -283,10 +288,14 @@ def _threshold(oracle, cfg, rng, warm_start, hermitian):
         values, right, left = _dense_triples(oracle, hermitian)
         restarts, norm = 0, float(np.max(np.abs(values), initial=0.0))
         keep = (values > cfg.tau).nonzero()[0]
+        bound = float(values[0]) if values.size else 0.0
     else:
         psvd, keep, restarts = _adaptive_triples(oracle, cfg, rng, warm_start, hermitian)
         values, right, left = psvd.values, psvd.right_vectors, psvd.left_vectors
         images, norm = psvd.images, psvd.norm_estimate
+        bound = None
+        if psvd.cut is not None or psvd.exact:
+            bound = float(values[0] + psvd.residuals[0]) if values.size else 0.0
         conv = (psvd.residuals <= psvd.tol).nonzero()[0]
         idx = conv if conv.size else np.arange(min(psvd.count, 1))
         weights = np.maximum(values[idx], 0.0)
@@ -299,7 +308,8 @@ def _threshold(oracle, cfg, rng, warm_start, hermitian):
         keep, shifted = keep[large], shifted[large]
     out = _factored(shifted, right, left, keep, hermitian, oracle.metrics, images)
     out.__dict__.update(
-        restarts=restarts, norm_estimate=norm, actions=oracle.calls - calls, ritz_pairs=pairs
+        restarts=restarts, norm_estimate=norm, actions=oracle.calls - calls, ritz_pairs=pairs,
+        certificate=None if out.rank else bound,
     )
     return out
 

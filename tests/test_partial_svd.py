@@ -468,6 +468,37 @@ class TestOrthonormalityAndCalls:
         else:
             assert oracle.calls <= 2 * ell * (out.sweeps + 1)
 
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_subspace_metric_applies_per_sweep(self, hermitian, monkeypatch):
+        # besides the actions, a column takes one apply in each
+        # orthonormalization and one for its residual; the images that
+        # orthonormalize computes serve the projected matrix
+        rng = np.random.default_rng(18)
+        n, ell = 24, 4
+        m = random_spd_metric(rng, n)
+        a = random_complex(rng, n * n).reshape(n, n)
+        w = 0.5 * (a + a.conj().T) if hermitian else a
+        h = m.to_dense()
+        oracle = partial_svd.ActionOracle(
+            lambda e: w @ (h @ e), lambda f: w.conj().T @ (h @ f), (n, n), (m, m)
+        )
+        calls = []
+        apply = m.apply
+        monkeypatch.setattr(m, "apply", lambda x: calls.append(1) or apply(x))
+        out = subspace_iterate(oracle, ell, 1e-9, rng=rng, hermitian=hermitian)
+        assert out.converged and out.sweeps > 10
+        per_column = (1 if hermitian else 2) + 1
+        # the start's orthonormalization, and re-applies after a projection
+        # that removed most of a vector, are the slack
+        assert len(calls) <= per_column * ell * out.sweeps + 2 * ell + out.sweeps
+        if hermitian:
+            ref, _ = dense_weighted_evd(w, h)
+            ref = ref[np.argsort(-np.abs(ref))[:ell]]
+            assert np.allclose(np.sort(out.values), np.sort(ref), atol=1e-8)
+        else:
+            ref, _, _ = dense_weighted_svd(w, h, h)
+            assert np.allclose(out.values, ref[:ell], atol=1e-8)
+
     def test_lanczos_call_budget(self):
         rng = np.random.default_rng(17)
         w = random_complex(rng, 20 * 20).reshape(20, 20)

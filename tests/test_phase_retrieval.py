@@ -148,6 +148,45 @@ class TestSymAdjoint:
             assert lhs == pytest.approx(rhs, abs=1e-8 * max(1.0, abs(lhs)))
 
 
+class TestAdjointBound:
+    """Both Fourier maps bound their metric-resolved adjoint at y by
+    adjoint_bound() * max|y|, and the bound is reached in the Euclidean
+    metric by a constant y."""
+
+    @staticmethod
+    def resolved_norm(problem, adjoint):
+        """The largest singular value, in the problem's metric, of the tensor
+        whose right action is e -> adjoint(e)."""
+        h = problem.metric.to_dense()
+        vals, vecs = np.linalg.eigh(h)
+        root = (vecs * np.sqrt(vals)) @ vecs.conj().T
+        inv_root = (vecs / np.sqrt(vals)) @ vecs.conj().T
+        eye = np.eye(problem.metric.dim, dtype=complex)
+        mat = np.stack([adjoint(col) for col in eye.T], axis=1)
+        return np.linalg.norm(root @ mat @ inv_root, 2)
+
+    @pytest.mark.parametrize("metric_kind", ["euclidean", "sobolev"])
+    def test_bounds_the_resolved_adjoint(self, metric_kind):
+        rng = np.random.default_rng(14)
+        shape = (4, 5)
+        masks = make_gaussian_masks(shape, 3, seed=15)
+        problem = PRProblem(masks=masks, m2=8, m1=10, metric=default_metric(shape, metric_kind))
+        qmap, bmap = MaskedFourierMap(problem), MaskedFourierBilinear(problem)
+        bound = qmap.adjoint_bound()
+        assert bound == bmap.adjoint_bound() > 0
+        for _ in range(4):
+            y = rng.standard_normal(problem.data_dim)
+            sym = self.resolved_norm(problem, lambda e: qmap.sym_adjoint_action(y, e))
+            assert sym <= bound * np.max(np.abs(y))
+            z = random_complex(rng, problem.data_dim)
+            left = self.resolved_norm(problem, lambda e: bmap.partial_adjoint_left(z, e))
+            assert left <= bound * np.max(np.abs(z))
+        ones = np.ones(problem.data_dim)
+        reached = self.resolved_norm(problem, lambda e: qmap.sym_adjoint_action(ones, e))
+        if metric_kind == "euclidean":
+            assert reached == pytest.approx(bound, rel=1e-10)
+
+
 def full_grid_spectra(problem, image):
     """Unpruned reference: 2-D DFT of each mask-image product on the padded grid."""
     stack = problem.masks.array * image[None, :, :]

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,7 @@ from liftkit.solver import (
 
 from helpers import (
     DenseBilinear,
+    DenseMetric,
     DenseQuadratic,
     dense_weighted_evd,
     dense_weighted_svd,
@@ -456,7 +460,11 @@ class TestRunPrimalDual:
         per_iteration = np.diff([0] + after_each)
         assert [rec.actions for rec in res.log] == per_iteration.tolist()
         assert sum(rec.actions for rec in res.log) == counted[0] > 0
-        assert all(rec.actions > 0 for rec in res.log)
+        # only an empty-start iteration, decided by an earlier call's
+        # certificate, skips the engine
+        for i, rec in enumerate(res.log):
+            if rec.actions == 0:
+                assert i > 0 and all(r.rank == 0 for r in res.log[: i + 1])
 
     def test_epsball_dead_zone_keeps_start(self):
         qmap = scalar_quadratic()
@@ -631,8 +639,8 @@ class TestThresholdTolerance:
         g = np.real(qmap.apply(random_complex(rng, 4)))
         cfg = SolverConfig(ell=2, k=4, rank_cap=4, max_iter=40, seed=11, delta=1e-9)
         deltas = [rec.delta for rec in run_primal_dual(qmap, g, cfg).log]
-        # the first iteration starts from zero images
-        assert deltas[0] == 1e-9
+        # the first iteration starts from zero images and moves only the dual
+        assert deltas[0] == DELTA_MAX
         assert all(1e-9 <= d <= DELTA_MAX for d in deltas)
         assert max(deltas) > 1e-9
 
@@ -675,3 +683,114 @@ class TestThresholdTolerance:
             images.append(image)
         # measured 5.1e-5; both solves stop at a fidelity of 1e-4
         assert error_up_to_phase(images[0], images[1]) <= 5e-4
+
+
+EMPTY_START_FIDELITIES = {
+    "exact": Fidelity.exact(),
+    "tikhonov": Fidelity.tikhonov(),
+    "epsball": Fidelity.eps_ball(0.05),
+}
+
+
+def empty_start_problem(kind, **settings):
+    """An 8x8 phase-retrieval problem with exact data whose solve, with the
+    fidelity ``kind``, starts with three empty iterates: reweighting halves
+    the steps.  ``settings`` override the config's."""
+    problem, g = phase_problem(4, seed=3)
+    problem.g = g
+    settings = {"max_iter": 30, "tol": 0.0, "seed": 0, **settings}
+    cfg = SolverConfig(
+        fidelity=EMPTY_START_FIDELITIES[kind],
+        reweight=ReweightSettings(enabled=True, period=settings.pop("period", 10)),
+        **settings,
+    )
+    return problem, cfg
+
+
+def first_nonempty(log):
+    return next(rec for rec in log if rec.rank)
+
+
+class TestEmptyStart:
+    """Until the first non-empty iterate every threshold argument is a
+    positive multiple of -tau A^*(y) at the first dual vector y: those
+    iterations run at a loose tolerance, and an engine call's certificate,
+    rescaled, decides the later ones at no action."""
+
+    @pytest.mark.parametrize("kind", sorted(EMPTY_START_FIDELITIES))
+    def test_skipped_records_follow_only_empty_ones(self, kind):
+        problem, cfg = empty_start_problem(kind)
+        _, res = recover(problem, cfg)
+        skipped = [i for i, rec in enumerate(res.log) if rec.actions == 0]
+        assert skipped
+        for i in skipped:
+            assert res.log[i].rank == 0 and res.log[i].restarts == 0
+            assert all(rec.rank == 0 for rec in res.log[:i])
+        # only the dual moves there, by a relative 1/n
+        first = first_nonempty(res.log)
+        assert all(rec.delta == DELTA_MAX for rec in res.log[: first.n])
+
+    @pytest.mark.parametrize("period", [10, 1])
+    @pytest.mark.parametrize("kind", sorted(EMPTY_START_FIDELITIES))
+    def test_first_nonempty_iterate_matches_the_engine_run(self, kind, period, monkeypatch):
+        # period 1 reweights every empty iterate, which keeps the base metrics
+        problem, cfg = empty_start_problem(kind, period=period)
+        tau = solver._resolve_steps(MaskedFourierMap(problem), cfg)[0].tau
+        _, res = recover(problem, cfg)
+        monkeypatch.setattr(solver, "_rescaled_empty", lambda *args: None)
+        _, ref = recover(problem, cfg)
+        assert any(rec.actions == 0 for rec in res.log)
+        assert all(rec.actions > 0 for rec in ref.log)
+        mine, theirs = first_nonempty(res.log), first_nonempty(ref.log)
+        assert mine.n == theirs.n > 1
+        # the engine's tol is delta times the argument's norm, which is at
+        # least the level plus the leading shifted value
+        tol = mine.delta * (tau * cfg.alpha_reg + mine.values[0])
+        assert len(mine.values) == len(theirs.values)
+        assert np.allclose(mine.values, theirs.values, rtol=0.0, atol=tol)
+
+    def test_never_fires_once_an_iterate_was_nonempty(self, monkeypatch):
+        # a large alpha makes a long empty start and, later, two empty
+        # iterates in a row, where both forward images are zero again
+        problem, cfg = empty_start_problem("exact", alpha_reg=5.0, max_iter=40)
+        asked = []
+        rescaled = solver._rescaled_empty
+
+        def spy(reference, state, *args):
+            asked.append(state.n)
+            return rescaled(reference, state, *args)
+
+        monkeypatch.setattr(solver, "_rescaled_empty", spy)
+        _, res = recover(problem, cfg)
+        ranks = [rec.rank for rec in res.log]
+        first = first_nonempty(res.log).n - 1
+        assert any(ranks[i] == ranks[i + 1] == 0 for i in range(first, len(ranks) - 1))
+        # asked last at the iteration that made the first non-empty iterate
+        assert asked and max(asked) == first
+        assert all(rec.actions > 0 for rec in res.log[first:])
+
+    def test_a_map_without_an_adjoint_bound_takes_no_shortcut(self):
+        # a metric with no spectral floor leaves the map without a bound
+        problem, cfg = empty_start_problem("exact")
+        problem.metric = DenseMetric(np.eye(64))
+        assert MaskedFourierMap(problem).adjoint_bound() is None
+        _, res = recover(problem, cfg)
+        assert first_nonempty(res.log).n > 1
+        assert all(rec.actions > 0 for rec in res.log)
+
+    @pytest.mark.parametrize("case", ["zero data", "dead zone"])
+    def test_a_dual_that_stays_zero_warns_nothing(self, case):
+        # nothing moves, so the tolerance stays at the floor and no
+        # certificate is kept: there is no multiple of a zero dual vector
+        problem, cfg = empty_start_problem("exact")
+        if case == "zero data":
+            problem.g = np.zeros_like(problem.g)
+        else:
+            # the normalized data lie inside the ball
+            cfg = replace(cfg, fidelity=Fidelity.eps_ball(2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, res = recover(problem, cfg)
+        assert not res.y.any()
+        assert all(rec.rank == 0 and rec.actions > 0 for rec in res.log)
+        assert [rec.delta for rec in res.log] == [cfg.delta] * len(res.log)

@@ -643,6 +643,31 @@ class TestThresholdStatistics:
         if engine == "dense":
             assert out.norm_estimate == pytest.approx(2.0, rel=1e-10)
 
+    # the subspace engine may cut after one sweep from a random start, where
+    # theta + r bounds some eigenvalue, not always the leading one
+    @pytest.mark.parametrize("engine", ["lanczos", "dense"])
+    @pytest.mark.parametrize("hermitian", [False, True], ids=["svt", "evt"])
+    def test_an_empty_result_certifies_its_leading_value(self, engine, hermitian):
+        # the certificate bounds the leading value (eigenvalue for evt,
+        # singular value for svt) from above and stays below the level
+        rng = np.random.default_rng(62)
+        n = 12
+        m1 = random_spd_metric(rng, n)
+        m2 = m1 if hermitian else random_spd_metric(rng, n)
+        values = [1.0, 0.7, 0.5, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.0, 0.0, 0.0]
+        if hermitian:
+            values[6:9] = [-0.6, -0.4, -0.02]
+        w = operator_with_factors(rng, values, m1, None if hermitian else m2)[0]
+        threshold = evt if hermitian else svt
+        for tau in (1.2, 0.8):
+            cfg = ThresholdConfig(tau=tau, ell=2, k=4, engine=engine, rank_cap=6)
+            out = threshold(oracle_from_dense(w, m1, m2), cfg, rng=rng)
+            if tau > 1.0:
+                assert out.rank == 0
+                assert 1.0 - 1e-10 <= out.certificate < tau - cfg.delta
+            else:
+                assert out.rank == 1 and out.certificate is None
+
 
 class TestWholeSpacePass:
     """A pass whose right basis spans the whole space is exact, so the cut
