@@ -8,7 +8,8 @@ outside of diagnostics.  An action in a metric H pairs e with the H-images of
 the factors, u_k^* H e = (H u_k)^* e, so H is applied to the factors once per
 metric, not to every e, and not at all in a metric whose images the tensor was
 built with (``carry``): a thresholded iterate and its Ritz pairs carry the
-images their engine pass rotated.
+images their engine pass rotated, and a selection of columns (``pruned``,
+``scaled``) keeps the images of the columns it keeps.
 """
 
 from __future__ import annotations
@@ -84,9 +85,12 @@ class FactoredTensor:
         return (self.left.shape[0], self.right.shape[0])
 
     def carry(self, metrics, images):
-        """Hold the factors' images (H1 right, H2 left) in ``metrics``; returns self."""
+        """Hold the factors' images (H1 right, H2 left) in ``metrics``, the
+        left ones only when the left factors are an array of their own;
+        returns self."""
         self._images["right"] = (metrics[0], images[0].conj())
-        self._images["left"] = (metrics[1], images[1].conj())
+        if self.left is not self.right:
+            self._images["left"] = (metrics[1], images[1].conj())
         return self
 
     def right_action(self, metric1, e):
@@ -100,9 +104,16 @@ class FactoredTensor:
     def projective_norm(self):
         return float(np.sum(self.values))
 
-    def _select(self, keep, values):
-        """The tensor of the same kind on the factor columns ``keep``."""
+    def _build(self, keep, values):
         return FactoredTensor(right=self.right[:, keep], left=self.left[:, keep], values=values)
+
+    def _select(self, keep, values):
+        """The tensor of the same kind on the factor columns ``keep``,
+        holding the images this one holds of them."""
+        out = self._build(keep, values)
+        for side, (metric, images) in self._images.items():
+            out._images[side] = (metric, images[:, keep])
+        return out
 
     def scaled(self, s):
         if self.rank == 0:
@@ -111,13 +122,9 @@ class FactoredTensor:
 
     def pruned(self, rel_tol=PRUNE_REL):
         """Drop the triples whose |value| is at most rel_tol times the largest."""
-        if self.rank == 0:
-            return self
         magnitude = np.abs(self.values)
-        keep = magnitude > rel_tol * np.max(magnitude)
-        if np.all(keep):
-            return self
-        return self._select(keep, self.values[keep])
+        keep = magnitude > rel_tol * magnitude.max(initial=0.0)
+        return self if keep.all() else self._select(keep, self.values[keep])
 
     def to_dense(self):
         """Materialize the represented matrix; small problems and tests only."""
@@ -146,14 +153,8 @@ class HermitianFactored(FactoredTensor):
     def dim(self):
         return self.right.shape[0]
 
-    def _select(self, keep, values):
+    def _build(self, keep, values):
         return HermitianFactored(factors=self.right[:, keep], values=values)
-
-    def carry(self, metrics, images):
-        """Hold the factors' images H factors in ``metrics[0]`` once, under
-        the side they live on; ``images[1]`` is not read.  Returns self."""
-        self._images["right"] = (metrics[0], images[0].conj())
-        return self
 
     def action(self, metric, e):
         """Return w H e = sum_k lambda_k (u_k^* H e) u_k."""

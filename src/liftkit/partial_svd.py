@@ -166,11 +166,17 @@ def _certified_cut(values, residuals, level, tol):
     return None
 
 
+def verdict_tol(delta, norm_est, leading):
+    """The engines' absolute tolerance: ``delta`` times the larger of the
+    norm estimate and the leading Ritz value, kept positive."""
+    return delta * max(norm_est, leading, 1e-300)
+
+
 def _stopped(values, residuals, ell, delta, norm_est, stop_below, empty_after=0):
     """The engines' one stopping rule and its tolerance, for Ritz values
     sorted descending.
 
-    At ``tol = delta * max(norm_est, values[0])``, the ell leading triples
+    At ``tol = verdict_tol(delta, norm_est, values[0])``, the ell leading triples
     are converged (their residuals are at most tol), or, with ``stop_below``
     set, a triple is certified below that level (``_certified_cut``).  A cut
     at index 0, which leaves nothing above the level, counts only once there
@@ -178,7 +184,7 @@ def _stopped(values, residuals, ell, delta, norm_est, stop_below, empty_after=0)
     cut (None without ``stop_below``), which the engines hand on as their
     result's ``tol`` and ``cut``.
     """
-    tol = delta * max(norm_est, values[0] if values.size else 0.0, 1e-300)
+    tol = verdict_tol(delta, norm_est, values[0] if values.size else 0.0)
     cut = None if stop_below is None else _certified_cut(values, residuals, stop_below, tol)
     if values.size >= ell and (residuals[:ell] <= tol).all():
         return True, tol, cut

@@ -34,7 +34,7 @@ from .operators import (
     reweighted_composed_right,
 )
 # augmented_restart is unused here; perfbench/tracer.py wraps it at this owner
-from .partial_svd import ActionOracle, augmented_restart
+from .partial_svd import ActionOracle, augmented_restart, verdict_tol
 from .thresholding import ThresholdConfig, evt, svt
 
 FIDELITY_KINDS = ("exact", "tikhonov", "epsball")
@@ -282,7 +282,7 @@ def _rescaled_empty(reference, state, cfg, delta, adjoint_bound):
         return None
     slack = cfg.tau * adjoint_bound * float(np.max(np.abs(state.y - c * y_ref)))
     norm = c * ref.norm_estimate
-    tol = delta * max(state.norm_carry, norm, 1e-300)
+    tol = verdict_tol(delta, state.norm_carry, norm)
     if c * ref.certificate + slack >= cfg.tau * cfg.alpha_reg - tol:
         return None
     out = copy.copy(ref)
@@ -317,10 +317,10 @@ def reweight_step(state, cfg, base1, base2):
 
     Promotes the leading directions of the unweighted (base-metric) spectral
     decomposition of w with weights proportional to its value profile; an
-    empty iterate clears all promotions.  The iterate is held as at most
-    ``rank_cap`` factored triples, so the decomposition is exact: with
-    X1 = Q1 R1 and X2 = Q2 R2 base-orthonormal, w = Q2 (R2 diag(values) R1^*) Q1^*
-    and one SVD of that small core gives it.
+    empty iterate clears all promotions.  The iterate is held as factored
+    triples, so the decomposition is exact at any rank: with X1 = Q1 R1 and
+    X2 = Q2 R2 base-orthonormal, w = Q2 (R2 diag(values) R1^*) Q1^* and one
+    SVD of that small core gives it.
     """
     w = state.w
     if w.rank == 0:

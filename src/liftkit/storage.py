@@ -1,7 +1,7 @@
 """Binary file formats for images, masks, and measurement vectors.
 
-Complex stacks are stored as row-major float64 little-endian interleaved
-(re, im) pairs with a JSON sidecar ``<path>.json`` holding
+Complex stacks are stored as row-major little-endian complex128, that is
+interleaved float64 (re, im) pairs, with a JSON sidecar ``<path>.json`` holding
 ``{"height": .., "width": .., "count": ..}``.  Measurement vectors use the
 same scheme with real samples only and the sidecar ``{"L": .., "M2": ..,
 "M1": ..}``.
@@ -47,17 +47,14 @@ def _check_size(path, dims, item_bytes):
 
 def write_images(path, array):
     """Write a complex image or mask stack; a 2-D input is a count-1 stack."""
-    array = np.asarray(array, dtype=complex)
+    array = np.asarray(array, dtype="<c16")
     if array.ndim == 2:
         array = array[None, :, :]
     if array.ndim != 3:
         raise ConfigError("expected a (count, height, width) stack or a single image")
     count, height, width = array.shape
-    interleaved = np.empty((count, height, width, 2), dtype="<f8")
-    interleaved[..., 0] = array.real
-    interleaved[..., 1] = array.imag
     with open(path, "wb") as fh:
-        fh.write(interleaved.tobytes(order="C"))
+        fh.write(array.tobytes(order="C"))
     with open(_sidecar(path), "w", encoding="utf-8") as fh:
         json.dump({"height": height, "width": width, "count": count}, fh)
         fh.write("\n")
@@ -73,8 +70,7 @@ def read_images(path):
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed image header {_sidecar(path)}") from exc
     _check_size(path, (count, height, width), 2 * 8)
-    raw = np.fromfile(path, dtype="<f8").reshape(count, height, width, 2)
-    return raw[..., 0] + 1j * raw[..., 1]
+    return np.fromfile(path, dtype="<c16").reshape(count, height, width)
 
 
 def write_data(path, g, dims):

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EngineError, check_integers
-from .lowrank import (
-    DEFAULT_RANK_CAP,
-    PRUNE_REL,
-    FactoredTensor,
-    HermitianFactored,
-    carried_images,
-)
+from .lowrank import DEFAULT_RANK_CAP, FactoredTensor, HermitianFactored, carried_images
 from .partial_svd import augmented_restart, subspace_iterate
 
 ENGINES = ("lanczos", "subspace", "dense")
@@ -104,29 +98,26 @@ def _warm_vector(warm_start, metric):
     return (vec, (images @ weights).conj()) if weights.any() else None
 
 
-def _deflated_leading(oracle, psvd, span, cfg, rng, hermitian):
+def _deflated_leading(oracle, found, cfg, rng, hermitian):
     """Leading singular value (largest eigenvalue, for a Hermitian oracle)
-    of the oracle with the first ``span`` computed triples removed; None when
-    the check itself does not converge.
+    of the oracle with the computed triples ``found`` removed; None when the
+    check itself does not converge.
 
     Guards the early threshold cut against singular values hidden from the
     Krylov space (near-degenerate clusters can conceal one member while a
-    smaller converged value legitimates the stop).
+    smaller converged value legitimates the stop).  The deflation acts
+    through ``found``'s factor images, so the metric is applied to its
+    factors at most once per side, not on every probe action.
     """
     from .partial_svd import ActionOracle, augmented_restart
 
-    u = psvd.right_vectors[:, :span]
-    v = psvd.left_vectors[:, :span]
-    s = psvd.values[:span]
     m1, m2 = oracle.metrics
-
-    def right(e):
-        return oracle.right(e) - v @ (s * (u.conj().T @ m1.apply(e)))
-
-    def left(f):
-        return oracle.left(f) - u @ (s * (v.conj().T @ m2.apply(f)))
-
-    deflated = ActionOracle(right, left, oracle.dims, oracle.metrics)
+    deflated = ActionOracle(
+        lambda e: oracle.right(e) - found.right_action(m1, e),
+        lambda f: oracle.left(f) - found.left_action(m2, f),
+        oracle.dims,
+        oracle.metrics,
+    )
     probe = augmented_restart(
         deflated, 1, 4, cfg.delta, max_restarts=25, rng=rng, hermitian=hermitian
     )
@@ -146,8 +137,10 @@ def _adaptive_triples(oracle, cfg, rng, warm_start, hermitian):
     result after a growth, or none after a probe finds a hidden value.  A
     probe guards every cut below the cap, and the first cut after a growth
     step even at the cap, since that growth started from the found triples.
-    Returns the last engine result, the indices of its converged triples
-    above the level, and the restarts summed over the engine calls.
+    Returns the last engine result, its triples as one factored tensor that
+    carries their metric images (``_factored``), the indices of its
+    converged triples above the level, and the restarts summed over the
+    engine calls.
     """
     # the rank can grow no further than the smaller dimension; the engines
     # clamp ell and k to it themselves
@@ -174,6 +167,9 @@ def _adaptive_triples(oracle, cfg, rng, warm_start, hermitian):
         restarts += psvd.restarts
 
         values, tol, cut = psvd.values, psvd.tol, psvd.cut
+        full = _factored(
+            values, psvd.right_vectors, psvd.left_vectors, hermitian, oracle.metrics, psvd.images
+        )
 
         if cut is not None:
             if not psvd.exact and (ell < cap or grown):
@@ -181,7 +177,8 @@ def _adaptive_triples(oracle, cfg, rng, warm_start, hermitian):
                 # level is hidden from the computed subspace.  An unconverged
                 # cut triple is no singular triple, so it is not deflated.
                 span = cut + 1 if psvd.residuals[cut] <= tol else cut
-                sigma_next = _deflated_leading(oracle, psvd, span, cfg, rng, hermitian)
+                found = full._select(slice(span), values[:span])
+                sigma_next = _deflated_leading(oracle, found, cfg, rng, hermitian)
                 if sigma_next is None or sigma_next > cfg.tau - tol:
                     ell = min(2 * ell, cap)
                     k = max(2 * ell, k)
@@ -199,10 +196,7 @@ def _adaptive_triples(oracle, cfg, rng, warm_start, hermitian):
             k = max(2 * ell, k)
             # weighted by the values above zero: a large negative eigenvalue
             # would otherwise steer the next start below the level
-            weights = np.maximum(psvd.values, 0.0)
-            warm = FactoredTensor(psvd.right_vectors, psvd.left_vectors, weights)
-            if psvd.images is not None:
-                warm.carry(oracle.metrics, psvd.images)
+            warm = full._select(slice(None), np.maximum(values, 0.0))
             grown = True
             continue
         else:
@@ -214,7 +208,7 @@ def _adaptive_triples(oracle, cfg, rng, warm_start, hermitian):
                     f"no singular triple converged (ell={ell}, k={k})", partial=psvd
                 )
             keep = (conv[:prefix] & (values[:prefix] > cfg.tau)).nonzero()[0]
-        return psvd, keep, restarts
+        return psvd, full, keep, restarts
 
 
 def _dense_triples(oracle, hermitian):
@@ -254,15 +248,15 @@ def _dense_sqrt(h):
     return root, inv_root
 
 
-def _factored(values, right, left, idx, hermitian, metrics, images):
-    """The triples at ``idx`` as a factored tensor (eigenpairs when
-    ``hermitian``), carrying their metric images when ``images`` holds the
-    engine result's."""
+def _factored(values, right, left, hermitian, metrics, images):
+    """An engine result's triples as a factored tensor (eigenpairs when
+    ``hermitian``), carrying their metric images when ``images`` holds them;
+    every tensor a threshold call hands out is a selection of it."""
     if hermitian:
-        out = HermitianFactored(factors=right[:, idx], values=values)
+        out = HermitianFactored(factors=right, values=values)
     else:
-        out = FactoredTensor(right=right[:, idx], left=left[:, idx], values=values)
-    return out if images is None else out.carry(metrics, [side[:, idx] for side in images])
+        out = FactoredTensor(right=right, left=left, values=values)
+    return out if images is None else out.carry(metrics, images)
 
 
 def _threshold(oracle, cfg, rng, warm_start, hermitian):
@@ -274,8 +268,8 @@ def _threshold(oracle, cfg, rng, warm_start, hermitian):
     and ``ritz_pairs``, which a caller passes as the next call's
     ``warm_start``: the final engine call's converged triples (its leading
     one when none converged), weighted by max(value, 0); None from the dense
-    engine.  Both are read off the engine result in one pass, carrying the
-    metric images its pass rotated.  An empty result also carries its
+    engine.  Both are selections of the engine result's ``_factored`` wrap,
+    carrying the metric images its pass rotated.  An empty result also carries its
     ``certificate``: the bound theta + r of the leading Ritz value (the
     largest value, exactly, from the dense engine; 0 when the engine found no
     value), which the verdict certified below the level, or None when the
@@ -283,30 +277,23 @@ def _threshold(oracle, cfg, rng, warm_start, hermitian):
     result carries None.
     """
     calls = oracle.calls
-    images = pairs = None
+    pairs = None
     if cfg.engine == "dense":
         values, right, left = _dense_triples(oracle, hermitian)
+        full = _factored(values, right, left, hermitian, oracle.metrics, None)
         restarts, norm = 0, float(np.max(np.abs(values), initial=0.0))
         keep = (values > cfg.tau).nonzero()[0]
         bound = float(values[0]) if values.size else 0.0
     else:
-        psvd, keep, restarts = _adaptive_triples(oracle, cfg, rng, warm_start, hermitian)
-        values, right, left = psvd.values, psvd.right_vectors, psvd.left_vectors
-        images, norm = psvd.images, psvd.norm_estimate
+        psvd, full, keep, restarts = _adaptive_triples(oracle, cfg, rng, warm_start, hermitian)
+        values, norm = psvd.values, psvd.norm_estimate
         bound = None
         if psvd.cut is not None or psvd.exact:
             bound = float(values[0] + psvd.residuals[0]) if values.size else 0.0
         conv = (psvd.residuals <= psvd.tol).nonzero()[0]
         idx = conv if conv.size else np.arange(min(psvd.count, 1))
-        weights = np.maximum(values[idx], 0.0)
-        pairs = _factored(weights, right, left, idx, hermitian, oracle.metrics, images)
-    # the values above the level, descending, less those that ``pruned``
-    # drops once shifted
-    shifted = values[keep] - cfg.tau
-    if keep.size > 1:
-        large = shifted > PRUNE_REL * shifted[0]
-        keep, shifted = keep[large], shifted[large]
-    out = _factored(shifted, right, left, keep, hermitian, oracle.metrics, images)
+        pairs = full._select(idx, np.maximum(values[idx], 0.0))
+    out = full._select(keep, values[keep] - cfg.tau).pruned()
     out.__dict__.update(
         restarts=restarts, norm_estimate=norm, actions=oracle.calls - calls, ritz_pairs=pairs,
         certificate=None if out.rank else bound,

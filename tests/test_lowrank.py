@@ -239,6 +239,33 @@ class TestInvariants:
         assert (out.left is out.right) == hermitian
 
     @KINDS
+    def test_selections_keep_the_carried_images(self, hermitian, monkeypatch):
+        rng = np.random.default_rng(15)
+        w, m1, m2 = factored_case(rng, hermitian, 6, 5, 4)
+        values, kept = np.array([1.0, 0.5, 1e-16, -0.25 if hermitian else 0.25]), [0, 1, 3]
+        if hermitian:
+            w = HermitianFactored(factors=w.factors, values=values)
+        else:
+            w = FactoredTensor(right=w.right, left=w.left, values=values)
+        images = [m.to_dense() @ side for m, side in ((m1, w.right), (m2, w.left))]
+        w.carry((m1, m2), images)
+        sides = [("right", m1, 0)] if hermitian else [("right", m1, 0), ("left", m2, 1)]
+        e, f = random_complex(rng, 6), random_complex(rng, w.shape[0])
+        for out, cols in ((w.pruned(), kept), (w.scaled(2.0), slice(None))):
+            for side, metric, i in sides:
+                assert np.array_equal(carried_images(out, side, metric), images[i][:, cols].conj())
+            # an action in the carried metrics applies neither of them
+            for m in {m1, m2}:
+                monkeypatch.setattr(m, "apply", lambda x: pytest.fail("metric applied"))
+            dense = out.to_dense()
+            got = out.action(m1, e) if hermitian else out.right_action(m1, e)
+            assert np.allclose(got, dense @ (m1.matrix @ e), atol=1e-12)
+            if not hermitian:
+                got = out.left_action(m2, f)
+                assert np.allclose(got, dense.conj().T @ (m2.matrix @ f), atol=1e-12)
+            monkeypatch.undo()
+
+    @KINDS
     def test_scaling_keeps_the_kind_and_signs(self, hermitian):
         rng = np.random.default_rng(14)
         w, _, _ = factored_case(rng, hermitian, 5, 4, 3)

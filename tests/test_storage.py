@@ -47,6 +47,31 @@ class TestImageFormat:
             storage.read_images(path)
 
 
+class TestNonFiniteImages:
+    """A stack round-trips bit for bit, non-finite parts included, in the
+    interleaved float64 (re, im) layout."""
+
+    STACK = np.array([
+        [complex(1.0, np.inf), complex(-2.0, -np.inf)],
+        [complex(3.0, np.nan), complex(np.inf, 0.5)],
+    ])
+
+    def test_non_finite_parts_round_trip(self, tmp_path):
+        path = tmp_path / "img"
+        storage.write_images(path, self.STACK)
+        back = storage.read_images(path)[0]
+        assert back.real.tolist() == [[1.0, -2.0], [3.0, np.inf]]
+        assert np.array_equal(back.imag, self.STACK.imag, equal_nan=True)
+
+    def test_bytes_are_interleaved_float64(self, tmp_path):
+        rng = np.random.default_rng(2)
+        stack = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+        path = tmp_path / "stack"
+        storage.write_images(path, stack)
+        interleaved = np.stack([stack.real, stack.imag], axis=-1).astype("<f8")
+        assert path.read_bytes() == interleaved.tobytes()
+
+
 class TestBadFiles:
     """Unreadable headers and bodies raise ConfigError naming the file."""
 

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -915,6 +916,72 @@ class TestRitzPairHandover:
         cfg = ThresholdConfig(tau=0.5, engine="dense")
         out = (evt if hermitian else svt)(oracle_from_dense(z, m1, m2), cfg, rng=rng)
         assert out.rank == 2 and out.ritz_pairs is None
+
+
+class TestDeflationProbe:
+    """The deflation probe removes its found triples through their factor
+    images: the metric is applied to the found factors at most once per
+    side, and never to the probe's vectors."""
+
+    @pytest.mark.parametrize("carried", [True, False], ids=["carried", "fresh"])
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["evt", "svt"])
+    def test_metric_applied_once_per_side(self, hermitian, carried, monkeypatch):
+        rng = np.random.default_rng(96)
+        m1 = random_spd_metric(rng, 12)
+        m2 = m1 if hermitian else random_spd_metric(rng, 10)
+        h1, h2 = m1.to_dense(), m2.to_dense()
+        w, right, left = operator_with_factors(rng, [1.0, 0.8, 0.3], m1, None if hermitian else m2)
+        top = np.array([1.0, 0.8])
+        if hermitian:
+            found = HermitianFactored(factors=right[:, :2], values=top)
+        else:
+            found = FactoredTensor(right=right[:, :2], left=left[:, :2], values=top)
+        if carried:
+            found.carry((m1, m2), [h1 @ right[:, :2], h2 @ left[:, :2]])
+        rest = w - found.to_dense()
+        oracle = partial_svd.ActionOracle(
+            lambda e: w @ (h1 @ e), lambda f: w.conj().T @ (h2 @ f), (12, w.shape[0]), (m1, m2)
+        )
+        applied = []
+        for m in {m1, m2}:
+            apply = m.apply
+            monkeypatch.setattr(m, "apply", lambda x, apply=apply: applied.append(1) or apply(x))
+        sides = [("right", h1, rest)]
+        if not hermitian:
+            sides.append(("left", h2, rest.conj().T))
+
+        def probe(deflated, *args, **kwargs):
+            for side, h, expected in sides:
+                for _ in range(3):
+                    e = random_complex(rng, h.shape[0])
+                    got = getattr(deflated, side)(e)
+                    assert np.allclose(got, expected @ (h @ e), atol=1e-12)
+            return SimpleNamespace(converged=True, count=0)
+
+        monkeypatch.setattr(partial_svd, "augmented_restart", probe)
+        cfg = ThresholdConfig(tau=0.5)
+        assert thresholding._deflated_leading(oracle, found, cfg, rng, hermitian) == 0.0
+        assert len(applied) == (0 if carried else 2 * len(sides))
+
+
+class TestEmptyCutBelowTheTop:
+    """An empty cut accepts an unconverged leading Ritz value whose interval
+    theta + r lies below the level.  That interval bounds an eigenvalue, not
+    the largest, so from a random start a value above the level can be cut
+    (ROADMAP item 5); these draws pin it until the cut rule changes."""
+
+    SPECTRUM = [1.0, 0.7, 0.5, 0.3, 0.2, 0.1, -0.6, -0.4, -0.02, 0.0, 0.0, 0.0]
+
+    @pytest.mark.xfail(strict=True, reason="an empty cut need not bound the top eigenvalue")
+    @pytest.mark.parametrize("engine, seed", [("lanczos", 2), ("subspace", 19)])
+    def test_matches_dense_evt(self, engine, seed):
+        rng = np.random.default_rng(seed)
+        m = random_spd_metric(rng, 12)
+        w = hermitian_with_spectrum(rng, self.SPECTRUM, m)
+        cfg = ThresholdConfig(tau=0.99, ell=2, k=4, delta=DELTA, rank_cap=2, engine=engine)
+        out = evt(oracle_from_dense(w, m, m), cfg, rng=np.random.default_rng(seed + 2000))
+        expected = dense_evt(w, m.to_dense(), 0.99)
+        assert np.max(np.abs(out.to_dense() - expected)) <= 1e-6
 
 
 class TestCarriedFactorImages:
