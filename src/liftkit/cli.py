@@ -238,7 +238,10 @@ def _parse_shape(text):
 
 
 def _ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from exc
     return path
 
 
@@ -271,10 +274,13 @@ def cmd_gen_masks(args):
 
 
 def _read_image(path):
-    """The one image a file holds; a stack of several is rejected."""
+    """The one image a file holds; a stack of several, or a non-finite
+    pixel, is rejected."""
     stack = storage.read_images(path)
     if stack.shape[0] != 1:
         raise ConfigError(f"{path} holds {stack.shape[0]} images, expected one")
+    if not np.all(np.isfinite(stack)):
+        raise ConfigError(f"image {path} has non-finite pixels")
     return stack[0]
 
 
@@ -299,8 +305,6 @@ def _write_data(out_dir, image, masks, noise, seed, m2=None, m1=None):
 def cmd_gen_data(args):
     out_dir = _ensure_dir(args.out)
     image = _read_image(args.image)
-    if not np.all(np.isfinite(image)):
-        raise ConfigError(f"image {args.image} has non-finite pixels")
     mask_array = storage.read_images(args.masks)
     if mask_array.shape[1:] != image.shape:
         raise ConfigError("image and masks have different shapes")
@@ -424,6 +428,10 @@ def cmd_eval(args):
 
 
 def cmd_bench_svt(args):
+    if args.json:
+        folder = os.path.dirname(os.path.abspath(args.json))
+        if not os.path.isdir(folder) or os.path.isdir(args.json):
+            raise ConfigError(f"--json {args.json} is no file path in an existing directory")
     rows = run_benchmark(
         iterations=args.iterations, size=args.size, mask_count=args.count, seed=args.seed
     )

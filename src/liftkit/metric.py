@@ -325,6 +325,26 @@ def project_out(vec, basis, applied):
     return vec - second @ basis, first + second
 
 
+def project_carried(vec, image, basis, applied, metric, norm=1.0):
+    """``project_out`` with the vector's metric image carried along.
+
+    ``image`` is H vec, or None, and ``norm`` the metric norm of vec.  The
+    image is projected alongside vec unless the projection removed most of
+    it (less than ``CARRY_MIN_NORM`` of ``norm`` is left), where the
+    projected image would lose digits to cancellation; then, and without an
+    image, the metric is applied to the projected vec.  Returns the
+    projected vec, its image, its norm and the coefficients.
+    """
+    vec, coeff = project_out(vec, basis, applied)
+    if image is not None:
+        if len(basis):
+            image = image - coeff @ applied
+        nrm = math.sqrt(max(np.vdot(vec, image).real, 0.0))
+    if image is None or nrm < CARRY_MIN_NORM * norm:
+        image, nrm = metric.apply_and_norm(vec)
+    return vec, image, nrm, coeff
+
+
 def orthonormalize(vectors, metric, drop_tol=1e-10, images=False):
     """Gram-Schmidt in the metric's inner product.
 
@@ -333,12 +353,9 @@ def orthonormalize(vectors, metric, drop_tol=1e-10, images=False):
     norm) are dropped, so the returned list may be shorter than the input.
     Each output is scaled so that its largest-magnitude entry is real
     positive, which fixes the free global phase.  With ``images`` the
-    outputs' metric images come back too, as a second list.
-
-    Each input's image is taken once and projected alongside it, unless the
-    projection removed most of the input (less than ``CARRY_MIN_NORM`` of
-    its norm is left), where the projected image would lose digits to
-    cancellation and the metric is applied again.
+    outputs' metric images come back too, as a second list.  Each input's
+    image is taken once and carried through its projection
+    (``project_carried``).
     """
     kept = []
     kept_applied = []
@@ -347,11 +364,7 @@ def orthonormalize(vectors, metric, drop_tol=1e-10, images=False):
         hq, orig = metric.apply_and_norm(q)
         if orig == 0.0:
             continue
-        q, coeff = project_out(q, kept, kept_applied)
-        hq = hq - coeff @ kept_applied if kept else hq
-        nrm = math.sqrt(max(np.vdot(q, hq).real, 0.0))
-        if nrm < CARRY_MIN_NORM * orig:
-            hq, nrm = metric.apply_and_norm(q)
+        q, hq, nrm, _ = project_carried(q, hq, kept, kept_applied, metric, orig)
         if nrm <= drop_tol * orig:
             continue
         phase = _phase_factor(q) / nrm

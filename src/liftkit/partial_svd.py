@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import CARRY_MIN_NORM, orthonormalize, project_out
+from .metric import orthonormalize, project_carried, project_out
 
 BREAKDOWN_REL = 1e-13
 
@@ -291,9 +291,9 @@ class _KrylovPass:
     copying.  ``p_last`` / ``hp_last`` / ``gamma_last`` are the continuation
     vector, its metric image and its norm, which the next pass starts from;
     the norm is zero once the Krylov space is exhausted or the right basis
-    spans the whole space, and ``exact`` is then set.  ``carried`` is the
-    metric image of the vector ``advance`` hands to the next ``add_e``, so a
-    column applies the metric once, for its continuation's norm and image.
+    spans the whole space, and ``exact`` is then set.  ``advance`` hands
+    each new column's metric image to ``add_e`` with it, so a column applies
+    the metric once, for its continuation's norm and image.
     """
 
     def __init__(self, oracle, rng, cap, scale):
@@ -313,7 +313,6 @@ class _KrylovPass:
         self.scale = max(scale, 1e-300)
         self.p_last = self.hp_last = None
         self.gamma_last = 0.0
-        self.carried = None
 
     @property
     def size(self):
@@ -362,22 +361,12 @@ class _KrylovPass:
             rows[:j] *= phase[:, None]
         self.T[:j, j] = np.abs(coeff[:j])
 
-    def add_e(self, vec):
-        """Append vec, projected off the basis and normalized; False when
-        nothing is left of it.  A carried image of the unit vec is projected
-        alongside, unless the projection removed most of vec, where its
-        image would lose digits to cancellation and the metric is applied.
-        The first column of an unseeded pass has no basis to leave."""
+    def add_e(self, vec, image):
+        """Append the unit vec, projected off the basis and normalized, with
+        its metric image carried through the projection
+        (``project_carried``); False when nothing is left of it."""
         ne = self.ne
-        hvec, self.carried = self.carried, None
-        if ne:
-            applied = self.HE[:ne]
-            vec, coeff = project_out(vec, self.E[:ne], applied)
-            if hvec is not None:
-                hvec = hvec - coeff @ applied
-        nrm = 0.0 if hvec is None else math.sqrt(max(np.vdot(vec, hvec).real, 0.0))
-        if nrm < CARRY_MIN_NORM:
-            hvec, nrm = self.m1.apply_and_norm(vec)
+        vec, hvec, nrm, _ = project_carried(vec, image, self.E[:ne], self.HE[:ne], self.m1)
         if nrm <= BREAKDOWN_REL * self.scale:
             return False
         np.divide(vec, nrm, out=self.E[ne])
@@ -400,8 +389,7 @@ class _KrylovPass:
             if gamma <= BREAKDOWN_REL * self.scale:
                 self.exact = True
                 return
-            self.carried = hp / gamma
-            if not self.add_e(p / gamma) or not self._column(gamma) or self.ne == dim:
+            if not self.add_e(p / gamma, hp / gamma) or not self._column(gamma) or self.ne == dim:
                 self.exact = True
                 return
             p = self._continuation()
@@ -460,12 +448,11 @@ class LanczosFactorization(_KrylovPass):
         stalls.  Returns q's norm (0 for a random direction) and its
         projection coefficients, or None when no left direction remains."""
         basis, applied = self.F[: self.nf], self.HF[: self.nf]
-        q, coeff = project_out(q, basis, applied)
-        hq, beta = self.m2.apply_and_norm(q)
+        q, hq, beta, coeff = project_carried(q, None, basis, applied, self.m2)
         if beta <= BREAKDOWN_REL * self.scale:
             # stalled left direction: continue in a fresh random direction
-            f, _ = project_out(_random_unit(self.rng, q.shape[0], self.m2), basis, applied)
-            hf, nrm = self.m2.apply_and_norm(f)
+            random = _random_unit(self.rng, q.shape[0], self.m2)
+            f, hf, nrm, _ = project_carried(random, None, basis, applied, self.m2)
             if nrm == 0.0:
                 return None
             f, hf = f / nrm, hf / nrm
@@ -665,8 +652,6 @@ def augmented_restart(
     mindim = min(n1, n2)
     ell = min(ell, mindim)
     k = min(max(k, ell + 1), mindim)
-    if k <= ell:
-        k = ell  # tiny spaces: a single full pass is the whole decomposition
     state = _HermitianLanczos if hermitian else LanczosFactorization
 
     norm_est = float(oracle.norm_estimate or 0.0)

@@ -45,6 +45,14 @@ def _check_size(path, dims, item_bytes):
         raise ConfigError(f"{path}: expected {expected} bytes, found {size}")
 
 
+def _open_for_write(path, binary=False):
+    """``path`` opened for writing; ConfigError naming it when it cannot be."""
+    try:
+        return open(path, "wb") if binary else open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def write_images(path, array):
     """Write a complex image or mask stack; a 2-D input is a count-1 stack."""
     array = np.asarray(array, dtype="<c16")
@@ -53,9 +61,9 @@ def write_images(path, array):
     if array.ndim != 3:
         raise ConfigError("expected a (count, height, width) stack or a single image")
     count, height, width = array.shape
-    with open(path, "wb") as fh:
+    with _open_for_write(path, binary=True) as fh:
         fh.write(array.tobytes(order="C"))
-    with open(_sidecar(path), "w", encoding="utf-8") as fh:
+    with _open_for_write(_sidecar(path)) as fh:
         json.dump({"height": height, "width": width, "count": count}, fh)
         fh.write("\n")
 
@@ -79,9 +87,9 @@ def write_data(path, g, dims):
     g = np.asarray(g, dtype=float)
     if g.shape != (count * m2 * m1,):
         raise ConfigError("data length does not match the declared layout")
-    with open(path, "wb") as fh:
+    with _open_for_write(path, binary=True) as fh:
         fh.write(g.astype("<f8").tobytes(order="C"))
-    with open(_sidecar(path), "w", encoding="utf-8") as fh:
+    with _open_for_write(_sidecar(path)) as fh:
         json.dump({"L": count, "M2": m2, "M1": m1}, fh)
         fh.write("\n")
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, EngineError, check_integers
 from .lowrank import DEFAULT_RANK_CAP, FactoredTensor, HermitianFactored, carried_images
-from .partial_svd import augmented_restart, subspace_iterate
+from .partial_svd import PartialSVD, augmented_restart, subspace_iterate
 
 ENGINES = ("lanczos", "subspace", "dense")
 
@@ -45,7 +45,7 @@ def shrink(z, gamma, metric):
         raise ValueError("shrink level must be nonnegative")
     nrm = metric.norm(z)
     if nrm <= gamma:
-        return np.zeros_like(z, dtype=complex)
+        return np.zeros_like(z)
     return (1.0 - gamma / nrm) * z
 
 
@@ -129,9 +129,10 @@ def _deflated_leading(oracle, found, cfg, rng, hermitian):
 def _adaptive_triples(oracle, cfg, rng, warm_start, hermitian):
     """Run the configured engine, growing the subspace until a value is
     certified below the threshold level behind a converged prefix (or the
-    rank is exhausted).  With ``hermitian`` both engines return eigenpairs
-    with signed values, largest first, and run on one action per column
-    (after the subspace engine's first sweep); otherwise singular triples.
+    rank is exhausted).  With ``hermitian`` every engine returns eigenpairs
+    with signed values, largest first, and the iterative ones run on one
+    action per column (after the subspace engine's first sweep); otherwise
+    singular triples.  The exact ``dense`` engine is called once.
 
     Each engine call starts from one warm iterate: the caller's, the last
     result after a growth, or none after a probe finds a hidden value.  A
@@ -159,6 +160,8 @@ def _adaptive_triples(oracle, cfg, rng, warm_start, hermitian):
                 oracle, ell, cfg.delta, rng=rng, start=start, stop_below=cfg.tau,
                 hermitian=hermitian,
             )
+        elif cfg.engine == "dense":
+            psvd = _dense_triples(oracle, hermitian)
         else:
             psvd = augmented_restart(
                 oracle, ell, k, cfg.delta, rng=rng, start=_warm_vector(warm, oracle.metrics[0]),
@@ -167,9 +170,7 @@ def _adaptive_triples(oracle, cfg, rng, warm_start, hermitian):
         restarts += psvd.restarts
 
         values, tol, cut = psvd.values, psvd.tol, psvd.cut
-        full = _factored(
-            values, psvd.right_vectors, psvd.left_vectors, hermitian, oracle.metrics, psvd.images
-        )
+        full = _factored(psvd, hermitian, oracle.metrics)
 
         if cut is not None:
             if not psvd.exact and (ell < cap or grown):
@@ -214,8 +215,9 @@ def _adaptive_triples(oracle, cfg, rng, warm_start, hermitian):
 def _dense_triples(oracle, hermitian):
     """Materialize the oracle and decompose it exactly (benchmark baseline).
 
-    Returns values sorted descending (signed eigenvalues when ``hermitian``)
-    with their right and left vectors.  Only intended for small problems; for
+    Returns an exact ``PartialSVD`` with zero residuals, tol 0 and no cut:
+    values sorted descending (signed eigenvalues when ``hermitian``) with
+    their right and left vectors.  Only intended for small problems; for
     non-Euclidean metrics the dense metric square roots are formed explicitly.
     """
     n1 = oracle.dims[0]
@@ -237,7 +239,10 @@ def _dense_triples(oracle, hermitian):
         right, left = zh.conj().T, y
     if weighted:
         right, left = ri1 @ right, ri2 @ left
-    return values, right, left
+    return PartialSVD(
+        right, left, values, np.zeros(values.shape), converged=True, exact=True,
+        norm_estimate=float(np.max(np.abs(values), initial=0.0)),
+    )
 
 
 def _dense_sqrt(h):
@@ -248,15 +253,15 @@ def _dense_sqrt(h):
     return root, inv_root
 
 
-def _factored(values, right, left, hermitian, metrics, images):
+def _factored(psvd, hermitian, metrics):
     """An engine result's triples as a factored tensor (eigenpairs when
-    ``hermitian``), carrying their metric images when ``images`` holds them;
+    ``hermitian``), carrying their metric images when the result holds them;
     every tensor a threshold call hands out is a selection of it."""
     if hermitian:
-        out = HermitianFactored(factors=right, values=values)
+        out = HermitianFactored(factors=psvd.right_vectors, values=psvd.values)
     else:
-        out = FactoredTensor(right=right, left=left, values=values)
-    return out if images is None else out.carry(metrics, images)
+        out = FactoredTensor(right=psvd.right_vectors, left=psvd.left_vectors, values=psvd.values)
+    return out if psvd.images is None else out.carry(metrics, psvd.images)
 
 
 def _threshold(oracle, cfg, rng, warm_start, hermitian):
@@ -267,36 +272,28 @@ def _threshold(oracle, cfg, rng, warm_start, hermitian):
     ``norm_estimate`` (nonnegative), ``actions`` (the oracle calls made here)
     and ``ritz_pairs``, which a caller passes as the next call's
     ``warm_start``: the final engine call's converged triples (its leading
-    one when none converged), weighted by max(value, 0); None from the dense
-    engine.  Both are selections of the engine result's ``_factored`` wrap,
-    carrying the metric images its pass rotated.  An empty result also carries its
-    ``certificate``: the bound theta + r of the leading Ritz value (the
-    largest value, exactly, from the dense engine; 0 when the engine found no
-    value), which the verdict certified below the level, or None when the
-    verdict accepted the result uncertified at the rank cap; a non-empty
-    result carries None.
+    one when none converged; every triple from the dense engine, whose next
+    call ignores them), weighted by max(value, 0).  Both are selections of
+    the engine result's ``_factored`` wrap, carrying the metric images its
+    pass rotated.  An empty result also carries its ``certificate``: the
+    bound theta + r of the leading Ritz value (the largest value, exactly,
+    from the dense engine; 0 when the engine found no value), which the
+    verdict certified below the level, or None when the verdict accepted the
+    result uncertified at the rank cap; a non-empty result carries None.
     """
     calls = oracle.calls
-    pairs = None
-    if cfg.engine == "dense":
-        values, right, left = _dense_triples(oracle, hermitian)
-        full = _factored(values, right, left, hermitian, oracle.metrics, None)
-        restarts, norm = 0, float(np.max(np.abs(values), initial=0.0))
-        keep = (values > cfg.tau).nonzero()[0]
-        bound = float(values[0]) if values.size else 0.0
-    else:
-        psvd, full, keep, restarts = _adaptive_triples(oracle, cfg, rng, warm_start, hermitian)
-        values, norm = psvd.values, psvd.norm_estimate
-        bound = None
-        if psvd.cut is not None or psvd.exact:
-            bound = float(values[0] + psvd.residuals[0]) if values.size else 0.0
-        conv = (psvd.residuals <= psvd.tol).nonzero()[0]
-        idx = conv if conv.size else np.arange(min(psvd.count, 1))
-        pairs = full._select(idx, np.maximum(values[idx], 0.0))
+    psvd, full, keep, restarts = _adaptive_triples(oracle, cfg, rng, warm_start, hermitian)
+    values = psvd.values
+    bound = None
+    if psvd.cut is not None or psvd.exact:
+        bound = float(values[0] + psvd.residuals[0]) if values.size else 0.0
+    conv = (psvd.residuals <= psvd.tol).nonzero()[0]
+    idx = conv if conv.size else np.arange(min(psvd.count, 1))
+    pairs = full._select(idx, np.maximum(values[idx], 0.0))
     out = full._select(keep, values[keep] - cfg.tau).pruned()
     out.__dict__.update(
-        restarts=restarts, norm_estimate=norm, actions=oracle.calls - calls, ritz_pairs=pairs,
-        certificate=None if out.rank else bound,
+        restarts=restarts, norm_estimate=psvd.norm_estimate, actions=oracle.calls - calls,
+        ritz_pairs=pairs, certificate=None if out.rank else bound,
     )
     return out
 

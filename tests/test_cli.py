@@ -388,13 +388,21 @@ BAD_INPUTS = {
     "delta-inf": SOLVE + ["--delta", "inf"],
     "tol-inf": SOLVE + ["--tol", "inf"],
     "noise-nan": GEN_DATA + ["--image", "{dir}/truth", "--noise", "nan"],
+    "gen-masks-out-is-file": ["gen-masks", "--kind", "rademacher", "--shape", "8x8",
+                              "--count", "2", "--out", "{tmp}/empty"],
+    "demo-out-below-file": ["demo", "--out", "{tmp}/empty/sub", "--shape", "8x8"],
+    "gen-masks-masks-is-dir": ["gen-masks", "--kind", "rademacher", "--shape", "8x8",
+                               "--count", "2", "--out", "{tmp}/blocked"],
+    "bench-json-dir-missing": ["bench-svt", "--iterations", "2", "--json", "{tmp}/missing/x.json"],
+    "eval-recovered-nan": ["eval", "--recovered", "{tmp}/nan-image", "--reference", "{dir}/truth"],
+    "eval-reference-inf": ["eval", "--recovered", "{dir}/truth", "--reference", "{tmp}/inf-image"],
 }
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_bad_input_exit_two(solved, tmp_path, capsys, monkeypatch, argv):
-    """Bad flags and headers end in exit code 2 and one error line, and a
-    solve is rejected before the solver runs."""
+    """Bad flags, headers, images and output paths end in exit code 2 and
+    one error line, and a solve or benchmark is rejected before it runs."""
     (tmp_path / "empty").write_bytes(b"")
     (tmp_path / "empty.json").write_text('{"height": 8, "width": 8, "count": 0}')
     # data for 4 masks where the stack holds 6, and DFT sizes below the 8x8 image
@@ -402,11 +410,18 @@ def test_bad_input_exit_two(solved, tmp_path, capsys, monkeypatch, argv):
     storage.write_data(tmp_path / "small-dft", np.ones(6 * 4 * 4), (6, 4, 4))
     # masks for a 16x16 image that see no pixel, beside the 8x8 images
     storage.write_images(tmp_path / "masks16", np.zeros((2, 16, 16)))
+    # 8x8 images with one non-finite pixel, and a directory where gen-masks writes
+    for name, bad in (("nan-image", np.nan), ("inf-image", np.inf)):
+        image = np.ones((8, 8), dtype=complex)
+        image[2, 5] = bad
+        storage.write_images(tmp_path / name, image)
+    (tmp_path / "blocked" / "masks").mkdir(parents=True)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("the solver ran on a rejected configuration")
 
     monkeypatch.setattr("liftkit.cli.recover", no_solve)
+    monkeypatch.setattr("liftkit.cli.run_benchmark", no_solve)
     code = main([arg.format(dir=solved, tmp=tmp_path) for arg in argv])
     err = capsys.readouterr().err
     assert code == 2

@@ -3,6 +3,7 @@ import pytest
 
 from liftkit.errors import MetricSolveError
 from liftkit.metric import (
+    CARRY_MIN_NORM,
     DENSE_DCT_MAX_WORK,
     DenseDCT,
     EuclideanMetric,
@@ -11,10 +12,11 @@ from liftkit.metric import (
     SobolevMetric,
     SobolevStencil,
     orthonormalize,
+    project_carried,
     project_out,
 )
 
-from helpers import random_complex
+from helpers import random_complex, random_spd_metric
 
 
 def dense_stencil_matrix(shape, op, in_shape):
@@ -492,6 +494,72 @@ class TestProjectOut:
         out, coeff = project_out(vec, [], [])
         assert np.array_equal(out, vec)
         assert coeff.shape == (0,)
+
+
+class TestProjectCarried:
+    """The carried-image step: the vector's image is projected alongside it
+    while at least CARRY_MIN_NORM of its norm is left, and the metric is
+    applied once below that or when no image is given."""
+
+    @staticmethod
+    def metric(rng, kind):
+        if kind == "euclidean":
+            return EuclideanMetric(20)
+        if kind == "spd":
+            return random_spd_metric(rng, 20)
+        if kind == "reweighted":
+            return make_reweighted(SobolevMetric((4, 5), (0.5, 1.0, 0.25)), rng, 3)
+        return SobolevMetric((4, 5), (0.25, 1.0, 0.5))
+
+    @staticmethod
+    def counted(m, monkeypatch):
+        calls = []
+        apply = m.apply
+        monkeypatch.setattr(m, "apply", lambda x: calls.append(1) or apply(x))
+        return calls, apply
+
+    def problem(self, rng, kind, inside, scale):
+        """A basis of 4 vectors with images, and a vector of norm ``scale``
+        whose share ``inside`` lies in the basis span."""
+        m = self.metric(rng, kind)
+        basis, applied = orthonormalize([random_complex(rng, 20) for _ in range(4)], m, images=True)
+        basis, applied = np.array(basis), np.array(applied)
+        along = rng.standard_normal(4) @ basis
+        other = project_out(random_complex(rng, 20), basis, applied)[0]
+        vec = inside * along / m.norm(along) + np.sqrt(1 - inside**2) * other / m.norm(other)
+        return m, basis, applied, scale * vec
+
+    @pytest.mark.parametrize("kind", ["euclidean", "spd", "reweighted", "sobolev"])
+    @pytest.mark.parametrize("scale", [1.0, 3.0])
+    @pytest.mark.parametrize("inside, applies", [(0.3, 0), (0.8, 0), (0.95, 1), (0.999, 1)])
+    def test_carries_unless_most_is_removed(self, kind, scale, inside, applies, monkeypatch):
+        assert (np.sqrt(1 - inside**2) < CARRY_MIN_NORM) == bool(applies)
+        rng = np.random.default_rng(97)
+        m, basis, applied, vec = self.problem(rng, kind, inside, scale)
+        image = m.apply(vec)
+        calls, apply = self.counted(m, monkeypatch)
+        out, hout, nrm, coeff = project_carried(vec, image, basis, applied, m, scale)
+        assert len(calls) == applies
+        self.check(out, hout, nrm, coeff, vec, basis, applied, apply, scale)
+
+    @pytest.mark.parametrize("kind", ["euclidean", "spd", "reweighted", "sobolev"])
+    @pytest.mark.parametrize("size", [0, 4])
+    def test_applies_once_without_an_image(self, kind, size, monkeypatch):
+        rng = np.random.default_rng(98)
+        m, basis, applied, vec = self.problem(rng, kind, 0.3, 1.0)
+        basis, applied = basis[:size], applied[:size]
+        calls, apply = self.counted(m, monkeypatch)
+        out, hout, nrm, coeff = project_carried(vec, None, basis, applied, m)
+        assert len(calls) == 1
+        self.check(out, hout, nrm, coeff, vec, basis, applied, apply, 1.0)
+
+    @staticmethod
+    def check(out, hout, nrm, coeff, vec, basis, applied, apply, scale):
+        assert np.linalg.norm(hout - apply(out)) <= 1e-12 * scale
+        assert abs(nrm - np.sqrt(np.vdot(out, apply(out)).real)) <= 1e-12 * scale
+        assert np.linalg.norm(out + coeff @ basis - vec) <= 1e-12 * scale
+        if len(basis):
+            assert np.max(np.abs(np.conj(applied) @ out)) <= 1e-12 * scale
 
 
 class TestSolverFailure:

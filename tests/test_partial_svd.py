@@ -564,17 +564,16 @@ class TestCarriedImage:
         )
         first = random_complex(rng, 8)
         first /= m.norm(first)
-        fac.carried = m.apply(first)
-        assert fac.add_e(first)
+        assert fac.add_e(first, m.apply(first))
         # a unit vector with the share `inside` along the first basis vector
         other = random_complex(rng, 8)
         other = other - m.pairing(other, first) * first
         vec = inside * first + np.sqrt(1.0 - inside**2) * other / m.norm(other)
-        fac.carried = m.apply(vec)
+        image = m.apply(vec)
         calls = []
         apply = m.apply
         monkeypatch.setattr(m, "apply", lambda x: calls.append(1) or apply(x))
-        assert fac.add_e(vec)
+        assert fac.add_e(vec, image)
         assert len(calls) == applies
         assert np.linalg.norm(fac.HE[1] - apply(fac.E[1])) <= 1e-12
         assert abs(np.vdot(fac.E[1], apply(fac.E[1])) - 1.0) <= 1e-12

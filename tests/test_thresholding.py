@@ -85,6 +85,14 @@ class TestScalarPrimitives:
         z = np.array([3.0, 4.0], dtype=complex)
         assert np.allclose(shrink(z, 2.5, m), [1.5, 2.0], atol=1e-12)
 
+    def test_shrink_keeps_the_input_dtype(self):
+        # outside the ball, on its edge and inside it, for real and complex input
+        m = EuclideanMetric(2)
+        for dtype in (np.float64, np.complex128):
+            z = np.array([3.0, 4.0], dtype=dtype)
+            for gamma in (1.0, 5.0, 6.0):
+                assert shrink(z, gamma, m).dtype == dtype, (dtype, gamma)
+
     def test_shrink_radial_grid(self):
         rng = np.random.default_rng(0)
         m = EuclideanMetric(4)
@@ -765,8 +773,8 @@ class TestHermitianPass:
         columns = []
         add_e = partial_svd._KrylovPass.add_e
 
-        def counted(fac, vec):
-            added = add_e(fac, vec)
+        def counted(fac, vec, image):
+            added = add_e(fac, vec, image)
             columns.append(added)
             return added
 
@@ -910,12 +918,25 @@ class TestRitzPairHandover:
         assert np.array_equal(vectors, psvd.right_vectors[:, :1])
 
     @pytest.mark.parametrize("hermitian", [True, False], ids=["evt", "svt"])
-    def test_dense_engine_hands_over_none(self, hermitian):
+    def test_dense_engine_hands_over_every_triple(self, hermitian):
+        # the whole exact spectrum, weighted by max(value, 0); the next dense
+        # call decomposes its own oracle and gives the same bytes without it
         rng = np.random.default_rng(94)
         z, m1, m2 = self.operator(rng, [1.0, 0.7], hermitian, "spd")
         cfg = ThresholdConfig(tau=0.5, engine="dense")
-        out = (evt if hermitian else svt)(oracle_from_dense(z, m1, m2), cfg, rng=rng)
-        assert out.rank == 2 and out.ritz_pairs is None
+        threshold = evt if hermitian else svt
+        out = threshold(oracle_from_dense(z, m1, m2), cfg, rng=rng)
+        pairs = out.ritz_pairs
+        assert out.rank == 2 and pairs.rank == min(z.shape)
+        assert np.array_equal(pairs.values[:2] - cfg.tau, out.values)
+        assert np.all(pairs.values[2:] <= 0.1) and np.all(pairs.values >= 0.0)
+        again = [
+            threshold(oracle_from_dense(2 * z, m1, m2), cfg, rng=rng, warm_start=start)
+            for start in (pairs, None)
+        ]
+        for name in ("right", "left", "values"):
+            assert getattr(again[0], name).tobytes() == getattr(again[1], name).tobytes()
+        assert again[0].ritz_pairs.values.tobytes() == again[1].ritz_pairs.values.tobytes()
 
 
 class TestDeflationProbe:
