@@ -133,10 +133,9 @@ def _closed(properties):
 
 
 RUN_CONFIG_SCHEMA = _closed({
-    "mode": {"enum": ["generate-masks", "generate-data", "solve", "evaluate", "demo", "bench-svt"]},
+    "mode": {"const": "solve"},
     "seed": {"type": "integer", "minimum": 0},
-    "out": {"type": "string"},
-    "paths": _closed({name: {"type": "string"} for name in ("image", "masks", "data")}),
+    "paths": _closed({name: {"type": "string"} for name in ("masks", "data")}),
     "solver": _nested(SOLVER_SETTINGS, lambda setting: setting.schema, _closed),
 })
 
@@ -170,24 +169,27 @@ def _config_sha256(config):
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _write_manifest(out_dir, command, config, seed, artifacts):
+def _write_manifest(out_dir, command, config, seed, written):
+    """Write ``manifest.json`` with a checksum of each written path, keyed by its name."""
+    artifacts = {os.path.basename(path): path for path in written}
     manifest = {
         "command": command,
         "config": config,
         "config_sha256": _config_sha256(config),
         "seed": seed,
-        "artifacts": {
-            name: _artifact_sha256(os.path.join(out_dir, name)) for name in sorted(artifacts)
-        },
+        "artifacts": {name: _artifact_sha256(artifacts[name]) for name in sorted(artifacts)},
     }
     path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with storage.open_for_write(path) as fh:
         json.dump(manifest, fh, indent=2, default=str)
         fh.write("\n")
     return path
 
 
 def _load_run_config(path):
+    """The validated run config at ``path``; empty when there is none."""
+    if path is None:
+        return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -203,7 +205,7 @@ def _load_run_config(path):
 def _merge_solver_settings(config_doc, args):
     """Defaults, then the config file, then explicit command-line flags."""
     merged = _solver_defaults()
-    from_file = (config_doc or {}).get("solver", {})
+    from_file = config_doc.get("solver", {})
     for group, key, setting in _rows():
         into = merged[group] if group else merged
         source = from_file.get(group, {}) if group else from_file
@@ -260,7 +262,7 @@ def cmd_gen_masks(args):
     shape = _parse_shape(args.shape)
     out_dir = _ensure_dir(args.out)
     masks = MASK_MAKERS[args.kind](shape, args.count, seed=args.seed)
-    storage.write_images(os.path.join(out_dir, "masks"), masks.array)
+    written = storage.write_images(os.path.join(out_dir, "masks"), masks.array)
     summary = _coverage_summary(masks)
     config = {
         "kind": args.kind,
@@ -268,8 +270,8 @@ def cmd_gen_masks(args):
         "count": args.count,
         "coverage": summary,
     }
-    _write_manifest(out_dir, "gen-masks", config, args.seed, ["masks", "masks.json"])
-    print(json.dumps({"masks": os.path.join(out_dir, "masks"), **summary}, indent=2))
+    _write_manifest(out_dir, "gen-masks", config, args.seed, written)
+    print(json.dumps({"masks": written[0], **summary}, indent=2))
     return 0
 
 
@@ -287,7 +289,7 @@ def _read_image(path):
 def _write_data(out_dir, image, masks, noise, seed, m2=None, m1=None):
     """Measure the image through the masks, add noise and write the data file.
 
-    The DFT sizes default to twice the image; returns the problem with its data.
+    The DFT sizes default to twice the image; returns the problem and the data's paths.
     """
     n2, n1 = image.shape
     problem = PRProblem(
@@ -298,8 +300,7 @@ def _write_data(out_dir, image, masks, noise, seed, m2=None, m1=None):
     )
     problem.g = add_noise(forward(problem, image), noise, seed=seed)
     dims = (masks.count, problem.m2, problem.m1)
-    storage.write_data(os.path.join(out_dir, "data"), problem.g, dims)
-    return problem
+    return problem, storage.write_data(os.path.join(out_dir, "data"), problem.g, dims)
 
 
 def cmd_gen_data(args):
@@ -309,7 +310,7 @@ def cmd_gen_data(args):
     if mask_array.shape[1:] != image.shape:
         raise ConfigError("image and masks have different shapes")
     masks = MaskSet(array=mask_array, kind="custom")
-    problem = _write_data(out_dir, image, masks, args.noise, args.seed, args.m2, args.m1)
+    problem, written = _write_data(out_dir, image, masks, args.noise, args.seed, args.m2, args.m1)
     config = {
         "image": os.path.abspath(args.image),
         "masks": os.path.abspath(args.masks),
@@ -317,15 +318,15 @@ def cmd_gen_data(args):
         "m1": problem.m1,
         "noise": args.noise,
     }
-    _write_manifest(out_dir, "gen-data", config, args.seed, ["data", "data.json"])
+    _write_manifest(out_dir, "gen-data", config, args.seed, written)
     length = int(problem.g.size)
-    print(json.dumps({"data": os.path.join(out_dir, "data"), "length": length}, indent=2))
+    print(json.dumps({"data": written[0], "length": length}, indent=2))
     return 0
 
 
 def _solve_problem(masks_path, data_path, settings, seed, out_dir):
     """Recover the image and write the run's files; returns the image, the
-    run summary and the artifact names."""
+    run summary and the written paths."""
     cfg = _build_solver_config(settings, seed)
     mask_array = storage.read_images(masks_path)
     g, (count, m2, m1) = storage.read_data(data_path)
@@ -338,17 +339,15 @@ def _solve_problem(masks_path, data_path, settings, seed, out_dir):
     problem = PRProblem(masks=masks, m2=m2, m1=m1, metric=metric, g=g)
     image, result = recover(problem, cfg)
 
-    storage.write_images(os.path.join(out_dir, "recovered"), image)
-    artifacts = ["recovered", "recovered.json"]
+    written = list(storage.write_images(os.path.join(out_dir, "recovered"), image))
     factor_values = []
     if result.w.rank:
         factors = result.w.factors.T.reshape(result.w.rank, *masks.shape)
-        storage.write_images(os.path.join(out_dir, "factors"), factors)
-        artifacts += ["factors", "factors.json"]
+        written += storage.write_images(os.path.join(out_dir, "factors"), factors)
         factor_values = [float(v) for v in result.w.values]
 
     csv_path = os.path.join(out_dir, "iterations.csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    with storage.open_for_write(csv_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for rec in result.log:
@@ -358,7 +357,7 @@ def _solve_problem(masks_path, data_path, settings, seed, out_dir):
                 + [f"{v:.16e}" for v in vals]
                 + [rec.restarts, f"{rec.ms:.3f}", f"{rec.delta:.16e}"]
             )
-    artifacts.append("iterations.csv")
+    written.append(csv_path)
     log = result.log
     norm = result.step_norm
     summary = {
@@ -370,28 +369,26 @@ def _solve_problem(masks_path, data_path, settings, seed, out_dir):
         "final_rank": log[-1].rank if log else 0,
         "final_fidelity": log[-1].fidelity if log else 0.0,
     }
-    return image, summary, artifacts
+    return image, summary, written
 
 
 def cmd_solve(args):
     out_dir = _ensure_dir(args.out)
-    config_doc = _load_run_config(args.config) if args.config else None
-    if config_doc and config_doc.get("mode") not in (None, "solve"):
-        raise ConfigError(f"config mode {config_doc.get('mode')!r} does not match 'solve'")
+    config_doc = _load_run_config(args.config)
     settings = _merge_solver_settings(config_doc, args)
-    masks_path = args.masks or (config_doc or {}).get("paths", {}).get("masks")
-    data_path = args.data or (config_doc or {}).get("paths", {}).get("data")
+    masks_path = args.masks or config_doc.get("paths", {}).get("masks")
+    data_path = args.data or config_doc.get("paths", {}).get("data")
     if not masks_path or not data_path:
         raise ConfigError("solve requires --masks and --data (or config paths)")
-    seed = args.seed if args.seed is not None else (config_doc or {}).get("seed", 0)
+    seed = args.seed if args.seed is not None else config_doc.get("seed", 0)
 
-    _, summary, artifacts = _solve_problem(masks_path, data_path, settings, seed, out_dir)
+    _, summary, written = _solve_problem(masks_path, data_path, settings, seed, out_dir)
     paths = {"masks": os.path.abspath(masks_path), "data": os.path.abspath(data_path)}
     config = {"solver": settings, "paths": paths, **summary}
-    _write_manifest(out_dir, "solve", config, seed, artifacts)
+    _write_manifest(out_dir, "solve", config, seed, written)
     report = {key: summary[key] for key in ("iterations", "final_rank", "final_fidelity",
                                             "converged", "step_norm")}
-    print(json.dumps({"recovered": os.path.join(out_dir, "recovered"), **report}, indent=2))
+    print(json.dumps({"recovered": written[0], **report}, indent=2))
     return 0
 
 
@@ -444,7 +441,7 @@ def cmd_bench_svt(args):
             "seed": args.seed,
             "rows": [row.__dict__ for row in rows],
         }
-        with open(args.json, "w", encoding="utf-8") as fh:
+        with storage.open_for_write(args.json) as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     return 0
@@ -454,19 +451,18 @@ def cmd_demo(args):
     out_dir = _ensure_dir(args.out)
     shape = _parse_shape(args.shape)
     image = synthetic_image(shape, seed=args.seed)
-    storage.write_images(os.path.join(out_dir, "truth"), image)
+    truth_files = storage.write_images(os.path.join(out_dir, "truth"), image)
     masks = make_rademacher_masks(shape, args.count, seed=args.seed + 1)
-    storage.write_images(os.path.join(out_dir, "masks"), masks.array)
-    _write_data(out_dir, image, masks, args.noise, args.seed + 2)
+    mask_files = storage.write_images(os.path.join(out_dir, "masks"), masks.array)
+    _, data_files = _write_data(out_dir, image, masks, args.noise, args.seed + 2)
 
     settings = _solver_defaults()
     settings["max_iter"] = args.iterations
     if args.noise > 0:
         settings["fidelity"] = "tikhonov"
         settings["alpha"] = args.alpha
-    recovered, summary, artifacts = _solve_problem(
-        os.path.join(out_dir, "masks"), os.path.join(out_dir, "data"), settings, args.seed, out_dir
-    )
+    recovered, summary, written = _solve_problem(
+        mask_files[0], data_files[0], settings, args.seed, out_dir)
     err = error_up_to_phase(recovered, image)
     config = {
         "shape": list(shape),
@@ -476,8 +472,8 @@ def cmd_demo(args):
         "error_up_to_phase": err,
         "final_rank": summary["final_rank"],
     }
-    inputs = ["truth", "truth.json", "masks", "masks.json", "data", "data.json"]
-    _write_manifest(out_dir, "demo", config, args.seed, artifacts + inputs)
+    inputs = [*truth_files, *mask_files, *data_files]
+    _write_manifest(out_dir, "demo", config, args.seed, written + inputs)
     report = {"out": out_dir, "error_up_to_phase": err, "final_rank": summary["final_rank"],
               "iterations": summary["iterations"]}
     print(json.dumps(report, indent=2))

@@ -425,10 +425,10 @@ def _phase_aligned(u, reference):
 
 def error_up_to_phase(u, reference):
     """Relative error minimized over a global phase factor."""
+    if np.shape(u) != np.shape(reference):
+        raise ConfigError("images must have the same shape")
     u = np.asarray(u).ravel()
     ref = np.asarray(reference).ravel()
-    if u.shape != ref.shape:
-        raise ConfigError("images must have the same shape")
     ref_norm = np.linalg.norm(ref)
     if ref_norm == 0:
         raise ConfigError("reference image must be nonzero")

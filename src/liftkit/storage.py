@@ -4,7 +4,7 @@ Complex stacks are stored as row-major little-endian complex128, that is
 interleaved float64 (re, im) pairs, with a JSON sidecar ``<path>.json`` holding
 ``{"height": .., "width": .., "count": ..}``.  Measurement vectors use the
 same scheme with real samples only and the sidecar ``{"L": .., "M2": ..,
-"M1": ..}``.
+"M1": ..}``.  Every size is a positive JSON integer.
 """
 
 from __future__ import annotations
@@ -22,20 +22,25 @@ def _sidecar(path):
     return str(path) + ".json"
 
 
-def _read_header(path, what):
-    """The parsed JSON sidecar of ``path``; ConfigError if missing or not JSON."""
+def _check_sizes(sidecar, dims):
+    """ConfigError unless every size is a positive integer (not a bool)."""
+    if not all(type(d) is int and d > 0 for d in dims):
+        raise ConfigError(f"header {sidecar} declares sizes {dims}, not positive integers")
+
+
+def _read_sizes(path, keys, item_bytes):
+    """The sizes ``path``'s sidecar names under ``keys``; ConfigError unless the
+    sidecar is a JSON object of positive integers and the body holds them."""
     sidecar = _sidecar(path)
     try:
         with open(sidecar, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            header = json.load(fh)
+        dims = tuple(header[key] for key in keys)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read {what} header {sidecar}: {exc}") from exc
-
-
-def _check_size(path, dims, item_bytes):
-    """ConfigError unless the header sizes are positive and the body holds them."""
-    if min(dims) < 1:
-        raise ConfigError(f"header {_sidecar(path)} declares non-positive sizes {dims}")
+        raise ConfigError(f"cannot read header {sidecar}: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"malformed header {sidecar}") from exc
+    _check_sizes(sidecar, dims)
     expected = math.prod(dims) * item_bytes
     try:
         size = os.path.getsize(path)
@@ -43,14 +48,29 @@ def _check_size(path, dims, item_bytes):
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
     if size != expected:
         raise ConfigError(f"{path}: expected {expected} bytes, found {size}")
+    return dims
 
 
-def _open_for_write(path, binary=False):
-    """``path`` opened for writing; ConfigError naming it when it cannot be."""
+def open_for_write(path, binary=False):
+    """``path`` opened for writing, text untranslated (a CSV keeps its ``\\r\\n``
+    rows); ConfigError naming it when it cannot be."""
     try:
-        return open(path, "wb") if binary else open(path, "w", encoding="utf-8")
+        return open(path, "wb") if binary else open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _write(path, body, header):
+    """Write ``body`` to ``path`` and ``header`` to its sidecar, after checking
+    the sizes as the readers do; returns both paths."""
+    sidecar = _sidecar(path)
+    _check_sizes(sidecar, tuple(header.values()))
+    with open_for_write(path, binary=True) as fh:
+        fh.write(body)
+    with open_for_write(sidecar) as fh:
+        json.dump(header, fh)
+        fh.write("\n")
+    return str(path), sidecar
 
 
 def write_images(path, array):
@@ -61,23 +81,12 @@ def write_images(path, array):
     if array.ndim != 3:
         raise ConfigError("expected a (count, height, width) stack or a single image")
     count, height, width = array.shape
-    with _open_for_write(path, binary=True) as fh:
-        fh.write(array.tobytes(order="C"))
-    with _open_for_write(_sidecar(path)) as fh:
-        json.dump({"height": height, "width": width, "count": count}, fh)
-        fh.write("\n")
+    return _write(path, array.tobytes(), {"height": height, "width": width, "count": count})
 
 
 def read_images(path):
     """Read a complex stack written by write_images; returns (count, h, w)."""
-    header = _read_header(path, "image")
-    try:
-        height = int(header["height"])
-        width = int(header["width"])
-        count = int(header["count"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed image header {_sidecar(path)}") from exc
-    _check_size(path, (count, height, width), 2 * 8)
+    height, width, count = _read_sizes(path, ("height", "width", "count"), 2 * 8)
     return np.fromfile(path, dtype="<c16").reshape(count, height, width)
 
 
@@ -87,19 +96,10 @@ def write_data(path, g, dims):
     g = np.asarray(g, dtype=float)
     if g.shape != (count * m2 * m1,):
         raise ConfigError("data length does not match the declared layout")
-    with _open_for_write(path, binary=True) as fh:
-        fh.write(g.astype("<f8").tobytes(order="C"))
-    with _open_for_write(_sidecar(path)) as fh:
-        json.dump({"L": count, "M2": m2, "M1": m1}, fh)
-        fh.write("\n")
+    return _write(path, g.astype("<f8").tobytes(order="C"), {"L": count, "M2": m2, "M1": m1})
 
 
 def read_data(path):
     """Read a measurement vector; returns (g, (L, M2, M1))."""
-    header = _read_header(path, "data")
-    try:
-        dims = (int(header["L"]), int(header["M2"]), int(header["M1"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed data header {_sidecar(path)}") from exc
-    _check_size(path, dims, 8)
+    dims = _read_sizes(path, ("L", "M2", "M1"), 8)
     return np.fromfile(path, dtype="<f8"), dims

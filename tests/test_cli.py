@@ -311,6 +311,16 @@ class TestSolveAndEval:
         manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
         assert manifest["config"]["step_norm"] == printed
 
+    def test_unwritable_log_exit_two(self, solved, tmp_path, capsys):
+        (tmp_path / "r" / "iterations.csv").mkdir(parents=True)
+        code = main(["solve", "--masks", str(solved / "masks"), "--data", str(solved / "data"),
+                     "--out", str(tmp_path / "r"), "--max-iter", "3", "--seed", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "iterations.csv" in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_seeded_solves_write_identical_manifests(self, solved, tmp_path):
         args = ["solve", "--masks", str(solved / "masks"), "--data", str(solved / "data"),
                 "--max-iter", "40", "--seed", "5"]
@@ -396,13 +406,28 @@ BAD_INPUTS = {
     "bench-json-dir-missing": ["bench-svt", "--iterations", "2", "--json", "{tmp}/missing/x.json"],
     "eval-recovered-nan": ["eval", "--recovered", "{tmp}/nan-image", "--reference", "{dir}/truth"],
     "eval-reference-inf": ["eval", "--recovered", "{dir}/truth", "--reference", "{tmp}/inf-image"],
+    "gen-masks-manifest-is-dir": ["gen-masks", "--kind", "rademacher", "--shape", "8x8",
+                                  "--count", "2", "--out", "{tmp}/manifest-blocked"],
+    "eval-fractional-height": ["eval", "--recovered", "{tmp}/fractional", "--reference",
+                               "{dir}/truth"],
+    "solve-config-out": SOLVE + ["--config", "{tmp}/config-out.json"],
+    "solve-config-image-path": SOLVE + ["--config", "{tmp}/config-image.json"],
+    "solve-config-demo-mode": SOLVE + ["--config", "{tmp}/config-demo.json"],
+}
+
+# run-config keys that solve does not read
+BAD_CONFIGS = {
+    "config-out": {"out": "elsewhere"},
+    "config-image": {"paths": {"image": "truth"}},
+    "config-demo": {"mode": "demo"},
 }
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_bad_input_exit_two(solved, tmp_path, capsys, monkeypatch, argv):
-    """Bad flags, headers, images and output paths end in exit code 2 and
-    one error line, and a solve or benchmark is rejected before it runs."""
+    """Bad flags, headers, images, config files and output paths end in exit
+    code 2 and one error line, and a solve or benchmark is rejected before it
+    runs."""
     (tmp_path / "empty").write_bytes(b"")
     (tmp_path / "empty.json").write_text('{"height": 8, "width": 8, "count": 0}')
     # data for 4 masks where the stack holds 6, and DFT sizes below the 8x8 image
@@ -416,6 +441,12 @@ def test_bad_input_exit_two(solved, tmp_path, capsys, monkeypatch, argv):
         image[2, 5] = bad
         storage.write_images(tmp_path / name, image)
     (tmp_path / "blocked" / "masks").mkdir(parents=True)
+    (tmp_path / "manifest-blocked" / "manifest.json").mkdir(parents=True)
+    # an 8x8 image whose header height int() would read as 8
+    storage.write_images(tmp_path / "fractional", np.ones((8, 8), dtype=complex))
+    (tmp_path / "fractional.json").write_text('{"height": 8.7, "width": 8, "count": 1}')
+    for name, doc in BAD_CONFIGS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
 
     def no_solve(*args, **kwargs):
         raise AssertionError("the solver ran on a rejected configuration")
@@ -428,6 +459,25 @@ def test_bad_input_exit_two(solved, tmp_path, capsys, monkeypatch, argv):
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert not (tmp_path / "d" / "data").exists()
+
+
+MANIFEST_RUNS = {
+    "gen-masks": ["gen-masks", "--kind", "rademacher", "--shape", "8x8", "--count", "2",
+                  "--out", "{out}"],
+    "gen-data": ["gen-data", "--image", "{dir}/truth", "--masks", "{dir}/masks",
+                 "--out", "{out}"],
+    "solve": ["solve", "--masks", "{dir}/masks", "--data", "{dir}/data", "--out", "{out}",
+              "--max-iter", "20", "--seed", "0"],
+    "demo": ["demo", "--out", "{out}", "--shape", "8x8", "--count", "6", "--iterations", "20"],
+}
+
+
+@pytest.mark.parametrize("argv", MANIFEST_RUNS.values(), ids=MANIFEST_RUNS.keys())
+def test_manifest_lists_every_written_file(solved, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([arg.format(dir=solved, out=out) for arg in argv]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["artifacts"]) == sorted(set(os.listdir(out)) - {"manifest.json"})
 
 
 class TestDemo:

@@ -565,6 +565,12 @@ class TestErrorUpToPhase:
         with pytest.raises(ConfigError):
             error_up_to_phase(np.ones(3), np.zeros(3))
 
+    def test_same_pixels_in_another_shape_rejected(self):
+        rng = np.random.default_rng(15)
+        ref = random_complex(rng, 64).reshape(8, 8)
+        with pytest.raises(ConfigError, match="same shape"):
+            error_up_to_phase(ref.reshape(4, 16), ref)
+
 
 class TestRecover:
     def test_scalar_magnitude(self):

@@ -108,15 +108,21 @@ class TestBadFiles:
             storage.read_images(tmp_path / "img")
 
 
-    @pytest.mark.parametrize("key", ["height", "width", "count", "L", "M2", "M1"])
-    def test_nonpositive_header_size(self, tmp_path, key):
-        """A zero size with the empty body it implies is still rejected."""
+    # zero, and JSON values that int() would read as 8, 1 and 8
+    SIZES = {"": 0, "-float": 8.7, "-bool": True, "-string": "8"}
+    CASES = {key + suffix: (key, value) for suffix, value in SIZES.items()
+             for key in ("height", "width", "count", "L", "M2", "M1")}
+
+    @pytest.mark.parametrize(("key", "value"), CASES.values(), ids=CASES.keys())
+    def test_nonpositive_header_size(self, tmp_path, key, value):
+        """A size that is no positive JSON integer is rejected, even beside
+        the body that its integer part implies."""
         if key in ("L", "M2", "M1"):
-            header, read = {"L": 1, "M2": 1, "M1": 1}, storage.read_data
+            header, read, item_bytes = {"L": 1, "M2": 1, "M1": 1}, storage.read_data, 8
         else:
-            header, read = {"height": 1, "width": 1, "count": 1}, storage.read_images
-        header[key] = 0
-        (tmp_path / "f").write_bytes(b"")
+            header, read, item_bytes = {"height": 1, "width": 1, "count": 1}, storage.read_images, 16
+        header[key] = value
+        (tmp_path / "f").write_bytes(bytes(int(value) * item_bytes))
         (tmp_path / "f.json").write_text(json.dumps(header))
         with pytest.raises(ConfigError, match="f.json"):
             read(tmp_path / "f")
@@ -142,3 +148,26 @@ class TestDataFormat:
     def test_length_mismatch_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             storage.write_data(tmp_path / "x", np.zeros(5), (1, 2, 2))
+
+
+class TestWriters:
+    def test_writers_return_their_paths(self, tmp_path):
+        image_paths = storage.write_images(tmp_path / "img", np.ones((2, 2)))
+        data_paths = storage.write_data(tmp_path / "vec", np.zeros(4), (1, 2, 2))
+        assert image_paths == (str(tmp_path / "img"), str(tmp_path / "img.json"))
+        assert data_paths == (str(tmp_path / "vec"), str(tmp_path / "vec.json"))
+
+    @pytest.mark.parametrize("write", [
+        lambda path: storage.write_images(path, np.zeros((0, 8, 8))),
+        lambda path: storage.write_data(path, np.zeros(0), (0, 4, 4)),
+    ], ids=["images", "data"])
+    def test_empty_layout_rejected_before_writing(self, tmp_path, write):
+        """The writers apply the readers' size rule and leave no file."""
+        with pytest.raises(ConfigError):
+            write(tmp_path / "f")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_text_mode_keeps_crlf(self, tmp_path):
+        with storage.open_for_write(tmp_path / "t.csv") as fh:
+            fh.write("a,b\r\n")
+        assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\n"
