@@ -139,7 +139,8 @@ RUN_CONFIG_SCHEMA = _closed({
     "solver": _nested(SOLVER_SETTINGS, lambda setting: setting.schema, _closed),
 })
 
-CSV_HEADER = ["n", "rank", "fidelity", "sigma0", "sigma1", "sigma2", "restarts", "ms", "delta"]
+CSV_HEADER = ["n", "rank", "fidelity", "sigma0", "sigma1", "sigma2", "restarts", "ms", "delta",
+              "single"]
 
 
 def _sha256(path):
@@ -326,7 +327,12 @@ def cmd_gen_data(args):
 
 def _solve_problem(masks_path, data_path, settings, seed, out_dir):
     """Recover the image and write the run's files; returns the image, the
-    run summary and the written paths."""
+    run summary and the written paths.
+
+    Every output path, the caller's ``manifest.json`` included, is checked
+    before the solve, so an unwritable one costs no solve and leaves no
+    file.  A rank-0 result removes the ``factors`` pair an earlier run left
+    in ``out_dir``, so the directory holds what the manifest lists."""
     cfg = _build_solver_config(settings, seed)
     mask_array = storage.read_images(masks_path)
     g, (count, m2, m1) = storage.read_data(data_path)
@@ -337,16 +343,23 @@ def _solve_problem(masks_path, data_path, settings, seed, out_dir):
     masks = MaskSet(array=mask_array, kind="custom")
     metric = default_metric(masks.shape, settings["metric"], settings["mu"])
     problem = PRProblem(masks=masks, m2=m2, m1=m1, metric=metric, g=g)
+    recovered_path, factors_path, csv_path, manifest_path = (
+        os.path.join(out_dir, name)
+        for name in ("recovered", "factors", "iterations.csv", "manifest.json")
+    )
+    storage.check_writable([*storage.outputs(recovered_path), *storage.outputs(factors_path),
+                            csv_path, manifest_path])
     image, result = recover(problem, cfg)
 
-    written = list(storage.write_images(os.path.join(out_dir, "recovered"), image))
+    written = list(storage.write_images(recovered_path, image))
     factor_values = []
     if result.w.rank:
         factors = result.w.factors.T.reshape(result.w.rank, *masks.shape)
-        written += storage.write_images(os.path.join(out_dir, "factors"), factors)
+        written += storage.write_images(factors_path, factors)
         factor_values = [float(v) for v in result.w.values]
+    else:
+        storage.remove(factors_path)
 
-    csv_path = os.path.join(out_dir, "iterations.csv")
     with storage.open_for_write(csv_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
@@ -355,7 +368,7 @@ def _solve_problem(masks_path, data_path, settings, seed, out_dir):
             writer.writerow(
                 [rec.n, rec.rank, f"{rec.fidelity:.16e}"]
                 + [f"{v:.16e}" for v in vals]
-                + [rec.restarts, f"{rec.ms:.3f}", f"{rec.delta:.16e}"]
+                + [rec.restarts, f"{rec.ms:.3f}", f"{rec.delta:.16e}", int(rec.single)]
             )
     written.append(csv_path)
     log = result.log

@@ -73,6 +73,13 @@ class QuadraticMap:
         """Action of the symmetric adjoint lifting, resolved against h."""
         raise NotImplementedError
 
+    def at_tolerance(self, delta):
+        """The map whose adjoint actions a threshold call at relative
+        tolerance ``delta`` takes: a cheaper view whose action error stays
+        well below ``delta`` times the action's norm, or this map itself
+        (the default)."""
+        return self
+
     def adjoint_bound(self):
         """A bound K such that e -> sym_adjoint_action(y, e) has operator
         norm at most K max_k |y_k| in ``h``, for every y; None (no bound) by

@@ -21,10 +21,18 @@ padding instead of copying into a new zeroed grid.  What
 the workspace holds is valid until the next transform on the same problem,
 and one problem must not be transformed from two threads at once; every
 result handed out of this module is an array of its own.
+
+A problem builds a second, complex64 pair on first use, with its own
+workspace and complex64 copies of the masks and conjugated masks.  The
+quadratic adjoint runs its transforms there when the threshold call's
+tolerance is loose (``MaskedFourierMap.at_tolerance``): the image is cast to
+complex64 on the way in and the sum over the masks back to complex128 on the
+way out, so every other array the solver sees stays complex128.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -46,6 +54,14 @@ SOBOLEV_DEFAULT_MU = (0.25, 1.0, 1.0)
 # on 32x32 (196,608) and 1.16-1.32x on 40x40: the FFTs' fixed cost per call
 # stops dominating.
 DENSE_DFT_MAX_WORK = 160_000
+
+# The threshold tolerance from which the quadratic adjoint runs in complex64.
+# Against complex128, the complex64 action differs by at most 2.3e-7 (about
+# 2 eps) relative in the metric norm, over random (y, e) on 16x16 with 8 masks
+# (dense blocks, Euclidean) and on 32x32 and 64x64 with 4 masks (pruned FFTs,
+# Sobolev).  An engine verdict tolerates delta times the argument's norm
+# estimate, so at 100 eps the action error stays near 1/50 of it.
+SINGLE_PRECISION_DELTA = 100 * float(np.finfo(np.float32).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,13 +156,32 @@ class PRProblem:
         """The conjugated mask stack, which every adjoint multiplies by."""
         return np.conj(self.masks.array)
 
+    def _pair(self, dtype):
+        n2, n1 = self.shape
+        dense = n2 * self.m1 * (n1 + self.m2) <= DENSE_DFT_MAX_WORK
+        kind = DenseDFT if dense else PrunedFFT
+        return kind(self.masks.count, self.shape, self.m2, self.m1, dtype)
+
     @cached_property
     def transforms(self):
         """The padded-DFT pair of this grid with its workspace, chosen and
         built on first use."""
-        n2, n1 = self.shape
-        dense = n2 * self.m1 * (n1 + self.m2) <= DENSE_DFT_MAX_WORK
-        return (DenseDFT if dense else PrunedFFT)(self.masks.count, self.shape, self.m2, self.m1)
+        return self._pair(complex)
+
+    @cached_property
+    def single_precision(self):
+        """The complex64 pair with a workspace of its own, and the masks and
+        conjugated masks in complex64, built on first use."""
+        masks = self.masks.array.astype(np.complex64)
+        return SinglePrecision(self._pair(np.complex64), masks, np.conj(masks))
+
+
+class SinglePrecision(NamedTuple):
+    """A problem's complex64 transform pair and masks."""
+
+    transforms: object
+    masks: np.ndarray
+    masks_conj: np.ndarray
 
 
 METRIC_KINDS = ("euclidean", "sobolev")
@@ -169,7 +204,7 @@ class PrunedFFT:
     every column to length m2: the padding rows are never row-transformed.
     The inverse transforms the columns first, then only the n2 kept rows, of
     which the first n1 entries are kept.  ``spectra`` is the (count, m2, m1)
-    workspace.
+    workspace, of ``dtype``.
 
     Both run in the buffer they are given: with ``overwrite_x`` a complex
     array, view or not, is scipy's output array, and without ``n=`` scipy
@@ -179,9 +214,9 @@ class PrunedFFT:
     its ufunc output unless the two have the same dtype object.
     """
 
-    def __init__(self, count, shape, m2, m1):
+    def __init__(self, count, shape, m2, m1, dtype=complex):
         self.shape = shape
-        self.spectra = np.empty((count, m2, m1), dtype=complex)
+        self.spectra = np.empty((count, m2, m1), dtype=dtype)
 
     def forward(self, masks, image, out):
         n2, n1 = self.shape
@@ -219,18 +254,20 @@ class DenseDFT:
     the padding never enters.  The rows of every mask are one product.
     Every product writes into the workspace: ``spectra`` (count, m2, m1),
     the image-grid stack (count, n2, n1) that holds the mask products and
-    the inverse's result, and the half-transformed rows and columns.
+    the inverse's result, and the half-transformed rows and columns.  The
+    blocks and the workspace are of ``dtype``; the blocks are rounded to it
+    from complex128.
     """
 
-    def __init__(self, count, shape, m2, m1):
+    def __init__(self, count, shape, m2, m1, dtype=complex):
         n2, n1 = shape
-        a2, a1 = _dft_block(m2, n2), _dft_block(m1, n1)
+        a2, a1 = _dft_block(m2, n2).astype(dtype), _dft_block(m1, n1).astype(dtype)
         self.a2, self.a1t = a2, np.ascontiguousarray(a1.T)
         self.a2h, self.a1c = np.ascontiguousarray(a2.conj().T), a1.conj()
-        self.spectra = np.empty((count, m2, m1), dtype=complex)
-        self._grid = np.empty((count, n2, n1), dtype=complex)
-        self._rows = np.empty((count, n2, m1), dtype=complex)
-        self._cols = np.empty((count, m2, n1), dtype=complex)
+        self.spectra = np.empty((count, m2, m1), dtype=dtype)
+        self._grid = np.empty((count, n2, n1), dtype=dtype)
+        self._rows = np.empty((count, n2, m1), dtype=dtype)
+        self._cols = np.empty((count, m2, n1), dtype=dtype)
 
     def forward(self, masks, image, out):
         count, n2, n1 = self._grid.shape
@@ -252,11 +289,16 @@ def _masked_spectra(problem, image, out=None):
 
     They are written into ``out`` when given (the problem's workspace, for a
     result that only lives until the next transform) and into a new array
-    otherwise.
+    otherwise.  A complex64 image is transformed by the complex64 pair, into
+    complex64 spectra.
     """
+    if image.dtype == np.complex64:
+        pair, masks, _ = problem.single_precision
+    else:
+        pair, masks = problem.transforms, problem.masks.array
     if out is None:
-        out = np.empty((problem.masks.count, problem.m2, problem.m1), dtype=complex)
-    return problem.transforms.forward(problem.masks.array, image, out)
+        out = np.empty_like(pair.spectra)
+    return pair.forward(masks, image, out)
 
 
 def _sandwich(problem, coeff, image, spectra=None):
@@ -266,14 +308,23 @@ def _sandwich(problem, coeff, image, spectra=None):
     when given, are the image's masked spectra; they are read, not
     recomputed or changed.  The scaled spectra and their inverse stay in the
     problem's workspace; only the sum over the masks is a new array.
+
+    A complex64 ``coeff`` runs the sandwich in the complex64 workspace: the
+    image is cast to complex64 and the sum back to complex128.  Any other
+    coefficient runs it in complex128.
     """
-    work = problem.transforms.spectra
+    if coeff.dtype == np.complex64:
+        image = image.astype(np.complex64)
+        pair, _, masks_conj = problem.single_precision
+    else:
+        pair, masks_conj = problem.transforms, problem.masks_conj
+    work = pair.spectra
     if spectra is None:
         spectra = _masked_spectra(problem, image, work)
     np.multiply(spectra, coeff, out=work)
-    back = problem.transforms.inverse(work)
-    back *= problem.masks_conj
-    return np.add.reduce(back, axis=0)
+    back = pair.inverse(work)
+    back *= masks_conj
+    return np.add.reduce(back, axis=0).astype(complex, copy=False)
 
 
 def forward(problem, image):
@@ -378,7 +429,11 @@ class MaskedFourierBilinear(BilinearMap):
 
 
 class MaskedFourierMap(QuadraticMap):
-    """Quadratic forward operator of the phase-retrieval problem on vectors."""
+    """Quadratic forward operator of the phase-retrieval problem on vectors.
+
+    ``single`` marks the view that ``at_tolerance`` hands out at a loose
+    tolerance: its adjoint actions run their transforms in complex64.
+    """
 
     def __init__(self, problem):
         self.problem = problem
@@ -386,13 +441,34 @@ class MaskedFourierMap(QuadraticMap):
         self.data_dim = problem.data_dim
         self.shape = problem.shape
         self.bins = (problem.masks.count, problem.m2, problem.m1)
+        self.single = False
 
     def apply(self, u):
         return forward(self.problem, np.asarray(u).reshape(self.shape))
 
+    def at_tolerance(self, delta):
+        """A single-precision view from ``SINGLE_PRECISION_DELTA`` on, a
+        complex128 one below it; the map itself when it is of that precision.
+        A view is meant for one threshold call, whose dual vector is fixed."""
+        single = delta >= SINGLE_PRECISION_DELTA
+        if single == self.single:
+            return self
+        view = copy.copy(self)
+        view.single, view._cast = single, (None, None)
+        return view
+
+    def _coefficients(self, y):
+        """The real part of y per DFT bin.  A single-precision view casts it
+        to complex64 once per dual vector and reuses the cast while it is
+        given the same array, so y must not change in place meanwhile."""
+        if not self.single:
+            return y.real.reshape(self.bins)
+        if self._cast[0] is not y:
+            self._cast = (y, y.real.astype(np.complex64).reshape(self.bins))
+        return self._cast[1]
+
     def sym_adjoint_action(self, y, e):
-        coeff = y.real.reshape(self.bins)
-        out = _sandwich(self.problem, coeff, e.reshape(self.shape))
+        out = _sandwich(self.problem, self._coefficients(y), e.reshape(self.shape))
         return self.h.apply_inv(out.ravel())
 
     def adjoint_bound(self):

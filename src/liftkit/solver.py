@@ -176,7 +176,9 @@ class SolverState:
 @dataclass(frozen=True)
 class IterationRecord:
     """One iteration's outcome; ``delta`` is the relative tolerance its
-    threshold call used."""
+    threshold call used, and ``single`` whether that call took its adjoint
+    actions from a single-precision view of the map (``at_tolerance``;
+    False when no engine call was made)."""
 
     n: int
     rank: int
@@ -186,6 +188,7 @@ class IterationRecord:
     ms: float
     actions: int = 0
     delta: float = 0.0
+    single: bool = False
 
 
 @dataclass(eq=False)
@@ -232,12 +235,14 @@ def dual_step(state, cfg, g, lifted_images):
     return z
 
 
-def _threshold_oracle(state, cfg, problem):
-    """Composed-action oracle for the threshold argument w - tau A^*(y)."""
+def _threshold_oracle(state, cfg, problem, delta):
+    """Composed-action oracle for the threshold argument w - tau A^*(y) of a
+    call at relative tolerance ``delta``; a quadratic map's adjoint actions
+    come from its view at that tolerance (``at_tolerance``)."""
     tau, y = cfg.tau, state.y
     if isinstance(problem, QuadraticMap):
-        metric = state.metric1
-        action = lambda e: reweighted_composed_hermitian(state.w, tau, problem, y, e, metric)
+        metric, qmap = state.metric1, problem.at_tolerance(delta)
+        action = lambda e: reweighted_composed_hermitian(state.w, tau, qmap, y, e, metric)
         return ActionOracle.hermitian(action, metric.dim, metric, state.norm_carry or None)
     m1, m2 = state.metric1, state.metric2
     right = lambda e: reweighted_composed_right(state.w, tau, problem, y, e, m1, m2)
@@ -299,10 +304,10 @@ def primal_step(state, cfg, problem, rng=None, delta=None):
     carries none.  The result carries the thresholding statistics,
     ``actions`` and ``ritz_pairs`` among them.
     """
-    oracle = _threshold_oracle(state, cfg, problem)
+    tcfg = cfg.threshold_config(cfg.tau * cfg.alpha_reg, delta)
+    oracle = _threshold_oracle(state, cfg, problem, tcfg.delta)
     warm = getattr(state.w, "ritz_pairs", state.w)
     threshold = evt if isinstance(problem, QuadraticMap) else svt
-    tcfg = cfg.threshold_config(cfg.tau * cfg.alpha_reg, delta)
     return threshold(oracle, tcfg, rng=rng, warm_start=warm)
 
 
@@ -377,10 +382,11 @@ def _prepare_data(g, cfg):
     return g, 1.0
 
 
-def _record(state, n, fidelity, ms, delta, sink, records):
+def _record(state, n, fidelity, ms, delta, single, sink, records):
     w = state.w
     rec = IterationRecord(n=n, rank=w.rank, fidelity=fidelity, values=tuple(w.values.tolist()),
-                          restarts=w.restarts, ms=ms, actions=w.actions, delta=delta)
+                          restarts=w.restarts, ms=ms, actions=w.actions, delta=delta,
+                          single=single)
     records.append(rec)
     if sink is not None:
         sink(rec)
@@ -435,11 +441,12 @@ def _run(problem, g, cfg, sink, update_dual, step_norm):
             delta = threshold_delta(cfg, _norm(img_curr - img_prev), g_norm)
         else:
             delta = threshold_delta(cfg, _norm(state.y - y_prev), _norm(state.y))
-        w_new = None
+        w_new, single = None, False
         if shortcut and reference is not None:
             w_new = _rescaled_empty(reference, state, cfg, delta, adjoint_bound)
         if w_new is None:
             w_new = primal_step(state, cfg, problem, rng=rng, delta=delta)
+            single = quadratic and problem.at_tolerance(delta) is not problem
             if shortcut and w_new.certificate is not None and state.y.any():
                 reference = (state.y, w_new)
         shortcut = shortcut and not w_new.rank
@@ -455,7 +462,7 @@ def _run(problem, g, cfg, sink, update_dual, step_norm):
         if cfg.reweight.enabled and state.n % cfg.reweight.period == 0:
             state.metric1, state.metric2 = reweight_step(state, cfg, base1, base2)
         ms = (time.perf_counter() - t0) * 1e3
-        _record(state, state.n, fidelity, ms, delta, sink, records)
+        _record(state, state.n, fidelity, ms, delta, single, sink, records)
         if fidelity <= cfg.tol * g_norm:
             converged = True
             break

@@ -9,6 +9,7 @@ same scheme with real samples only and the sidecar ``{"L": .., "M2": ..,
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -49,6 +50,40 @@ def _read_sizes(path, keys, item_bytes):
     if size != expected:
         raise ConfigError(f"{path}: expected {expected} bytes, found {size}")
     return dims
+
+
+def outputs(path):
+    """The two paths a body-and-sidecar writer writes for ``path``."""
+    return str(path), _sidecar(path)
+
+
+def check_writable(paths):
+    """ConfigError naming the first of ``paths`` that ``open_for_write`` would
+    fail on, found without creating or changing any file: a directory in its
+    place, a missing parent directory, or no write permission."""
+    for path in paths:
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(parent):
+            code = errno.ENOENT
+        elif not os.access(path if os.path.lexists(path) else parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
+
+
+def remove(path):
+    """Remove ``path`` and its sidecar where they exist; ConfigError naming
+    the one that cannot be removed."""
+    for name in outputs(path):
+        try:
+            os.remove(name)
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            raise ConfigError(f"cannot remove {name}: {exc.strerror}") from exc
 
 
 def open_for_write(path, binary=False):

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import liftkit
-from liftkit import storage
+from liftkit import cli, storage
 from liftkit.cli import _artifact_sha256, build_parser, main
-from liftkit.phase_retrieval import synthetic_image
+from liftkit.phase_retrieval import SINGLE_PRECISION_DELTA, synthetic_image
 from liftkit.solver import SolverConfig
 
 
@@ -194,12 +194,18 @@ class TestSolveAndEval:
             reader = csvmod.reader(fh)
             header = next(reader)
             assert header == ["n", "rank", "fidelity", "sigma0", "sigma1", "sigma2",
-                              "restarts", "ms", "delta"]
+                              "restarts", "ms", "delta", "single"]
             rows = list(reader)
         assert rows
-        assert all(len(r) == 9 for r in rows)
+        assert all(len(r) == 10 for r in rows)
         ns = [int(r[0]) for r in rows]
         assert ns == list(range(1, len(rows) + 1))
+        # the loose first call runs its adjoints in single precision, and no
+        # call below the switch does
+        single = [int(r[9]) for r in rows]
+        assert set(single) == {0, 1} and single[0] == 1
+        switch = SINGLE_PRECISION_DELTA
+        assert all(not flag for flag, r in zip(single, rows) if float(r[8]) < switch)
 
     def test_recovery_quality(self, solved):
         from liftkit.phase_retrieval import error_up_to_phase
@@ -320,6 +326,33 @@ class TestSolveAndEval:
         assert err.startswith("error: ") and "iterations.csv" in err
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_unwritable_output_costs_no_solve(self, solved, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "S"
+        (out / "iterations.csv").mkdir(parents=True)
+        solves = []
+        monkeypatch.setattr(cli, "recover", lambda *args: solves.append(1))
+        code = main(["solve", "--masks", str(solved / "masks"), "--data", str(solved / "data"),
+                     "--out", str(out), "--max-iter", "50", "--seed", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and str(out / "iterations.csv") in err
+        assert not solves
+        assert sorted(p.name for p in out.iterdir()) == ["iterations.csv"]
+        assert not any((out / "iterations.csv").iterdir())
+
+    def test_rank_zero_solve_removes_an_earlier_runs_factors(self, solved, tmp_path, capsys):
+        args = ["solve", "--masks", str(solved / "masks"), "--data", str(solved / "data"),
+                "--out", str(tmp_path / "r"), "--seed", "0"]
+        assert main(args + ["--max-iter", "20"]) == 0
+        assert (tmp_path / "r" / "factors").exists()
+        capsys.readouterr()
+        assert main(args + ["--max-iter", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["final_rank"] == 0
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        on_disk = {p.name for p in (tmp_path / "r").iterdir()} - {"manifest.json"}
+        assert on_disk == set(manifest["artifacts"]) == {
+            "iterations.csv", "recovered", "recovered.json"}
 
     def test_seeded_solves_write_identical_manifests(self, solved, tmp_path):
         args = ["solve", "--masks", str(solved / "masks"), "--data", str(solved / "data"),

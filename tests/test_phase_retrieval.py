@@ -24,9 +24,16 @@ from liftkit.phase_retrieval import (
     sym_adjoint_action,
     synthetic_image,
 )
+from liftkit import solver
 from liftkit.solver import SolverConfig
 
-from helpers import random_complex
+from helpers import (
+    dense_evt,
+    dense_weighted_evd,
+    random_complex,
+    random_hermitian_factored,
+    random_spd_metric,
+)
 
 
 def naive_forward(masks, m2, m1, image):
@@ -419,6 +426,151 @@ class TestTransformWorkspace:
             finally:
                 tracemalloc.stop()
             assert peak < spectra_bytes
+
+
+class TestSinglePrecision:
+    """From ``SINGLE_PRECISION_DELTA`` on, the quadratic adjoint runs its
+    transforms in complex64; below it, nothing changes."""
+
+    SWITCH = phase_retrieval.SINGLE_PRECISION_DELTA
+    GRIDS = TestTransformWorkspace.GRIDS
+
+    @staticmethod
+    def relative_error(metric, got, ref):
+        return metric.norm(got - ref) / metric.norm(ref)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("kernel", ["dense", "pruned"])
+    def test_action_error_is_a_tenth_of_the_switch(self, monkeypatch, grid, kernel):
+        rng = np.random.default_rng(50)
+        problem = TestTransformWorkspace.problem(monkeypatch, grid, kernel)
+        qmap = MaskedFourierMap(problem)
+        view = qmap.at_tolerance(self.SWITCH)
+        assert view.single and view.at_tolerance(self.SWITCH) is view
+        assert not view.at_tolerance(0.0).single
+        for _ in range(5):
+            y = rng.standard_normal(problem.data_dim)
+            e = random_complex(rng, problem.metric.dim)
+            ref = qmap.sym_adjoint_action(y, e)
+            got = view.sym_adjoint_action(y, e)
+            assert got.dtype == ref.dtype == complex
+            assert self.relative_error(problem.metric, got, ref) <= self.SWITCH / 10
+
+    @pytest.mark.parametrize("shape,m2,m1", TestPrunedKernels.LAYOUTS + TestPrunedKernels.RULE_LAYOUTS)
+    @pytest.mark.parametrize("kernel", ["dense", "pruned"])
+    def test_complex64_sandwich_matches_full_grid(self, monkeypatch, shape, m2, m1, kernel):
+        # complex masks, so the conjugated mask stack is checked too
+        limit = np.inf if kernel == "dense" else -1
+        monkeypatch.setattr(phase_retrieval, "DENSE_DFT_MAX_WORK", limit)
+        rng, problem, image = TestPrunedKernels.case(shape, m2, m1, seed=58)
+        coeff = rng.standard_normal((3, m2, m1))
+        got = phase_retrieval._sandwich(problem, coeff.astype(np.complex64), image)
+        ref = full_grid_sandwich(problem, coeff, image)
+        assert type(problem.single_precision.transforms) is TestPrunedKernels.KERNELS[kernel]
+        assert got.dtype == complex and got.shape == shape
+        assert np.linalg.norm(got - ref) <= self.SWITCH / 10 * np.linalg.norm(ref)
+
+    def test_below_the_switch_the_map_and_its_action_are_unchanged(self):
+        rng = np.random.default_rng(51)
+        problem = PRProblem(masks=make_rademacher_masks((8, 8), 4, seed=52), m2=16, m1=16,
+                            metric=SobolevMetric((8, 8), (0.25, 1.0, 1.0)))
+        qmap = MaskedFourierMap(problem)
+        below = qmap.at_tolerance(np.nextafter(self.SWITCH, 0.0))
+        assert below is qmap and not below.single
+        y = rng.standard_normal(problem.data_dim)
+        e = random_complex(rng, problem.metric.dim)
+        # the complex128 sandwich, step by step
+        pair = problem.transforms
+        spectra = pair.forward(problem.masks.array, e.reshape(problem.shape),
+                               np.empty_like(pair.spectra))
+        back = pair.inverse(spectra * y.reshape(spectra.shape))
+        back *= np.conj(problem.masks.array)
+        ref = problem.metric.apply_inv(np.add.reduce(back, axis=0).ravel())
+        assert np.array_equal(below.sym_adjoint_action(y, e), ref)
+
+    @pytest.mark.parametrize("kernel", ["dense", "pruned"])
+    def test_evt_at_the_switch_matches_complex128_and_dense(self, monkeypatch, kernel):
+        rng = np.random.default_rng(53)
+        monkeypatch.setattr(
+            phase_retrieval, "DENSE_DFT_MAX_WORK", np.inf if kernel == "dense" else -1
+        )
+        n = 64
+        metric = random_spd_metric(rng, n)
+        problem = PRProblem(masks=make_rademacher_masks((8, 8), 4, seed=54), m2=16, m1=16,
+                            metric=metric)
+        qmap = MaskedFourierMap(problem)
+        y = rng.standard_normal(problem.data_dim)
+        w = random_hermitian_factored(rng, n, 2, metric, scale=3.0)
+        tau = 1.0 / float(np.max(np.abs(qmap.sym_adjoint_action(y, random_complex(rng, n)))))
+        # the argument w - tau A^*(y) as a dense matrix: its action is W H e
+        inv = np.linalg.inv(metric.to_dense())
+        argument = np.stack([w.action(metric, c) - tau * qmap.sym_adjoint_action(y, c)
+                             for c in inv.T], axis=1)
+        h = metric.to_dense()
+        lam, _ = dense_weighted_evd(argument, h)
+        level = 0.5 * (lam[1] + lam[2])
+        cfg = SolverConfig(tau=tau, sigma=tau, alpha_reg=level / tau, validate_steps=False)
+        results = []
+        for switch in (self.SWITCH, np.inf):
+            monkeypatch.setattr(phase_retrieval, "SINGLE_PRECISION_DELTA", switch)
+            state = solver.SolverState(w=w, w_prev=w, y=y, metric1=metric, metric2=metric)
+            results.append(solver.primal_step(state, cfg, MaskedFourierMap(problem),
+                                              rng=np.random.default_rng(0), delta=self.SWITCH))
+        expected = dense_weighted_evd(dense_evt(argument, h, level), h)[0][:2]
+        tol = self.SWITCH * max(results[0].norm_estimate, lam[0])
+        for result in results:
+            assert result.rank == 2
+            assert np.allclose(result.values, expected, rtol=0.0, atol=tol)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("kernel", ["dense", "pruned"])
+    def test_warm_single_action_allocates_less_than_one_complex64_spectra(
+        self, monkeypatch, grid, kernel
+    ):
+        rng = np.random.default_rng(55)
+        problem = TestTransformWorkspace.problem(monkeypatch, grid, kernel)
+        view = MaskedFourierMap(problem).at_tolerance(self.SWITCH)
+        vec = random_complex(rng, problem.metric.dim)
+        y = rng.standard_normal(problem.data_dim)
+        spectra_bytes = problem.data_dim * np.dtype(np.complex64).itemsize
+        view.sym_adjoint_action(y, vec)  # builds the workspace and casts y
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            view.sym_adjoint_action(y, vec)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < spectra_bytes
+
+    def test_counters_see_every_single_precision_action(self, monkeypatch):
+        # perfbench wraps _sandwich and MaskedFourierMap.sym_adjoint_action:
+        # single-precision actions must pass through both
+        counts = {"sym": 0, "sym_single": 0, "sandwich64": 0}
+        sandwich, sym = phase_retrieval._sandwich, MaskedFourierMap.sym_adjoint_action
+
+        def counting_sandwich(problem, coeff, *args):
+            counts["sandwich64"] += coeff.dtype == np.complex64
+            return sandwich(problem, coeff, *args)
+
+        def counting_sym(self, y, e):
+            counts["sym"] += 1
+            counts["sym_single"] += self.single
+            return sym(self, y, e)
+
+        monkeypatch.setattr(phase_retrieval, "_sandwich", counting_sandwich)
+        monkeypatch.setattr(MaskedFourierMap, "sym_adjoint_action", counting_sym)
+        truth = synthetic_image((8, 8), seed=56)
+        problem = PRProblem(masks=make_rademacher_masks((8, 8), 6, seed=57), m2=16, m1=16,
+                            metric=EuclideanMetric(64))
+        problem.g = forward(problem, truth)
+        cfg = SolverConfig(delta=self.SWITCH, max_iter=40, tol=0.0)
+        _, res = recover(problem, cfg)
+        actions = sum(rec.actions for rec in res.log)
+        assert actions > 0
+        assert counts["sym"] == counts["sym_single"] == counts["sandwich64"] == actions
+        assert all(rec.single == (rec.actions > 0) for rec in res.log)
 
 
 class TestLiftedConsistency:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from liftkit import solver
+from liftkit import phase_retrieval, solver
 from liftkit.errors import ConfigError, NumericalError
 from liftkit.lowrank import FactoredTensor, HermitianFactored
 from liftkit.metric import EuclideanMetric, ReweightedMetric, SobolevMetric, orthonormalize
@@ -794,3 +794,18 @@ class TestEmptyStart:
         assert not res.y.any()
         assert all(rec.rank == 0 and rec.actions > 0 for rec in res.log)
         assert [rec.delta for rec in res.log] == [cfg.delta] * len(res.log)
+
+
+class TestIterationPrecision:
+    """``IterationRecord.single`` says whether the iteration's threshold call
+    took its adjoints from the single-precision view."""
+
+    @pytest.mark.parametrize("kind", sorted(EMPTY_START_FIDELITIES))
+    def test_records_follow_the_switch_and_skipped_calls(self, kind):
+        problem, cfg = empty_start_problem(kind)
+        _, res = recover(problem, cfg)
+        switch = phase_retrieval.SINGLE_PRECISION_DELTA
+        assert any(rec.actions == 0 for rec in res.log)
+        for rec in res.log:
+            assert rec.single == (rec.actions > 0 and rec.delta >= switch)
+        assert any(rec.single for rec in res.log)
