@@ -91,7 +91,12 @@ SOLVER_SETTINGS = {
         "help": "floor of the relative threshold tolerance; each iteration's "
                 "tolerance follows the solve's progress down to it",
     }),
-    "rank_cap": Setting(_SOLVER.rank_cap, _INTEGER, "--rank-cap", _INT),
+    "rank_cap": Setting(_SOLVER.rank_cap, _INTEGER, "--rank-cap", {
+        "type": int,
+        "help": "most leading triples a threshold call grows its subspace to; not a "
+                "bound on the iterate's rank, since a pass keeps every value it "
+                "certifies above the level",
+    }),
     "max_iter": Setting(_SOLVER.max_iter, _INTEGER, "--max-iter", _INT),
     "tol": Setting(_SOLVER.tol, _NUMBER, "--tol", _FLOAT),
     "metric": Setting("euclidean", {"enum": list(METRIC_KINDS)}, "--metric",

@@ -662,11 +662,7 @@ def augmented_restart(
         return _stopped(values, residuals, ell, delta, norm_est, stop_below, empty_after=ell)
 
     def stop(fac, gamma):
-        nonlocal verdict
-        if fac.ne < floor:
-            return False
-        verdict = certified(*fac.estimates(gamma))
-        return verdict[0]
+        return fac.ne >= floor and certified(*fac.estimates(gamma))[0]
 
     # one Ritz value cannot stop a pass with ell >= 2: that needs ell
     # converged values, a cut after the first, or more than ell values
@@ -678,17 +674,12 @@ def augmented_restart(
         fac = state(oracle, rng, cap, norm_est)
         if kept is not None:
             fac.seed(*kept)
-        verdict = None
         fac.advance(*begin, cap, stop)
         psvd = ritz_factorize(
             fac, fac.right_basis, fac.left_basis, fac.gamma_last, fac.basis_images
         )
-        # a pass that ended on a certified column holds that check's verdict,
-        # unless the Ritz values raised the norm estimate behind its tol
-        if psvd.norm_estimate > norm_est or verdict is None or not verdict[0]:
-            norm_est = max(norm_est, psvd.norm_estimate)
-            verdict = certified(psvd.values, psvd.residuals)
-        done, psvd.tol, psvd.cut = verdict
+        norm_est = max(norm_est, psvd.norm_estimate)
+        done, psvd.tol, psvd.cut = certified(psvd.values, psvd.residuals)
         done = done or psvd.count == 0
         if done or restarts >= max_restarts:
             psvd.converged = done

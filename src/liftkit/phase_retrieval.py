@@ -22,12 +22,13 @@ the workspace holds is valid until the next transform on the same problem,
 and one problem must not be transformed from two threads at once; every
 result handed out of this module is an array of its own.
 
-A problem builds a second, complex64 pair on first use, with its own
-workspace and complex64 copies of the masks and conjugated masks.  The
-quadratic adjoint runs its transforms there when the threshold call's
-tolerance is loose (``MaskedFourierMap.at_tolerance``): the image is cast to
-complex64 on the way in and the sum over the masks back to complex128 on the
-way out, so every other array the solver sees stays complex128.
+Each pair also holds the mask stack and its conjugate in the pair's own
+precision.  A problem builds a second, complex64 pair on first use, from the
+masks rounded to complex64.  The quadratic adjoint runs its transforms there
+when the threshold call's tolerance is loose
+(``MaskedFourierMap.at_tolerance``): the image is cast to complex64 on the
+way in and the sum over the masks back to complex128 on the way out, so
+every other array the solver sees stays complex128.
 """
 
 from __future__ import annotations
@@ -151,37 +152,27 @@ class PRProblem:
     def data_dim(self):
         return self.masks.count * self.m2 * self.m1
 
-    @cached_property
-    def masks_conj(self):
-        """The conjugated mask stack, which every adjoint multiplies by."""
-        return np.conj(self.masks.array)
-
-    def _pair(self, dtype):
+    def _pair(self, masks):
         n2, n1 = self.shape
         dense = n2 * self.m1 * (n1 + self.m2) <= DENSE_DFT_MAX_WORK
-        kind = DenseDFT if dense else PrunedFFT
-        return kind(self.masks.count, self.shape, self.m2, self.m1, dtype)
+        return (DenseDFT if dense else PrunedFFT)(masks, self.m2, self.m1)
 
     @cached_property
     def transforms(self):
-        """The padded-DFT pair of this grid with its workspace, chosen and
-        built on first use."""
-        return self._pair(complex)
+        """The padded-DFT pair of this grid with its masks and workspace,
+        chosen and built on first use."""
+        return self._pair(self.masks.array.astype(complex, copy=False))
 
     @cached_property
     def single_precision(self):
-        """The complex64 pair with a workspace of its own, and the masks and
-        conjugated masks in complex64, built on first use."""
-        masks = self.masks.array.astype(np.complex64)
-        return SinglePrecision(self._pair(np.complex64), masks, np.conj(masks))
+        """The complex64 pair, with complex64 masks and a workspace of its
+        own, built on first use."""
+        return self._pair(self.masks.array.astype(np.complex64))
 
-
-class SinglePrecision(NamedTuple):
-    """A problem's complex64 transform pair and masks."""
-
-    transforms: object
-    masks: np.ndarray
-    masks_conj: np.ndarray
+    def pair(self, dtype):
+        """The complex64 pair for complex64 arrays, the complex128 one for
+        any other."""
+        return self.single_precision if dtype == np.complex64 else self.transforms
 
 
 METRIC_KINDS = ("euclidean", "sobolev")
@@ -203,8 +194,9 @@ class PrunedFFT:
     length m1, and only then zeroes the m2 - n2 padding rows and transforms
     every column to length m2: the padding rows are never row-transformed.
     The inverse transforms the columns first, then only the n2 kept rows, of
-    which the first n1 entries are kept.  ``spectra`` is the (count, m2, m1)
-    workspace, of ``dtype``.
+    which the first n1 entries are kept.  ``masks`` and ``masks_conj`` are
+    the mask stack and its conjugate; ``spectra`` is the (count, m2, m1)
+    workspace, of the masks' dtype.
 
     Both run in the buffer they are given: with ``overwrite_x`` a complex
     array, view or not, is scipy's output array, and without ``n=`` scipy
@@ -214,14 +206,15 @@ class PrunedFFT:
     its ufunc output unless the two have the same dtype object.
     """
 
-    def __init__(self, count, shape, m2, m1, dtype=complex):
-        self.shape = shape
-        self.spectra = np.empty((count, m2, m1), dtype=dtype)
+    def __init__(self, masks, m2, m1):
+        self.shape = masks.shape[1:]
+        self.masks, self.masks_conj = masks, np.conj(masks)
+        self.spectra = np.empty((masks.shape[0], m2, m1), dtype=masks.dtype)
 
-    def forward(self, masks, image, out):
+    def forward(self, image, out):
         n2, n1 = self.shape
         rows = out[:, :n2, :]
-        np.multiply(masks, image, out=rows[:, :, :n1])
+        np.multiply(self.masks, image, out=rows[:, :, :n1])
         rows[:, :, n1:] = 0
         fft(rows, axis=-1, overwrite_x=True)
         out[:, n2:, :] = 0
@@ -254,13 +247,16 @@ class DenseDFT:
     the padding never enters.  The rows of every mask are one product.
     Every product writes into the workspace: ``spectra`` (count, m2, m1),
     the image-grid stack (count, n2, n1) that holds the mask products and
-    the inverse's result, and the half-transformed rows and columns.  The
-    blocks and the workspace are of ``dtype``; the blocks are rounded to it
-    from complex128.
+    the inverse's result, and the half-transformed rows and columns.  Like
+    ``PrunedFFT``, it holds the masks and their conjugate.  The blocks and the
+    workspace are of the masks' dtype; the blocks are rounded to it from
+    complex128.
     """
 
-    def __init__(self, count, shape, m2, m1, dtype=complex):
-        n2, n1 = shape
+    def __init__(self, masks, m2, m1):
+        count, n2, n1 = masks.shape
+        dtype = masks.dtype
+        self.masks, self.masks_conj = masks, np.conj(masks)
         a2, a1 = _dft_block(m2, n2).astype(dtype), _dft_block(m1, n1).astype(dtype)
         self.a2, self.a1t = a2, np.ascontiguousarray(a1.T)
         self.a2h, self.a1c = np.ascontiguousarray(a2.conj().T), a1.conj()
@@ -269,9 +265,9 @@ class DenseDFT:
         self._rows = np.empty((count, n2, m1), dtype=dtype)
         self._cols = np.empty((count, m2, n1), dtype=dtype)
 
-    def forward(self, masks, image, out):
+    def forward(self, image, out):
         count, n2, n1 = self._grid.shape
-        np.multiply(masks, image, out=self._grid)
+        np.multiply(self.masks, image, out=self._grid)
         rows = self._rows.reshape(count * n2, -1)
         np.matmul(self._grid.reshape(count * n2, n1), self.a1t, out=rows)
         return np.matmul(self.a2, self._rows, out=out)
@@ -292,13 +288,10 @@ def _masked_spectra(problem, image, out=None):
     otherwise.  A complex64 image is transformed by the complex64 pair, into
     complex64 spectra.
     """
-    if image.dtype == np.complex64:
-        pair, masks, _ = problem.single_precision
-    else:
-        pair, masks = problem.transforms, problem.masks.array
+    pair = problem.pair(image.dtype)
     if out is None:
         out = np.empty_like(pair.spectra)
-    return pair.forward(masks, image, out)
+    return pair.forward(image, out)
 
 
 def _sandwich(problem, coeff, image, spectra=None):
@@ -313,17 +306,13 @@ def _sandwich(problem, coeff, image, spectra=None):
     image is cast to complex64 and the sum back to complex128.  Any other
     coefficient runs it in complex128.
     """
-    if coeff.dtype == np.complex64:
-        image = image.astype(np.complex64)
-        pair, _, masks_conj = problem.single_precision
-    else:
-        pair, masks_conj = problem.transforms, problem.masks_conj
+    pair = problem.pair(coeff.dtype)
     work = pair.spectra
     if spectra is None:
-        spectra = _masked_spectra(problem, image, work)
+        spectra = _masked_spectra(problem, image.astype(work.dtype, copy=False), work)
     np.multiply(spectra, coeff, out=work)
     back = pair.inverse(work)
-    back *= masks_conj
+    back *= pair.masks_conj
     return np.add.reduce(back, axis=0).astype(complex, copy=False)
 
 

@@ -445,8 +445,9 @@ def _run(problem, g, cfg, sink, update_dual, step_norm):
         if shortcut and reference is not None:
             w_new = _rescaled_empty(reference, state, cfg, delta, adjoint_bound)
         if w_new is None:
-            w_new = primal_step(state, cfg, problem, rng=rng, delta=delta)
-            single = quadratic and problem.at_tolerance(delta) is not problem
+            view = problem.at_tolerance(delta) if quadratic else problem
+            w_new = primal_step(state, cfg, view, rng=rng, delta=delta)
+            single = view is not problem
             if shortcut and w_new.certificate is not None and state.y.any():
                 reference = (state.y, w_new)
         shortcut = shortcut and not w_new.rank

@@ -56,10 +56,12 @@ class ThresholdConfig:
     ``ell`` is the initial subspace size, ``k`` the cap on the columns of
     one Krylov pass of the lanczos engine (k > ell; a pass stops at its first
     certified column), ``delta`` the relative convergence tolerance,
-    ``rank_cap`` the largest subspace the adaptation may grow to.  A column
-    of ``svt``'s Golub-Kahan pass costs two oracle actions, a column of
-    ``evt``'s Hermitian Lanczos pass one.  These checks are the one
-    owner of the engine-setting rules; ``SolverConfig`` validates through them.
+    ``rank_cap`` the largest subspace the adaptation may grow to, not a bound
+    on the result's rank: a pass keeps every value it certifies above the
+    level.  A column of ``svt``'s Golub-Kahan pass costs two oracle actions,
+    a column of ``evt``'s Hermitian Lanczos pass one.  These checks are the
+    one owner of the engine-setting rules; ``SolverConfig`` validates
+    through them.
     """
 
     tau: float

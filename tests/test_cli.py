@@ -235,6 +235,41 @@ class TestSolveAndEval:
         report = json.loads(out)
         assert "uncovered_pixels" in report
 
+    def test_eval_with_masks_reports_the_error_on_holes(self, solved, capsys, tmp_path):
+        # the first two rows seen by no mask, and a recovery off the truth
+        # by a global phase and a perturbation
+        masks = storage.read_images(solved / "masks")
+        masks[:, :2, :] = 0
+        storage.write_images(tmp_path / "masks", masks)
+        truth = storage.read_images(solved / "truth")[0]
+        rng = np.random.default_rng(9)
+        recovered = np.exp(0.7j) * truth + 0.05 * rng.standard_normal(truth.shape)
+        storage.write_images(tmp_path / "recovered", recovered)
+        code, out = run(
+            ["eval", "--recovered", str(tmp_path / "recovered"), "--reference",
+             str(solved / "truth"), "--masks", str(tmp_path / "masks")],
+            capsys,
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["uncovered_pixels"] == 16
+        corr = np.vdot(truth, recovered)
+        aligned = recovered * np.conj(corr) / abs(corr)
+        expected = np.linalg.norm((aligned - truth)[:2]) / np.linalg.norm(truth[:2])
+        assert report["uncovered_relative_error"] == pytest.approx(expected, rel=1e-12)
+
+    def test_numerical_failure_exit_three(self, solved, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise liftkit.NumericalError("dual vector became non-finite at iteration 3")
+
+        monkeypatch.setattr(cli, "recover", failing)
+        code = main(["solve", "--masks", str(solved / "masks"), "--data",
+                     str(solved / "data"), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical failure: ") and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_eval_non_json_header_exit_two(self, solved, tmp_path, capsys):
         bad = tmp_path / "recovered"
         shutil.copy(solved / "run" / "recovered", bad)
@@ -446,6 +481,16 @@ BAD_INPUTS = {
     "solve-config-out": SOLVE + ["--config", "{tmp}/config-out.json"],
     "solve-config-image-path": SOLVE + ["--config", "{tmp}/config-image.json"],
     "solve-config-demo-mode": SOLVE + ["--config", "{tmp}/config-demo.json"],
+    "solve-config-not-json": SOLVE + ["--config", "{tmp}/not-json.json"],
+    "gen-masks-shape-by": ["gen-masks", "--kind", "rademacher", "--shape", "8by8",
+                           "--count", "2", "--out", "{tmp}/m"],
+    "gen-masks-shape-zero": ["gen-masks", "--kind", "rademacher", "--shape", "0x8",
+                             "--count", "2", "--out", "{tmp}/m"],
+    "gen-masks-shape-three-axes": ["gen-masks", "--kind", "rademacher", "--shape", "8x8x8",
+                                   "--count", "2", "--out", "{tmp}/m"],
+    "gen-data-image-mask-shape-mismatch": GEN_DATA + ["--image", "{tmp}/image16"],
+    "eval-shape-mismatch": ["eval", "--recovered", "{tmp}/image16", "--reference",
+                            "{dir}/truth"],
 }
 
 # run-config keys that solve does not read
@@ -466,8 +511,11 @@ def test_bad_input_exit_two(solved, tmp_path, capsys, monkeypatch, argv):
     # data for 4 masks where the stack holds 6, and DFT sizes below the 8x8 image
     storage.write_data(tmp_path / "four-masks", np.ones(4 * 16 * 16), (4, 16, 16))
     storage.write_data(tmp_path / "small-dft", np.ones(6 * 4 * 4), (6, 4, 4))
-    # masks for a 16x16 image that see no pixel, beside the 8x8 images
+    # masks for a 16x16 image that see no pixel, and a 16x16 image, beside
+    # the 8x8 images and masks
     storage.write_images(tmp_path / "masks16", np.zeros((2, 16, 16)))
+    storage.write_images(tmp_path / "image16", np.ones((16, 16), dtype=complex))
+    (tmp_path / "not-json.json").write_text("{solver: {ell: 3}")
     # 8x8 images with one non-finite pixel, and a directory where gen-masks writes
     for name, bad in (("nan-image", np.nan), ("inf-image", np.inf)):
         image = np.ones((8, 8), dtype=complex)
@@ -524,6 +572,19 @@ class TestDemo:
         report = json.loads(out)
         assert report["error_up_to_phase"] < 0.05
         assert (tmp_path / "demo" / "manifest.json").exists()
+
+
+    def test_noisy_demo_records_tikhonov_and_alpha(self, tmp_path, capsys):
+        code, _ = run(
+            ["demo", "--out", str(tmp_path / "demo"), "--shape", "8x8", "--count", "6",
+             "--iterations", "5", "--noise", "0.05", "--alpha", "0.5"],
+            capsys,
+        )
+        assert code == 0
+        manifest = json.loads((tmp_path / "demo" / "manifest.json").read_text())
+        assert manifest["config"]["noise"] == 0.05
+        assert manifest["config"]["solver"]["fidelity"] == "tikhonov"
+        assert manifest["config"]["solver"]["alpha"] == 0.5
 
 
 class TestBench:

@@ -1005,6 +1005,58 @@ class TestEmptyCutBelowTheTop:
         assert np.max(np.abs(out.to_dense() - expected)) <= 1e-6
 
 
+class TestRepeatedValueAboveTheLevel:
+    """A single-vector Krylov space holds one direction of a repeated value,
+    so the Lanczos engine finds one copy of 0.6 where three lie above the
+    level (ROADMAP item 5); these draws pin it until a block start or a
+    probe that deflates the found copy closes it."""
+
+    TOP = [1.0, 0.6, 0.6, 0.6, 0.3]
+    TAU = 0.45
+
+    @pytest.mark.xfail(strict=True, reason="a repeated value above the level is found once")
+    @pytest.mark.parametrize("kind", ["evt", "svt"])
+    def test_matches_dense(self, kind):
+        rng = np.random.default_rng(0)
+        hermitian = kind == "evt"
+        n1 = 24 if hermitian else 20
+        m1 = random_spd_metric(rng, n1)
+        m2 = m1 if hermitian else random_spd_metric(rng, 24)
+        if hermitian:
+            rest = rng.uniform(-0.2, 0.2, size=n1 - len(self.TOP))
+        else:
+            rest = np.sort(rng.uniform(0.0, 0.2, size=n1 - len(self.TOP)))[::-1]
+        values = np.concatenate([self.TOP, rest])
+        w = operator_with_factors(rng, values, m1, None if hermitian else m2)[0]
+        cfg = ThresholdConfig(tau=self.TAU, ell=5, k=10, delta=DELTA, rank_cap=5)
+        oracle = oracle_from_dense(w, m1, m2)
+        if hermitian:
+            out = evt(oracle, cfg, rng=rng)
+            expected = dense_evt(w, m1.to_dense(), self.TAU)
+        else:
+            out = svt(oracle, cfg, rng=rng)
+            expected = dense_svt(w, m1.to_dense(), m2.to_dense(), self.TAU)
+        assert out.rank == 4
+        assert np.max(np.abs(out.to_dense() - expected)) <= 1e-8
+
+
+class TestRankCapBoundsGrowth:
+    """``rank_cap`` caps how far the subspace grows, not the rank of the
+    result: every converged value above the level in a pass is kept, so four
+    values above the level come back at a cap of 2 or 3 (ROADMAP item 9)."""
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_result_rank_exceeds_the_cap(self, seed, cap):
+        rng = np.random.default_rng(seed)
+        m = random_spd_metric(rng, 24)
+        w = hermitian_with_spectrum(rng, [1.0, 0.9, 0.8, 0.7] + [0.05] * 20, m)
+        cfg = ThresholdConfig(tau=0.5, ell=cap, k=10, delta=DELTA, rank_cap=cap)
+        out = evt(oracle_from_dense(w, m, m), cfg, rng=rng)
+        assert out.rank == 4
+        assert np.max(np.abs(out.to_dense() - dense_evt(w, m.to_dense(), 0.5))) <= 1e-8
+
+
 class TestCarriedFactorImages:
     """The result and its Ritz pairs carry their factors' metric images,
     rotated by the engine pass from its basis images; an action in a metric
