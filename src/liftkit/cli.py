@@ -253,6 +253,20 @@ def _ensure_dir(path):
     return path
 
 
+def _checked_outputs(out_dir, bodies, files=("manifest.json",)):
+    """The path in ``out_dir`` of each named output, after
+    ``storage.check_writable`` passed every file they write: a body and its
+    sidecar for each of ``bodies``, and the plain ``files``."""
+    paths = {name: os.path.join(out_dir, name) for name in (*bodies, *files)}
+    storage.check_writable([*(path for name in bodies for path in storage.outputs(paths[name])),
+                            *(paths[name] for name in files)])
+    return paths
+
+
+# What a solve writes in its output directory, the manifest included
+_SOLVE_OUTPUTS = (("recovered", "factors"), ("iterations.csv", "manifest.json"))
+
+
 def _coverage_summary(masks):
     cov = coverage_map(masks)
     zero = float(np.mean(cov == 0))
@@ -268,7 +282,8 @@ def cmd_gen_masks(args):
     shape = _parse_shape(args.shape)
     out_dir = _ensure_dir(args.out)
     masks = MASK_MAKERS[args.kind](shape, args.count, seed=args.seed)
-    written = storage.write_images(os.path.join(out_dir, "masks"), masks.array)
+    paths = _checked_outputs(out_dir, ("masks",))
+    written = storage.write_images(paths["masks"], masks.array)
     summary = _coverage_summary(masks)
     config = {
         "kind": args.kind,
@@ -292,11 +307,9 @@ def _read_image(path):
     return stack[0]
 
 
-def _write_data(out_dir, image, masks, noise, seed, m2=None, m1=None):
-    """Measure the image through the masks, add noise and write the data file.
-
-    The DFT sizes default to twice the image; returns the problem and the data's paths.
-    """
+def _measure(image, masks, noise, seed, m2=None, m1=None):
+    """The problem that measures the image through the masks, its data ``g``
+    the noisy measurements; the DFT sizes default to twice the image."""
     n2, n1 = image.shape
     problem = PRProblem(
         masks=masks,
@@ -305,8 +318,12 @@ def _write_data(out_dir, image, masks, noise, seed, m2=None, m1=None):
         metric=EuclideanMetric(n2 * n1),
     )
     problem.g = add_noise(forward(problem, image), noise, seed=seed)
-    dims = (masks.count, problem.m2, problem.m1)
-    return problem, storage.write_data(os.path.join(out_dir, "data"), problem.g, dims)
+    return problem
+
+
+def _write_data(path, problem):
+    """Write the problem's data vector; returns its paths."""
+    return storage.write_data(path, problem.g, (problem.masks.count, problem.m2, problem.m1))
 
 
 def cmd_gen_data(args):
@@ -316,7 +333,9 @@ def cmd_gen_data(args):
     if mask_array.shape[1:] != image.shape:
         raise ConfigError("image and masks have different shapes")
     masks = MaskSet(array=mask_array, kind="custom")
-    problem, written = _write_data(out_dir, image, masks, args.noise, args.seed, args.m2, args.m1)
+    problem = _measure(image, masks, args.noise, args.seed, args.m2, args.m1)
+    paths = _checked_outputs(out_dir, ("data",))
+    written = _write_data(paths["data"], problem)
     config = {
         "image": os.path.abspath(args.image),
         "masks": os.path.abspath(args.masks),
@@ -348,12 +367,9 @@ def _solve_problem(masks_path, data_path, settings, seed, out_dir):
     masks = MaskSet(array=mask_array, kind="custom")
     metric = default_metric(masks.shape, settings["metric"], settings["mu"])
     problem = PRProblem(masks=masks, m2=m2, m1=m1, metric=metric, g=g)
-    recovered_path, factors_path, csv_path, manifest_path = (
-        os.path.join(out_dir, name)
-        for name in ("recovered", "factors", "iterations.csv", "manifest.json")
-    )
-    storage.check_writable([*storage.outputs(recovered_path), *storage.outputs(factors_path),
-                            csv_path, manifest_path])
+    paths = _checked_outputs(out_dir, *_SOLVE_OUTPUTS)
+    recovered_path, factors_path, csv_path = (
+        paths[name] for name in ("recovered", "factors", "iterations.csv"))
     image, result = recover(problem, cfg)
 
     written = list(storage.write_images(recovered_path, image))
@@ -384,8 +400,8 @@ def _solve_problem(masks_path, data_path, settings, seed, out_dir):
         "factorization": {"values": factor_values},
         "converged": result.converged,
         "iterations": len(log),
-        "final_rank": log[-1].rank if log else 0,
-        "final_fidelity": log[-1].fidelity if log else 0.0,
+        "final_rank": log[-1].rank,
+        "final_fidelity": log[-1].fidelity,
     }
     return image, summary, written
 
@@ -468,17 +484,21 @@ def cmd_bench_svt(args):
 def cmd_demo(args):
     out_dir = _ensure_dir(args.out)
     shape = _parse_shape(args.shape)
-    image = synthetic_image(shape, seed=args.seed)
-    truth_files = storage.write_images(os.path.join(out_dir, "truth"), image)
-    masks = make_rademacher_masks(shape, args.count, seed=args.seed + 1)
-    mask_files = storage.write_images(os.path.join(out_dir, "masks"), masks.array)
-    _, data_files = _write_data(out_dir, image, masks, args.noise, args.seed + 2)
-
     settings = _solver_defaults()
     settings["max_iter"] = args.iterations
     if args.noise > 0:
         settings["fidelity"] = "tikhonov"
         settings["alpha"] = args.alpha
+    _build_solver_config(settings, args.seed)  # rejects bad settings before any write
+    image = synthetic_image(shape, seed=args.seed)
+    masks = make_rademacher_masks(shape, args.count, seed=args.seed + 1)
+    problem = _measure(image, masks, args.noise, args.seed + 2)
+    bodies, files = _SOLVE_OUTPUTS
+    paths = _checked_outputs(out_dir, ("truth", "masks", "data", *bodies), files)
+
+    truth_files = storage.write_images(paths["truth"], image)
+    mask_files = storage.write_images(paths["masks"], masks.array)
+    data_files = _write_data(paths["data"], problem)
     recovered, summary, written = _solve_problem(
         mask_files[0], data_files[0], settings, args.seed, out_dir)
     err = error_up_to_phase(recovered, image)

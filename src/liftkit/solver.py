@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,10 +101,11 @@ class ReweightSettings:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step sizes, fidelity, reweighting, and threshold-engine settings.
+    """Initial step sizes, fidelity, reweighting, and threshold-engine settings.
 
-    ``tau``/``sigma`` default to 0.99 over the (safety-factored) operator
-    norm estimate; ``alpha_reg`` scales the effective threshold level.
+    ``tau``/``sigma`` are the loop's first steps (``SolverState``), fixed when
+    given, else 0.99 over the (safety-factored) operator norm estimate;
+    ``alpha_reg`` scales the effective threshold level.
     ``delta`` is the floor of the per-iteration threshold tolerance
     (``threshold_delta``): a settled solve thresholds at it, earlier
     iterations more loosely, at most at ``DELTA_MAX``.  The iterations from
@@ -162,13 +163,16 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class SolverState:
-    """Mutable loop state: factored primal, dual vector, current metrics."""
+    """Mutable loop state: factored primal, dual vector, current metrics, the
+    step sizes the next iteration takes, and ``n``, the iterations done."""
 
     w: object
     w_prev: object
     y: np.ndarray
     metric1: object
     metric2: object
+    tau: float
+    sigma: float
     n: int = 0
     norm_carry: float = 0.0
 
@@ -202,8 +206,6 @@ class SolverResult:
     log: list
     scale: float
     converged: bool
-    metric1: object
-    metric2: object
     step_norm: object = None
 
 
@@ -223,14 +225,14 @@ def dual_step(state, cfg, g, lifted_images):
     z = np.multiply(1.0 + cfg.theta, img_curr, dtype=np.result_type(img_curr, g))
     z -= cfg.theta * img_prev
     z -= g
-    z *= cfg.sigma
+    z *= state.sigma
     z += state.y
     kind = cfg.fidelity.kind
     if kind == "tikhonov":
-        z /= cfg.sigma + 1.0
+        z /= state.sigma + 1.0
     elif kind == "epsball":
         # shrink toward the origin by sigma * eps in the Euclidean norm
-        nrm, gamma = _norm(z), cfg.sigma * cfg.fidelity.eps
+        nrm, gamma = _norm(z), state.sigma * cfg.fidelity.eps
         z *= 0.0 if nrm <= gamma else 1.0 - gamma / nrm
     return z
 
@@ -239,7 +241,7 @@ def _threshold_oracle(state, cfg, problem, delta):
     """Composed-action oracle for the threshold argument w - tau A^*(y) of a
     call at relative tolerance ``delta``; a quadratic map's adjoint actions
     come from its view at that tolerance (``at_tolerance``)."""
-    tau, y = cfg.tau, state.y
+    tau, y = state.tau, state.y
     if isinstance(problem, QuadraticMap):
         metric, qmap = state.metric1, problem.at_tolerance(delta)
         action = lambda e: reweighted_composed_hermitian(state.w, tau, qmap, y, e, metric)
@@ -285,10 +287,10 @@ def _rescaled_empty(reference, state, cfg, delta, adjoint_bound):
     c = np.vdot(y_ref, state.y).real / ref_sq
     if not c > 0:
         return None
-    slack = cfg.tau * adjoint_bound * float(np.max(np.abs(state.y - c * y_ref)))
+    slack = state.tau * adjoint_bound * float(np.max(np.abs(state.y - c * y_ref)))
     norm = c * ref.norm_estimate
     tol = verdict_tol(delta, state.norm_carry, norm)
-    if c * ref.certificate + slack >= cfg.tau * cfg.alpha_reg - tol:
+    if c * ref.certificate + slack >= state.tau * cfg.alpha_reg - tol:
         return None
     out = copy.copy(ref)
     out.__dict__.update(restarts=0, norm_estimate=norm, actions=0, certificate=None)
@@ -304,7 +306,7 @@ def primal_step(state, cfg, problem, rng=None, delta=None):
     carries none.  The result carries the thresholding statistics,
     ``actions`` and ``ritz_pairs`` among them.
     """
-    tcfg = cfg.threshold_config(cfg.tau * cfg.alpha_reg, delta)
+    tcfg = cfg.threshold_config(state.tau * cfg.alpha_reg, delta)
     oracle = _threshold_oracle(state, cfg, problem, tcfg.delta)
     warm = getattr(state.w, "ritz_pairs", state.w)
     threshold = evt if isinstance(problem, QuadraticMap) else svt
@@ -345,8 +347,8 @@ def reweight_step(state, cfg, base1, base2):
 
 
 def _resolve_steps(problem, cfg, forward_backward=False):
-    """The config with its step sizes set, and the norm estimate behind them
-    (None when the steps are given and not validated)."""
+    """The zero start state with its steps set, and the norm estimate behind
+    them (None when the steps are given and not validated)."""
     need_estimate = cfg.tau is None or cfg.sigma is None or cfg.validate_steps
     norm = operator_norm(problem, seed=cfg.seed) if need_estimate else None
     est = norm.value * 1.05 if norm is not None else 0.0
@@ -371,7 +373,15 @@ def _resolve_steps(problem, cfg, forward_backward=False):
             f"step sizes violate {rule} (tau={tau:.3g}, sigma={sigma:.3g}, "
             f"|B| est {est:.3g}, reweight inflation {inflation:.3g})"
         )
-    return replace(cfg, tau=tau, sigma=sigma), norm
+    if isinstance(problem, QuadraticMap):
+        base1 = base2 = problem.h
+        empty = HermitianFactored.empty(base1.dim)
+    else:
+        base1, base2 = problem.h1, problem.h2
+        empty = FactoredTensor.empty(base1.dim, base2.dim)
+    start = SolverState(w=empty, w_prev=empty, y=np.zeros(problem.data_dim), metric1=base1,
+                        metric2=base2, tau=tau, sigma=sigma)
+    return start, norm
 
 
 def _prepare_data(g, cfg):
@@ -382,22 +392,30 @@ def _prepare_data(g, cfg):
     return g, 1.0
 
 
-def _record(state, n, fidelity, ms, delta, single, sink, records):
+def _record(state, fidelity, ms, delta, single, sink, records):
     w = state.w
-    rec = IterationRecord(n=n, rank=w.rank, fidelity=fidelity, values=tuple(w.values.tolist()),
-                          restarts=w.restarts, ms=ms, actions=w.actions, delta=delta,
-                          single=single)
+    rec = IterationRecord(n=state.n, rank=w.rank, fidelity=fidelity,
+                          values=tuple(w.values.tolist()), restarts=w.restarts, ms=ms,
+                          actions=w.actions, delta=delta, single=single)
     records.append(rec)
     if sink is not None:
         sink(rec)
 
 
-def _run(problem, g, cfg, sink, update_dual, step_norm):
+def _stop(state, cfg, fidelity, g_norm):
+    """Why the loop stops after ``state.n`` iterations: "tolerance" when the
+    fidelity is at most ``cfg.tol * g_norm``, else "budget" at ``cfg.max_iter``, else None."""
+    if fidelity <= cfg.tol * g_norm:
+        return "tolerance"
+    return "budget" if state.n >= cfg.max_iter else None
+
+
+def _run(problem, g, cfg, sink, update_dual, forward_backward=False):
     """The proximal loop of both entries, from the zero start.
 
-    ``update_dual(state, g, images)`` returns the new dual vector from the
-    forward images of the current and previous primal iterate, which are
-    real for a quadratic map.  ``step_norm`` is handed to the result.
+    ``update_dual(state, cfg, g, images)`` returns the new dual vector from
+    the forward images of the current and previous primal iterate, which
+    are real for a quadratic map; ``forward_backward`` picks the step rule.
 
     Until the first non-empty iterate every threshold argument is
     -tau A^*(y), y a multiple of the first dual vector, so the last engine
@@ -406,37 +424,29 @@ def _run(problem, g, cfg, sink, update_dual, step_norm):
     The bound is for the base metrics, which the reweighting of an empty
     iterate keeps.
     """
+    state, step_norm = _resolve_steps(problem, cfg, forward_backward)
     g_work, scale = _prepare_data(g, cfg)
     if g_work.shape != (problem.data_dim,):
         raise ConfigError(f"data vector must have length {problem.data_dim}")
     quadratic = isinstance(problem, QuadraticMap)
-    if quadratic:
-        base1 = base2 = problem.h
-        empty = HermitianFactored.empty(base1.dim)
-    else:
-        base1, base2 = problem.h1, problem.h2
-        empty = FactoredTensor.empty(base1.dim, base2.dim)
-
+    base1, base2 = state.metric1, state.metric2
     rng = np.random.default_rng(cfg.seed)
-    state = SolverState(
-        w=empty, w_prev=empty, y=np.zeros(problem.data_dim), metric1=base1, metric2=base2
-    )
     img_dtype = float if quadratic else complex
     img_curr = np.zeros(problem.data_dim, dtype=img_dtype)
     img_prev = np.zeros(problem.data_dim, dtype=img_dtype)
     records = []
-    converged = False
     g_norm = max(_norm(g_work), 1e-300)
     adjoint_bound = problem.adjoint_bound()
     # the empty start's (y, result) that decides its later iterations
     shortcut, reference = adjoint_bound is not None, None
 
-    for n in range(cfg.max_iter):
+    stop = None
+    while stop is None:
         t0 = time.perf_counter()
         y_prev = state.y
-        state.y = update_dual(state, g_work, (img_curr, img_prev))
+        state.y = update_dual(state, cfg, g_work, (img_curr, img_prev))
         if not np.isfinite(state.y).all():
-            raise NumericalError(f"dual vector became non-finite at iteration {n}")
+            raise NumericalError(f"dual vector became non-finite at iteration {state.n}")
         if state.w.rank or state.w_prev.rank:
             delta = threshold_delta(cfg, _norm(img_curr - img_prev), g_norm)
         else:
@@ -450,32 +460,28 @@ def _run(problem, g, cfg, sink, update_dual, step_norm):
             single = view is not problem
             if shortcut and w_new.certificate is not None and state.y.any():
                 reference = (state.y, w_new)
+        if not np.isfinite(w_new.values).all():
+            raise NumericalError(f"primal values became non-finite at iteration {state.n}")
         shortcut = shortcut and not w_new.rank
         state.w_prev = state.w
         state.w = w_new
-        state.n = n + 1
+        state.n += 1
         state.norm_carry = max(state.norm_carry, w_new.norm_estimate)
         img_prev = img_curr
         img_curr = (lifted_apply_quadratic if quadratic else lifted_apply)(problem, w_new)
-        if not np.isfinite(w_new.values).all():
-            raise NumericalError(f"primal values became non-finite at iteration {n}")
         fidelity = _norm(img_curr - g_work)
         if cfg.reweight.enabled and state.n % cfg.reweight.period == 0:
             state.metric1, state.metric2 = reweight_step(state, cfg, base1, base2)
         ms = (time.perf_counter() - t0) * 1e3
-        _record(state, state.n, fidelity, ms, delta, single, sink, records)
-        if fidelity <= cfg.tol * g_norm:
-            converged = True
-            break
+        _record(state, fidelity, ms, delta, single, sink, records)
+        stop = _stop(state, cfg, fidelity, g_norm)
 
     return SolverResult(
         w=state.w.scaled(scale),
         y=state.y,
         log=records,
         scale=scale,
-        converged=converged,
-        metric1=state.metric1,
-        metric2=state.metric2,
+        converged=stop == "tolerance",
         step_norm=step_norm,
     )
 
@@ -487,9 +493,7 @@ def run_primal_dual(problem, g, cfg, sink=None):
     the final dual vector, and the per-iteration log.  ``sink`` receives each
     IterationRecord as it is produced.
     """
-    cfg, norm = _resolve_steps(problem, cfg)
-    update = lambda state, g, images: dual_step(state, cfg, g, images)
-    return _run(problem, g, cfg, sink, update, norm)
+    return _run(problem, g, cfg, sink, dual_step)
 
 
 def run_forward_backward(problem, g, cfg, sink=None):
@@ -500,5 +504,5 @@ def run_forward_backward(problem, g, cfg, sink=None):
     """
     if cfg.fidelity.kind != "tikhonov":
         raise ConfigError("forward-backward splitting requires the tikhonov fidelity")
-    cfg, norm = _resolve_steps(problem, cfg, forward_backward=True)
-    return _run(problem, g, cfg, sink, lambda state, g, images: images[0] - g, norm)
+    residual = lambda state, cfg, g, images: images[0] - g
+    return _run(problem, g, cfg, sink, residual, forward_backward=True)

@@ -561,6 +561,40 @@ def test_manifest_lists_every_written_file(solved, tmp_path, capsys, argv):
     assert sorted(manifest["artifacts"]) == sorted(set(os.listdir(out)) - {"manifest.json"})
 
 
+# Runs rejected after their first output was computed; in the cases named
+# "manifest-is-dir" a directory stands where the manifest goes
+REJECTED_RUNS = {
+    "demo-negative-noise": ["demo", "--out", "{out}", "--shape", "8x8", "--noise", "-1"],
+    "demo-count-zero": ["demo", "--out", "{out}", "--shape", "8x8", "--count", "0"],
+    "demo-iterations-zero": ["demo", "--out", "{out}", "--shape", "8x8", "--iterations", "0"],
+    "demo-negative-alpha": ["demo", "--out", "{out}", "--shape", "8x8", "--alpha", "-1",
+                            "--noise", "0.1"],
+    "gen-masks-manifest-is-dir": MANIFEST_RUNS["gen-masks"],
+    "gen-data-manifest-is-dir": MANIFEST_RUNS["gen-data"],
+    "demo-manifest-is-dir": MANIFEST_RUNS["demo"],
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_RUNS)
+def test_rejected_run_writes_no_file(solved, tmp_path, capsys, monkeypatch, case):
+    """A rejected run exits 2 before its first write, and before a solve."""
+    out = tmp_path / "out"
+    out.mkdir()
+    if case.endswith("manifest-is-dir"):
+        (out / "manifest.json").mkdir()
+    before = sorted(out.rglob("*"))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran on a rejected run")
+
+    monkeypatch.setattr("liftkit.cli.recover", no_solve)
+    code = main([arg.format(dir=solved, out=out) for arg in REJECTED_RUNS[case]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert sorted(out.rglob("*")) == before
+
+
 class TestDemo:
     def test_demo_roundtrip(self, tmp_path, capsys):
         code, out = run(

@@ -512,7 +512,8 @@ class TestSinglePrecision:
         results = []
         for switch in (self.SWITCH, np.inf):
             monkeypatch.setattr(phase_retrieval, "SINGLE_PRECISION_DELTA", switch)
-            state = solver.SolverState(w=w, w_prev=w, y=y, metric1=metric, metric2=metric)
+            state = solver.SolverState(w=w, w_prev=w, y=y, metric1=metric, metric2=metric,
+                                       tau=tau, sigma=tau)
             results.append(solver.primal_step(state, cfg, MaskedFourierMap(problem),
                                               rng=np.random.default_rng(0), delta=self.SWITCH))
         expected = dense_weighted_evd(dense_evt(argument, h, level), h)[0][:2]

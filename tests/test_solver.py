@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ def scalar_quadratic():
     return DenseQuadratic(np.ones((1, 1, 1)), EuclideanMetric(1))
 
 
-def make_state(problem, w=None, y=None):
+def make_state(problem, cfg, w=None, y=None):
     n = problem.h.dim
     return SolverState(
         w=w if w is not None else HermitianFactored.empty(n),
@@ -60,6 +61,8 @@ def make_state(problem, w=None, y=None):
         y=y if y is not None else np.zeros(problem.data_dim),
         metric1=problem.h,
         metric2=problem.h,
+        tau=cfg.tau,
+        sigma=cfg.sigma,
     )
 
 
@@ -69,7 +72,8 @@ class TestDualStep:
         g = rng.standard_normal(6)
         cfg = SolverConfig(tau=0.5, sigma=0.5, theta=1.0, validate_steps=False)
         state = SolverState(
-            w=None, w_prev=None, y=np.zeros(6), metric1=None, metric2=None
+            w=None, w_prev=None, y=np.zeros(6), metric1=None, metric2=None, tau=cfg.tau,
+            sigma=cfg.sigma,
         )
         out = dual_step(state, cfg, g, (g.astype(complex), g.astype(complex)))
         assert np.allclose(out, 0.0)
@@ -79,7 +83,8 @@ class TestDualStep:
         cfg = SolverConfig(
             tau=0.5, sigma=1.0, fidelity=Fidelity.tikhonov(), validate_steps=False
         )
-        state = SolverState(w=None, w_prev=None, y=np.zeros(2), metric1=None, metric2=None)
+        state = SolverState(w=None, w_prev=None, y=np.zeros(2), metric1=None, metric2=None,
+                            tau=cfg.tau, sigma=cfg.sigma)
         zero = np.zeros(2, dtype=complex)
         out = dual_step(state, cfg, g, (zero, zero))
         assert np.allclose(out, -g / 2.0)
@@ -89,7 +94,8 @@ class TestDualStep:
         cfg = SolverConfig(
             tau=0.5, sigma=1.0, fidelity=Fidelity.eps_ball(1.0), validate_steps=False
         )
-        state = SolverState(w=None, w_prev=None, y=np.zeros(2), metric1=None, metric2=None)
+        state = SolverState(w=None, w_prev=None, y=np.zeros(2), metric1=None, metric2=None,
+                            tau=cfg.tau, sigma=cfg.sigma)
         zero = np.zeros(2, dtype=complex)
         out = dual_step(state, cfg, g, (zero, zero))
         assert np.allclose(out, 0.0)
@@ -108,7 +114,8 @@ class TestDualStep:
         g, img_curr, img_prev, y = rng.standard_normal(12), draw(), draw(), draw()
         cfg = SolverConfig(tau=0.5, sigma=0.7, theta=0.8, fidelity=fidelity,
                            validate_steps=False)
-        state = SolverState(w=None, w_prev=None, y=y, metric1=None, metric2=None)
+        state = SolverState(w=None, w_prev=None, y=y, metric1=None, metric2=None, tau=cfg.tau,
+                            sigma=cfg.sigma)
         before = [arr.copy() for arr in (g, img_curr, img_prev, y)]
         out = dual_step(state, cfg, g, (img_curr, img_prev))
         for arr, copy in zip((g, img_curr, img_prev, state.y), before):
@@ -126,7 +133,7 @@ class TestPrimalStep:
     def test_zero_everything_stays_zero(self):
         qmap = scalar_quadratic()
         cfg = SolverConfig(tau=0.5, sigma=0.5, ell=1, k=2, validate_steps=False)
-        state = make_state(qmap)
+        state = make_state(qmap, cfg)
         out = primal_step(state, cfg, qmap, rng=np.random.default_rng(0))
         assert out.rank == 0
 
@@ -141,7 +148,7 @@ class TestPrimalStep:
         cfg = SolverConfig(
             tau=0.25, sigma=0.25, alpha_reg=1.0, ell=2, k=4, rank_cap=4, validate_steps=False
         )
-        state = make_state(qmap, w=w)
+        state = make_state(qmap, cfg, w=w)
         out = primal_step(state, cfg, qmap, rng=rng)
         expected = np.where(w.values - 0.25 > 0, w.values - 0.25, 0.0)
         expected = expected[expected > 0]
@@ -154,7 +161,7 @@ class TestPrimalStep:
         n = 6
         qmap = DenseQuadratic(random_hermitian_tensor_stack(rng, 5, n), EuclideanMetric(n))
         cfg = SolverConfig(tau=0.25, sigma=0.25, ell=2, k=4, rank_cap=4, validate_steps=False)
-        state = make_state(qmap, w=random_hermitian_factored(rng, n, 2, EuclideanMetric(n)))
+        state = make_state(qmap, cfg, w=random_hermitian_factored(rng, n, 2, EuclideanMetric(n)))
         calls = []
         evt = solver.evt
 
@@ -171,7 +178,7 @@ class TestPrimalStep:
     def test_negative_drift_gives_empty(self):
         qmap = scalar_quadratic()
         cfg = SolverConfig(tau=0.5, sigma=0.5, ell=1, k=2, validate_steps=False)
-        state = make_state(qmap, y=np.array([3.0]))
+        state = make_state(qmap, cfg, y=np.array([3.0]))
         out = primal_step(state, cfg, qmap, rng=np.random.default_rng(2))
         assert out.rank == 0
 
@@ -187,7 +194,7 @@ class TestReweightStep:
 
     def test_zero_tensor_clears_promotions(self):
         qmap = scalar_quadratic()
-        state = make_state(qmap)
+        state = make_state(qmap, self.base_cfg())
         base = qmap.h
         m1, m2 = reweight_step(state, self.base_cfg(), base, base)
         assert m1 is base and m2 is base
@@ -200,7 +207,8 @@ class TestReweightStep:
         u /= base.norm(u)
         w = HermitianFactored(factors=u[:, None], values=np.array([2.0]))
         qmap = scalar_quadratic()
-        state = SolverState(w=w, w_prev=w, y=np.zeros(1), metric1=base, metric2=base)
+        state = SolverState(w=w, w_prev=w, y=np.zeros(1), metric1=base, metric2=base,
+                            tau=0.5, sigma=0.5)
         m1, _ = reweight_step(state, self.base_cfg(0.5), base, base)
         assert m1.count == 1
         assert m1.weights[0] == pytest.approx(0.5, abs=1e-10)
@@ -213,7 +221,8 @@ class TestReweightStep:
         base = EuclideanMetric(n)
         w = random_hermitian_factored(rng, n, 2, base)
         w = HermitianFactored(factors=w.factors, values=np.array([2.0, 1.0]))
-        state = SolverState(w=w, w_prev=w, y=np.zeros(1), metric1=base, metric2=base)
+        state = SolverState(w=w, w_prev=w, y=np.zeros(1), metric1=base, metric2=base,
+                            tau=0.5, sigma=0.5)
         m1, _ = reweight_step(state, self.base_cfg(0.5), base, base)
         assert m1.count == 2
         assert np.allclose(m1.weights, [0.5, 0.25], atol=1e-8)
@@ -257,13 +266,15 @@ class TestReweightStep:
             lam, vecs = dense_weighted_evd(w.to_dense(), base1.to_dense())
             order = np.argsort(-np.abs(lam))[:rank]
             sig, right = np.abs(lam[order]), vecs[:, order]
-            state = SolverState(w=w, w_prev=w, y=np.zeros(1), metric1=cur, metric2=cur)
+            state = SolverState(w=w, w_prev=w, y=np.zeros(1), metric1=cur, metric2=cur,
+                                tau=0.5, sigma=0.5)
         else:
             cur1, cur2 = self.reweighted(base1, rng), self.reweighted(base2, rng)
             w = random_factored(rng, base1.dim, base2.dim, rank, cur1, cur2)
             sig, right, left = dense_weighted_svd(w.to_dense(), base1.to_dense(), base2.to_dense())
             sig, right, left = sig[:rank], right[:, :rank], left[:, :rank]
-            state = SolverState(w=w, w_prev=w, y=np.zeros(1), metric1=cur1, metric2=cur2)
+            state = SolverState(w=w, w_prev=w, y=np.zeros(1), metric1=cur1, metric2=cur2,
+                                tau=0.5, sigma=0.5)
         m1, m2 = reweight_step(state, cfg, base1, base2)
         weights = 0.5 * sig / sig[0]
         self.assert_promotes(m1, base1, weights, right)
@@ -293,7 +304,8 @@ class TestReweightStep:
 
         for action, out, into in pairs:
             assert np.allclose(action(base, e), uncached(out, into, base), rtol=0, atol=1e-12)
-        state = SolverState(w=w, w_prev=w, y=np.zeros(1), metric1=base, metric2=base)
+        state = SolverState(w=w, w_prev=w, y=np.zeros(1), metric1=base, metric2=base,
+                            tau=0.5, sigma=0.5)
         metrics = reweight_step(state, self.base_cfg(0.5), base, base)
         assert all(m is not base and m.count == 3 for m in metrics)
         for (action, out, into), metric in zip(pairs, metrics):
@@ -324,6 +336,68 @@ class TestStepSizes:
         assert res.step_norm.iterations == 30
         given = SolverConfig(tau=0.5, sigma=0.5, ell=1, k=2, max_iter=2, validate_steps=False)
         assert run_primal_dual(qmap, np.array([4.0]), given).step_norm is None
+
+
+class TestStepsFromState:
+    """The loop's readers take the steps from the state; the config holds
+    only the first ones, here absent or different."""
+
+    def test_dual_step(self):
+        rng = np.random.default_rng(8)
+        g, img_curr, img_prev, y = (rng.standard_normal(5) for _ in range(4))
+        cfg = SolverConfig(fidelity=Fidelity.tikhonov())
+        state = SolverState(w=None, w_prev=None, y=y, metric1=None, metric2=None, tau=0.3,
+                            sigma=0.7)
+        out = dual_step(state, cfg, g, (img_curr, img_prev))
+        assert np.allclose(out, (y + 0.7 * (2.0 * img_curr - img_prev - g)) / 1.7,
+                           rtol=1e-14, atol=0)
+
+    def test_primal_step(self):
+        rng = np.random.default_rng(1)
+        n = 4
+        qmap = DenseQuadratic(random_hermitian_tensor_stack(rng, 5, n), EuclideanMetric(n))
+        w = random_hermitian_factored(rng, n, 2, EuclideanMetric(n))
+        cfg = SolverConfig(tau=1.0, sigma=1.0, ell=2, k=4, rank_cap=4, validate_steps=False)
+        state = SolverState(w=w, w_prev=HermitianFactored.empty(n), y=np.zeros(5),
+                            metric1=qmap.h, metric2=qmap.h, tau=0.25, sigma=0.25)
+        out = primal_step(state, cfg, qmap, rng=rng)
+        expected = w.values[w.values > 0.25] - 0.25
+        assert np.allclose(np.sort(out.values)[::-1], np.sort(expected)[::-1], atol=1e-8)
+
+    @pytest.mark.parametrize("tau, decided", [(3.0, True), (1.0, False)])
+    def test_empty_start_shortcut(self, tau, decided):
+        # y = 2 y_ref + r with r orthogonal to y_ref: the leading value is at
+        # most 2 * certificate + tau * max|r| = 2 + tau / 10, below the level
+        # tau only for the larger step; the config holds the other one
+        ref = SimpleNamespace(certificate=1.0, norm_estimate=1.0, restarts=2, actions=3)
+        cfg = SolverConfig(tau=4.0 - tau, sigma=4.0 - tau, validate_steps=False)
+        state = SolverState(w=None, w_prev=None, y=np.array([2.0, 0.1]), metric1=None,
+                            metric2=None, tau=tau, sigma=tau)
+        out = solver._rescaled_empty((np.array([1.0, 0.0]), ref), state, cfg, 1e-8, 1.0)
+        if decided:
+            assert out.actions == 0 and out.norm_estimate == 2.0
+        else:
+            assert out is None
+
+
+class TestStop:
+    """A solve stops after the first iteration whose fidelity reaches ``tol``
+    times the data norm, converged, or after ``max_iter`` iterations."""
+
+    @pytest.mark.parametrize("entry", [run_primal_dual, run_forward_backward],
+                             ids=["primal-dual", "forward-backward"])
+    def test_tolerance_on_the_last_allowed_iteration(self, entry):
+        qmap, g = scalar_quadratic(), np.array([4.0])
+        cfg = SolverConfig(ell=1, k=2, max_iter=1000, tol=1e-6, alpha_reg=0.0,
+                           fidelity=Fidelity.tikhonov())
+        last = len(entry(qmap, g, cfg).log)
+        assert 1 < last < cfg.max_iter
+        res = entry(qmap, g, replace(cfg, max_iter=last))
+        assert len(res.log) == last and res.converged
+        assert res.log[-1].fidelity <= cfg.tol
+        res = entry(qmap, g, replace(cfg, max_iter=last - 1))
+        assert len(res.log) == last - 1 and not res.converged
+        assert all(rec.fidelity > cfg.tol for rec in res.log)
 
 
 class TestSolverConfig:

@@ -1111,7 +1111,7 @@ class TestCarriedFactorImages:
         base = metrics[0] if kind != "reweighted" else metrics[0].base
         base2 = metrics[1] if kind != "reweighted" else metrics[1].base
         state = SolverState(w=out, w_prev=out, y=np.zeros(1), metric1=metrics[0],
-                            metric2=metrics[1])
+                            metric2=metrics[1], tau=1.0, sigma=1.0)
         cfg = SolverConfig(reweight=ReweightSettings(enabled=True, weight=0.5))
         new = reweight_step(state, cfg, base, base2)
         assert all(m is not old for m, old in zip(new, metrics))
