@@ -175,9 +175,9 @@ def _config_sha256(config):
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _write_manifest(out_dir, command, config, seed, written):
-    """Write ``manifest.json`` with a checksum of each written path, keyed by its name."""
-    artifacts = {os.path.basename(path): path for path in written}
+def _write_manifest(path, command, config, seed, written):
+    """Write the manifest at ``path`` with a checksum of each written path, keyed by its name."""
+    artifacts = {os.path.basename(file): file for file in written}
     manifest = {
         "command": command,
         "config": config,
@@ -185,7 +185,6 @@ def _write_manifest(out_dir, command, config, seed, written):
         "seed": seed,
         "artifacts": {name: _artifact_sha256(artifacts[name]) for name in sorted(artifacts)},
     }
-    path = os.path.join(out_dir, "manifest.json")
     with storage.open_for_write(path) as fh:
         json.dump(manifest, fh, indent=2, default=str)
         fh.write("\n")
@@ -245,18 +244,16 @@ def _parse_shape(text):
         raise ConfigError(f"invalid shape {text!r}, expected HxW") from exc
 
 
-def _ensure_dir(path):
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from exc
-    return path
-
-
 def _checked_outputs(out_dir, bodies, files=("manifest.json",)):
-    """The path in ``out_dir`` of each named output, after
-    ``storage.check_writable`` passed every file they write: a body and its
-    sidecar for each of ``bodies``, and the plain ``files``."""
+    """The path in ``out_dir`` of each named output, after ``out_dir`` is
+    created, parents included, and ``storage.check_writable`` passed every
+    file they write: a body and its sidecar for each of ``bodies``, and the
+    plain ``files``.  The one output step of every command: it runs after
+    the command validated all its inputs, so a rejected run leaves nothing."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
     paths = {name: os.path.join(out_dir, name) for name in (*bodies, *files)}
     storage.check_writable([*(path for name in bodies for path in storage.outputs(paths[name])),
                             *(paths[name] for name in files)])
@@ -280,9 +277,8 @@ def _coverage_summary(masks):
 
 def cmd_gen_masks(args):
     shape = _parse_shape(args.shape)
-    out_dir = _ensure_dir(args.out)
     masks = MASK_MAKERS[args.kind](shape, args.count, seed=args.seed)
-    paths = _checked_outputs(out_dir, ("masks",))
+    paths = _checked_outputs(args.out, ("masks",))
     written = storage.write_images(paths["masks"], masks.array)
     summary = _coverage_summary(masks)
     config = {
@@ -291,7 +287,7 @@ def cmd_gen_masks(args):
         "count": args.count,
         "coverage": summary,
     }
-    _write_manifest(out_dir, "gen-masks", config, args.seed, written)
+    _write_manifest(paths["manifest.json"], "gen-masks", config, args.seed, written)
     print(json.dumps({"masks": written[0], **summary}, indent=2))
     return 0
 
@@ -327,14 +323,13 @@ def _write_data(path, problem):
 
 
 def cmd_gen_data(args):
-    out_dir = _ensure_dir(args.out)
     image = _read_image(args.image)
     mask_array = storage.read_images(args.masks)
     if mask_array.shape[1:] != image.shape:
         raise ConfigError("image and masks have different shapes")
     masks = MaskSet(array=mask_array, kind="custom")
     problem = _measure(image, masks, args.noise, args.seed, args.m2, args.m1)
-    paths = _checked_outputs(out_dir, ("data",))
+    paths = _checked_outputs(args.out, ("data",))
     written = _write_data(paths["data"], problem)
     config = {
         "image": os.path.abspath(args.image),
@@ -343,21 +338,15 @@ def cmd_gen_data(args):
         "m1": problem.m1,
         "noise": args.noise,
     }
-    _write_manifest(out_dir, "gen-data", config, args.seed, written)
+    _write_manifest(paths["manifest.json"], "gen-data", config, args.seed, written)
     length = int(problem.g.size)
     print(json.dumps({"data": written[0], "length": length}, indent=2))
     return 0
 
 
-def _solve_problem(masks_path, data_path, settings, seed, out_dir):
-    """Recover the image and write the run's files; returns the image, the
-    run summary and the written paths.
-
-    Every output path, the caller's ``manifest.json`` included, is checked
-    before the solve, so an unwritable one costs no solve and leaves no
-    file.  A rank-0 result removes the ``factors`` pair an earlier run left
-    in ``out_dir``, so the directory holds what the manifest lists."""
-    cfg = _build_solver_config(settings, seed)
+def _read_problem(masks_path, data_path, settings):
+    """The problem the mask stack and data vector at the two paths hold, in
+    the metric ``settings`` names."""
     mask_array = storage.read_images(masks_path)
     g, (count, m2, m1) = storage.read_data(data_path)
     if not np.all(np.isfinite(g)):
@@ -366,8 +355,14 @@ def _solve_problem(masks_path, data_path, settings, seed, out_dir):
         raise ConfigError("data vector and mask stack disagree on the mask count")
     masks = MaskSet(array=mask_array, kind="custom")
     metric = default_metric(masks.shape, settings["metric"], settings["mu"])
-    problem = PRProblem(masks=masks, m2=m2, m1=m1, metric=metric, g=g)
-    paths = _checked_outputs(out_dir, *_SOLVE_OUTPUTS)
+    return PRProblem(masks=masks, m2=m2, m1=m1, metric=metric, g=g)
+
+
+def _solve_problem(problem, cfg, paths):
+    """Recover the image and write the run's files into ``paths``, which
+    ``_checked_outputs`` passed; returns the image, the run summary and the
+    written paths.  A rank-0 result removes the ``factors`` pair an earlier
+    run left, so the directory holds what the manifest lists."""
     recovered_path, factors_path, csv_path = (
         paths[name] for name in ("recovered", "factors", "iterations.csv"))
     image, result = recover(problem, cfg)
@@ -375,7 +370,7 @@ def _solve_problem(masks_path, data_path, settings, seed, out_dir):
     written = list(storage.write_images(recovered_path, image))
     factor_values = []
     if result.w.rank:
-        factors = result.w.factors.T.reshape(result.w.rank, *masks.shape)
+        factors = result.w.factors.T.reshape(result.w.rank, *problem.shape)
         written += storage.write_images(factors_path, factors)
         factor_values = [float(v) for v in result.w.values]
     else:
@@ -407,7 +402,6 @@ def _solve_problem(masks_path, data_path, settings, seed, out_dir):
 
 
 def cmd_solve(args):
-    out_dir = _ensure_dir(args.out)
     config_doc = _load_run_config(args.config)
     settings = _merge_solver_settings(config_doc, args)
     masks_path = args.masks or config_doc.get("paths", {}).get("masks")
@@ -415,11 +409,14 @@ def cmd_solve(args):
     if not masks_path or not data_path:
         raise ConfigError("solve requires --masks and --data (or config paths)")
     seed = args.seed if args.seed is not None else config_doc.get("seed", 0)
+    cfg = _build_solver_config(settings, seed)
+    problem = _read_problem(masks_path, data_path, settings)
 
-    _, summary, written = _solve_problem(masks_path, data_path, settings, seed, out_dir)
-    paths = {"masks": os.path.abspath(masks_path), "data": os.path.abspath(data_path)}
-    config = {"solver": settings, "paths": paths, **summary}
-    _write_manifest(out_dir, "solve", config, seed, written)
+    paths = _checked_outputs(args.out, *_SOLVE_OUTPUTS)
+    _, summary, written = _solve_problem(problem, cfg, paths)
+    inputs = {"masks": os.path.abspath(masks_path), "data": os.path.abspath(data_path)}
+    config = {"solver": settings, "paths": inputs, **summary}
+    _write_manifest(paths["manifest.json"], "solve", config, seed, written)
     report = {key: summary[key] for key in ("iterations", "final_rank", "final_fidelity",
                                             "converged", "step_norm")}
     print(json.dumps({"recovered": written[0], **report}, indent=2))
@@ -460,9 +457,7 @@ def cmd_eval(args):
 
 def cmd_bench_svt(args):
     if args.json:
-        folder = os.path.dirname(os.path.abspath(args.json))
-        if not os.path.isdir(folder) or os.path.isdir(args.json):
-            raise ConfigError(f"--json {args.json} is no file path in an existing directory")
+        storage.check_writable([args.json])
     rows = run_benchmark(
         iterations=args.iterations, size=args.size, mask_count=args.count, seed=args.seed
     )
@@ -482,25 +477,24 @@ def cmd_bench_svt(args):
 
 
 def cmd_demo(args):
-    out_dir = _ensure_dir(args.out)
     shape = _parse_shape(args.shape)
+    # the Euclidean metric of the defaults is the one _measure builds
     settings = _solver_defaults()
     settings["max_iter"] = args.iterations
     if args.noise > 0:
         settings["fidelity"] = "tikhonov"
         settings["alpha"] = args.alpha
-    _build_solver_config(settings, args.seed)  # rejects bad settings before any write
+    cfg = _build_solver_config(settings, args.seed)
     image = synthetic_image(shape, seed=args.seed)
     masks = make_rademacher_masks(shape, args.count, seed=args.seed + 1)
     problem = _measure(image, masks, args.noise, args.seed + 2)
     bodies, files = _SOLVE_OUTPUTS
-    paths = _checked_outputs(out_dir, ("truth", "masks", "data", *bodies), files)
+    paths = _checked_outputs(args.out, ("truth", "masks", "data", *bodies), files)
 
     truth_files = storage.write_images(paths["truth"], image)
     mask_files = storage.write_images(paths["masks"], masks.array)
     data_files = _write_data(paths["data"], problem)
-    recovered, summary, written = _solve_problem(
-        mask_files[0], data_files[0], settings, args.seed, out_dir)
+    recovered, summary, written = _solve_problem(problem, cfg, paths)
     err = error_up_to_phase(recovered, image)
     config = {
         "shape": list(shape),
@@ -511,8 +505,8 @@ def cmd_demo(args):
         "final_rank": summary["final_rank"],
     }
     inputs = [*truth_files, *mask_files, *data_files]
-    _write_manifest(out_dir, "demo", config, args.seed, written + inputs)
-    report = {"out": out_dir, "error_up_to_phase": err, "final_rank": summary["final_rank"],
+    _write_manifest(paths["manifest.json"], "demo", config, args.seed, written + inputs)
+    report = {"out": args.out, "error_up_to_phase": err, "final_rank": summary["final_rank"],
               "iterations": summary["iterations"]}
     print(json.dumps(report, indent=2))
     return 0

@@ -707,28 +707,12 @@ def augmented_restart(
             begin = fac.p_last, fac.gamma_last, fac.hp_last
 
 
-def estimate_operator_norm(oracle, iters, rng=None, start=None):
-    """Power-iteration estimate of the leading singular value.
+def estimate_operator_norm(oracle, iters, rng=None):
+    """Power-iteration estimate of the leading singular value: the
+    one-column ``subspace_iterate`` run for at most ``iters`` sweeps.
 
     The returned value is a Rayleigh-quotient bound and never exceeds the
     true norm (up to rounding); it grows monotonically with the iterate.
     """
-    if iters < 1:
-        raise ValueError("iters must be positive")
-    n1 = oracle.dims[0]
-    m1, m2 = oracle.metrics
-    rng = rng if rng is not None else np.random.default_rng(0)
-    e = np.asarray(start, dtype=complex) if start is not None else _random_unit(rng, n1, m1)
-    best = 0.0
-    for _ in range(iters):
-        nrm = m1.norm(e)
-        if nrm == 0.0:
-            break
-        e = e / nrm
-        image = oracle.right(e)
-        est = m2.norm(image)
-        best = max(best, est)
-        if est == 0.0:
-            break
-        e = oracle.left(image)
-    return best
+    psvd = subspace_iterate(oracle, 1, 1e-15, max_sweeps=iters, rng=rng)
+    return float(psvd.values[0]) if psvd.count else 0.0

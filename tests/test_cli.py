@@ -595,6 +595,29 @@ def test_rejected_run_writes_no_file(solved, tmp_path, capsys, monkeypatch, case
     assert sorted(out.rglob("*")) == before
 
 
+# Runs with a bad input, each into a fresh --out below a missing parent
+FRESH_OUT_REJECTIONS = {
+    "gen-masks-count-zero": ["gen-masks", "--kind", "rademacher", "--shape", "8x8",
+                             "--count", "0", "--out", "{out}"],
+    "gen-data-image-missing": ["gen-data", "--image", "{tmp}/nope", "--masks", "{dir}/masks",
+                               "--out", "{out}"],
+    "solve-masks-missing": ["solve", "--masks", "{tmp}/nope", "--data", "{dir}/data",
+                            "--out", "{out}"],
+    "demo-negative-noise": ["demo", "--out", "{out}", "--shape", "8x8", "--noise", "-1"],
+}
+
+
+@pytest.mark.parametrize("argv", FRESH_OUT_REJECTIONS.values(), ids=FRESH_OUT_REJECTIONS.keys())
+def test_rejected_run_creates_no_directory(solved, tmp_path, capsys, argv):
+    """A rejected run exits 2 before it creates --out or any parent of it."""
+    out = tmp_path / "missing" / "out"
+    code = main([arg.format(dir=solved, tmp=tmp_path, out=out) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "missing").exists()
+
+
 class TestDemo:
     def test_demo_roundtrip(self, tmp_path, capsys):
         code, out = run(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from liftkit.errors import MetricSolveError
+from liftkit.errors import ConfigError, MetricSolveError
 from liftkit.metric import (
     CARRY_MIN_NORM,
     DENSE_DCT_MAX_WORK,
@@ -570,3 +570,29 @@ class TestSolverFailure:
         bad = np.array([np.nan] * 4, dtype=complex)
         with pytest.raises((MetricSolveError, ValueError)):
             m.apply_inv(bad)
+
+
+# Constructor arguments each check rejects, with the exception it raises
+BAD_METRIC_INPUTS = {
+    "stencil-empty-grid": (lambda: SobolevStencil((0, 4)), ValueError),
+    "sobolev-two-weights": (lambda: SobolevMetric((4, 4), (1.0, 1.0)), ConfigError),
+    "reweighted-base": (
+        lambda: ReweightedMetric(ReweightedMetric(EuclideanMetric(4), np.eye(4)[:1], [0.5]),
+                                 np.eye(4)[1:2], [0.5]),
+        ValueError,
+    ),
+    "weight-count": (lambda: ReweightedMetric(EuclideanMetric(4), np.eye(4)[:2], [0.5]),
+                     ValueError),
+    "direction-length": (lambda: ReweightedMetric(EuclideanMetric(4), np.eye(3)[:1], [0.5]),
+                         ValueError),
+    "weight-one": (lambda: ReweightedMetric(EuclideanMetric(4), np.eye(4)[:1], [1.0]),
+                   ValueError),
+}
+
+
+@pytest.mark.parametrize(("build", "error"), BAD_METRIC_INPUTS.values(),
+                         ids=BAD_METRIC_INPUTS.keys())
+def test_bad_metric_input_raises(build, error):
+    with pytest.raises(error) as raised:
+        build()
+    assert raised.type is error

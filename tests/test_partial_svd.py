@@ -668,3 +668,23 @@ class TestOneDecompositionPerColumnCount:
         assert len(sizes) == len(passes)
         for per_pass in sizes.values():
             assert len(per_pass) == len(set(per_pass)), per_pass
+
+
+# Arguments each check rejects; every one raises ValueError
+BAD_ENGINE_INPUTS = {
+    "coupling-nan": lambda: BidiagonalSystem(diag=[1.0], superdiag=[], aug_values=[2.0],
+                                             aug_coupling=np.array([np.nan])),
+    "coupling-length": lambda: BidiagonalSystem(diag=[1.0], superdiag=[],
+                                                aug_values=[3.0, 2.0],
+                                                aug_coupling=np.array([0.5])),
+    "subspace-ell-zero": lambda: subspace_iterate(euclid_oracle(np.eye(3)), 0, 1e-8),
+    "lanczos-k-zero": lambda: lanczos_bidiagonalize(euclid_oracle(np.eye(3)), np.ones(3), 0),
+    "restart-delta-zero": lambda: augmented_restart(euclid_oracle(np.eye(3)), 1, 2, 0.0),
+}
+
+
+@pytest.mark.parametrize("build", BAD_ENGINE_INPUTS.values(), ids=BAD_ENGINE_INPUTS.keys())
+def test_bad_engine_input_raises(build):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert raised.type is ValueError

@@ -756,3 +756,30 @@ class TestSyntheticImage:
     def test_complex_content(self):
         img = synthetic_image((16, 16), seed=6)
         assert np.max(np.abs(img.imag)) > 1e-3
+
+
+def _problem_4x4(**fields):
+    masks = make_rademacher_masks((4, 4), 2, seed=0)
+    return PRProblem(masks=masks, m2=8, m1=8, metric=EuclideanMetric(16), **fields)
+
+
+# Arguments each check rejects; every one raises ConfigError
+BAD_PROBLEM_INPUTS = {
+    "mask-stack-2d": lambda: MaskSet(array=np.ones((4, 4), dtype=complex)),
+    "mask-nan": lambda: MaskSet(array=np.full((1, 4, 4), np.nan, dtype=complex)),
+    "gaussian-count-zero": lambda: make_gaussian_masks((4, 4), 0, seed=0),
+    "metric-dimension": lambda: PRProblem(masks=make_rademacher_masks((4, 4), 2, seed=0),
+                                          m2=8, m1=8, metric=EuclideanMetric(15)),
+    "data-length": lambda: _problem_4x4(g=np.zeros(3)),
+    "truth-shape": lambda: _problem_4x4(truth=np.zeros((3, 3), dtype=complex)),
+    "metric-kind": lambda: default_metric((4, 4), "l1"),
+    "adjoint-image-shape": lambda: sym_adjoint_action(
+        _problem_4x4(), np.ones(2 * 8 * 8), np.ones((3, 3), dtype=complex)),
+}
+
+
+@pytest.mark.parametrize("build", BAD_PROBLEM_INPUTS.values(), ids=BAD_PROBLEM_INPUTS.keys())
+def test_bad_problem_input_raises(build):
+    with pytest.raises(ConfigError) as raised:
+        build()
+    assert raised.type is ConfigError

@@ -883,3 +883,25 @@ class TestIterationPrecision:
         for rec in res.log:
             assert rec.single == (rec.actions > 0 and rec.delta >= switch)
         assert any(rec.single for rec in res.log)
+
+
+def _run_on_short_data():
+    masks = make_rademacher_masks((4, 4), 2, seed=0)
+    problem = PRProblem(masks=masks, m2=8, m1=8, metric=EuclideanMetric(16))
+    return run_primal_dual(MaskedFourierMap(problem), np.ones(3), SolverConfig(max_iter=2))
+
+
+# Settings and data each check rejects; every one raises ConfigError
+BAD_SOLVER_INPUTS = {
+    "fidelity-kind": lambda: Fidelity(kind="l1"),
+    "epsball-eps-zero": lambda: Fidelity(kind="epsball", eps=0.0),
+    "reweight-period-zero": lambda: ReweightSettings(period=0),
+    "data-length": _run_on_short_data,
+}
+
+
+@pytest.mark.parametrize("build", BAD_SOLVER_INPUTS.values(), ids=BAD_SOLVER_INPUTS.keys())
+def test_bad_solver_input_raises(build):
+    with pytest.raises(ConfigError) as raised:
+        build()
+    assert raised.type is ConfigError

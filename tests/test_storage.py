@@ -171,3 +171,43 @@ class TestWriters:
         with storage.open_for_write(tmp_path / "t.csv") as fh:
             fh.write("a,b\r\n")
         assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\n"
+
+
+def _write_one_dimensional(tmp_path, monkeypatch):
+    storage.write_images(tmp_path / "line", np.ones(3, dtype=complex))
+
+
+def _check_unwritable(tmp_path, monkeypatch):
+    monkeypatch.setattr(storage.os, "access", lambda path, mode: False)
+    storage.check_writable([str(tmp_path / "out")])
+
+
+def _remove_refused(tmp_path, monkeypatch):
+    (tmp_path / "body").write_bytes(b"")
+
+    def refuse(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(storage.os, "remove", refuse)
+    storage.remove(tmp_path / "body")
+
+
+def _open_directory(tmp_path, monkeypatch):
+    storage.open_for_write(tmp_path)
+
+
+# Calls each check rejects; every one raises ConfigError.  The process may
+# run as root, so a denied access and a refused removal are patched in.
+BAD_STORAGE_CALLS = {
+    "write-images-1d": _write_one_dimensional,
+    "check-writable-eacces": _check_unwritable,
+    "remove-refused": _remove_refused,
+    "open-directory": _open_directory,
+}
+
+
+@pytest.mark.parametrize("call", BAD_STORAGE_CALLS.values(), ids=BAD_STORAGE_CALLS.keys())
+def test_bad_storage_call_raises(call, tmp_path, monkeypatch):
+    with pytest.raises(ConfigError) as raised:
+        call(tmp_path, monkeypatch)
+    assert raised.type is ConfigError

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from liftkit import partial_svd, thresholding
+from liftkit.errors import ConfigError
 from liftkit.lowrank import FactoredTensor, HermitianFactored, carried_images
 from liftkit.metric import EuclideanMetric, ReweightedMetric, SobolevMetric, orthonormalize
 from liftkit.partial_svd import (
@@ -1137,3 +1138,18 @@ class TestCarriedFactorImages:
             applied.clear()
             action(metric, e)
             assert applied == []
+
+
+# Arguments each check rejects, with the exception it raises
+BAD_THRESHOLD_INPUTS = {
+    "shrink-negative-level": (lambda: shrink(np.ones(3), -1.0, EuclideanMetric(3)), ValueError),
+    "unknown-engine": (lambda: ThresholdConfig(tau=1.0, engine="qr"), ConfigError),
+}
+
+
+@pytest.mark.parametrize(("build", "error"), BAD_THRESHOLD_INPUTS.values(),
+                         ids=BAD_THRESHOLD_INPUTS.keys())
+def test_bad_threshold_input_raises(build, error):
+    with pytest.raises(error) as raised:
+        build()
+    assert raised.type is error
