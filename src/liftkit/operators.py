@@ -31,6 +31,7 @@ class BilinearMap:
     norm_on_diagonal = False
 
     def apply(self, u, v):
+        """B(u, v) as an array of its own, which the caller may overwrite."""
         raise NotImplementedError
 
     def prepare_factor(self, vec):
@@ -201,7 +202,9 @@ def _best_start(bmap):
 def operator_norm(op, iters=30, seed=0):
     """Alternating power-iteration estimate of the bilinear operator norm.
 
-    Quadratic maps are measured through their associated bilinear map.  The
+    Quadratic maps are measured through the associated bilinear map of their
+    view at the estimate's own tolerance, ``at_tolerance(NORM_SETTLE_RTOL)``;
+    a bilinear map is measured as it is.  The
     iteration starts from the map's best norm start (``norm_starts``) and
     stops after the first power step that raises the best quotient by less
     than ``NORM_SETTLE_RTOL``, relative; a map without starts takes all
@@ -216,7 +219,7 @@ def operator_norm(op, iters=30, seed=0):
     callers should apply a safety factor before using it for step-size
     rules.
     """
-    bmap = op.bilinear() if isinstance(op, QuadraticMap) else op
+    bmap = op.at_tolerance(NORM_SETTLE_RTOL).bilinear() if isinstance(op, QuadraticMap) else op
     start = _best_start(bmap)
     if start is None:
         rng = np.random.default_rng(seed)
@@ -236,7 +239,7 @@ def operator_norm(op, iters=30, seed=0):
     for i in range(iters):
         if ny == 0.0:
             break
-        y = y / ny
+        y /= ny
         u_new = bmap.partial_adjoint_right(y, v)
         nu = bmap.h1.norm(u_new)
         if nu == 0.0:

@@ -28,7 +28,10 @@ masks rounded to complex64.  The quadratic adjoint runs its transforms there
 when the threshold call's tolerance is loose
 (``MaskedFourierMap.at_tolerance``): the image is cast to complex64 on the
 way in and the sum over the masks back to complex128 on the way out, so
-every other array the solver sees stays complex128.
+every other array the solver sees stays complex128.  The step-size norm
+estimate runs its transforms there too, at its own loose tolerance, and
+hands out its intensities as float64.  The view is handed out only while
+the map's adjoint bound lies where complex64 keeps its error bound.
 """
 
 from __future__ import annotations
@@ -63,6 +66,17 @@ DENSE_DFT_MAX_WORK = 160_000
 # Sobolev).  An engine verdict tolerates delta times the argument's norm
 # estimate, so at 100 eps the action error stays near 1/50 of it.
 SINGLE_PRECISION_DELTA = 100 * float(np.finfo(np.float32).eps)
+
+# The adjoint bounds K at which the complex64 view keeps that error bound.  At
+# the dual scale 1/K, where the action is bounded by one, the view's values
+# lie near 1/K (the coefficients), sqrt(K) (the spectra of a unit image) and
+# K (the intensities the norm estimate squares); every coefficient within a
+# factor 1/eps of 1/K stays a normal float32 while eps / K >= tiny and
+# 1 / (eps K) <= max.  Outside, the coefficients overflow or lose digits to
+# subnormals: from 32x32 masks scaled by 1e17 (K ~ 1e39) the action error
+# grew from 2e-7 to 0.57 at 1e20, and at 1e-22 the view overflowed.
+_F32 = np.finfo(np.float32)
+_SINGLE_BOUNDS = (1.0 / (float(_F32.eps) * float(_F32.max)), float(_F32.eps / _F32.tiny))
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,9 +184,10 @@ class PRProblem:
         return self._pair(self.masks.array.astype(np.complex64))
 
     def pair(self, dtype):
-        """The complex64 pair for complex64 arrays, the complex128 one for
-        any other."""
-        return self.single_precision if dtype == np.complex64 else self.transforms
+        """The complex64 pair for float32 and complex64 arrays, the
+        complex128 one for any other."""
+        single = dtype == np.complex64 or dtype == np.float32
+        return self.single_precision if single else self.transforms
 
 
 METRIC_KINDS = ("euclidean", "sobolev")
@@ -302,9 +317,9 @@ def _sandwich(problem, coeff, image, spectra=None):
     recomputed or changed.  The scaled spectra and their inverse stay in the
     problem's workspace; only the sum over the masks is a new array.
 
-    A complex64 ``coeff`` runs the sandwich in the complex64 workspace: the
-    image is cast to complex64 and the sum back to complex128.  Any other
-    coefficient runs it in complex128.
+    A float32 or complex64 ``coeff`` runs the sandwich in the complex64
+    workspace: the image is cast to complex64 and the sum back to
+    complex128.  Any other coefficient runs it in complex128.
     """
     pair = problem.pair(coeff.dtype)
     work = pair.spectra
@@ -365,10 +380,18 @@ class MaskedFourierBilinear(BilinearMap):
     is linear in v and antilinear in u.  Every argument may be a vector or a
     ``prepare_factor`` result, whose spectra are then reused.  Its norm is
     reached with equal factors: B(u, v) = conj(Lu) Lv bin by bin, so by
-    Cauchy-Schwarz |B(u, v)|^2 <= |B(u, u)| |B(v, v)|.
+    Cauchy-Schwarz |B(u, v)|^2 <= |B(u, u)| |B(v, v)|.  On the diagonal,
+    B(u, u) = |Lu|^2 is a real vector, squared from the spectra's real and
+    imaginary parts, and a real dual vector is its own conjugate.
+
+    ``single`` marks the map of a single-precision view
+    (``MaskedFourierMap.bilinear``): its factors' spectra and its adjoints'
+    transforms are complex64, and B(u, u) is squared in float32 and handed
+    out as float64, so that neither it nor its norm overflows.
     """
 
     norm_on_diagonal = True
+    single = False
 
     def __init__(self, problem):
         self.problem = problem
@@ -384,10 +407,16 @@ class MaskedFourierBilinear(BilinearMap):
     def prepare_factor(self, vec):
         factor = self._factor(vec)
         if factor.spectra is None:
-            factor = factor._replace(spectra=_masked_spectra(self.problem, factor.image))
+            image = factor.image.astype(np.complex64) if self.single else factor.image
+            factor = factor._replace(spectra=_masked_spectra(self.problem, image))
         return factor
 
     def apply(self, u, v):
+        if u is v:
+            spectra = self.prepare_factor(u).spectra
+            out = np.square(spectra.real)
+            out += np.square(spectra.imag)
+            return out.astype(float, copy=False).ravel()
         u, v = self.prepare_factor(u), self.prepare_factor(v)
         return (v.spectra * np.conj(u.spectra)).ravel()
 
@@ -407,6 +436,8 @@ class MaskedFourierBilinear(BilinearMap):
     def _adjoint(self, coeff, vec):
         factor = self._factor(vec)
         coeff = coeff.reshape(self.problem.masks.count, self.problem.m2, self.problem.m1)
+        if self.single:
+            coeff = coeff.astype(np.complex64 if np.iscomplexobj(coeff) else np.float32)
         out = _sandwich(self.problem, coeff, factor.image, factor.spectra)
         return self.problem.metric.apply_inv(out.ravel())
 
@@ -414,14 +445,16 @@ class MaskedFourierBilinear(BilinearMap):
         return self._adjoint(np.asarray(y), e)
 
     def partial_adjoint_right(self, y, f):
-        return self._adjoint(np.conj(np.asarray(y)), f)
+        y = np.asarray(y)
+        return self._adjoint(np.conj(y) if np.iscomplexobj(y) else y, f)
 
 
 class MaskedFourierMap(QuadraticMap):
     """Quadratic forward operator of the phase-retrieval problem on vectors.
 
     ``single`` marks the view that ``at_tolerance`` hands out at a loose
-    tolerance: its adjoint actions run their transforms in complex64.
+    tolerance: its adjoint actions, and those of its ``bilinear`` map, run
+    their transforms in complex64.
     """
 
     def __init__(self, problem):
@@ -435,11 +468,19 @@ class MaskedFourierMap(QuadraticMap):
     def apply(self, u):
         return forward(self.problem, np.asarray(u).reshape(self.shape))
 
+    @cached_property
+    def _single_in_range(self):
+        """Whether the adjoint bound K lies where complex64 keeps its error
+        bound (``_SINGLE_BOUNDS``); False for a map without a bound."""
+        bound = self.adjoint_bound()
+        return bound is not None and _SINGLE_BOUNDS[0] <= bound <= _SINGLE_BOUNDS[1]
+
     def at_tolerance(self, delta):
-        """A single-precision view from ``SINGLE_PRECISION_DELTA`` on, a
-        complex128 one below it; the map itself when it is of that precision.
-        A view is meant for one threshold call, whose dual vector is fixed."""
-        single = delta >= SINGLE_PRECISION_DELTA
+        """A single-precision view from ``SINGLE_PRECISION_DELTA`` on while
+        the adjoint bound allows it, a complex128 one otherwise; the map
+        itself when it is of that precision.  A view is meant for one
+        threshold call, whose dual vector is fixed."""
+        single = delta >= SINGLE_PRECISION_DELTA and self._single_in_range
         if single == self.single:
             return self
         view = copy.copy(self)
@@ -464,7 +505,10 @@ class MaskedFourierMap(QuadraticMap):
         return _adjoint_bound(self.problem)
 
     def bilinear(self):
-        return MaskedFourierBilinear(self.problem)
+        """The associated bilinear map, in this map's precision."""
+        bmap = MaskedFourierBilinear(self.problem)
+        bmap.single = self.single
+        return bmap
 
 
 def add_noise(g, level_fraction, seed):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from liftkit import phase_retrieval
 from liftkit.lowrank import FactoredTensor, HermitianFactored
 from liftkit.metric import EuclideanMetric, ReweightedMetric, orthonormalize
 from liftkit.operators import (
+    NORM_SETTLE_RTOL,
     adjoint_metric_transform,
     composed_hermitian_action,
     composed_left_action,
@@ -18,6 +21,7 @@ from liftkit.operators import (
 )
 from liftkit.phase_retrieval import (
     MaskedFourierMap,
+    MaskSet,
     PRProblem,
     default_metric,
     make_rademacher_masks,
@@ -418,7 +422,8 @@ class TestOperatorNorm:
         # each power step transforms its one new factor once
         monkeypatch.setattr(phase_retrieval, "DENSE_DFT_MAX_WORK", dense_limit)
         qmap = MaskedFourierMap(fourier_problem((6, 7), metric_kind))
-        expected, steps, candidates = unshared_operator_norm(qmap.bilinear(), iters=30)
+        view = qmap.at_tolerance(NORM_SETTLE_RTOL)
+        expected, steps, candidates = unshared_operator_norm(view.bilinear(), iters=30)
         calls = []
         inner = phase_retrieval._masked_spectra
 
@@ -431,6 +436,59 @@ class TestOperatorNorm:
         assert 1 <= est.iterations == steps < 30
         assert est.value == expected
         assert len(calls) == candidates + est.iterations
+
+    @pytest.mark.parametrize("metric_kind", ["euclidean", "sobolev"])
+    @pytest.mark.parametrize(
+        "dense_limit", [pytest.param(np.inf, id="dense"), pytest.param(-1, id="pruned")]
+    )
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_quadratic_map_is_measured_in_its_single_view(
+        self, monkeypatch, metric_kind, dense_limit, seed
+    ):
+        # the estimate settles at 1e-3, far above complex64's action error,
+        # so a quadratic map is measured in its single-precision view: the
+        # same power steps and the complex128 value to rounding
+        monkeypatch.setattr(phase_retrieval, "DENSE_DFT_MAX_WORK", dense_limit)
+        qmap = MaskedFourierMap(fourier_problem((6, 7), metric_kind, seed=seed))
+        assert qmap.at_tolerance(NORM_SETTLE_RTOL).bilinear().single
+        est, full = operator_norm(qmap), operator_norm(qmap.bilinear())
+        assert est.iterations == full.iterations
+        assert est.value == pytest.approx(full.value, rel=1e-6)
+
+    @staticmethod
+    def scaled_masks_map(scale):
+        problem = fourier_problem((6, 7), "sobolev")
+        problem.masks = MaskSet(array=scale * problem.masks.array)
+        return MaskedFourierMap(problem)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e12])
+    def test_single_view_estimate_scales_with_the_masks(self, scale):
+        # B scales with the square of the masks; the view's intensities are
+        # squared in float32 and measured in float64, so neither overflows
+        reference = operator_norm(self.scaled_masks_map(1.0))
+        qmap = self.scaled_masks_map(scale)
+        assert qmap.at_tolerance(NORM_SETTLE_RTOL).single
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = operator_norm(qmap)
+        assert est.iterations == reference.iterations
+        assert est.value / scale**2 == pytest.approx(reference.value, rel=1e-6)
+
+    def test_out_of_range_masks_are_measured_in_complex128(self):
+        qmap = self.scaled_masks_map(1e19)
+        assert qmap.at_tolerance(NORM_SETTLE_RTOL) is qmap
+        assert operator_norm(qmap) == operator_norm(qmap.bilinear())
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the 1e-3 settle rule stops on a plateau (ROADMAP item 7)")
+    def test_settle_rule_reaches_the_alternating_estimate_at_32x32(self):
+        # perfbench pr32_sobolev_cli seed 30, instance 1: the estimate stops
+        # after 5 steps at 750.74, 0.960x the alternating 781.76 (~26 steps)
+        problem = PRProblem(masks=make_rademacher_masks((32, 32), 4, seed=93864103),
+                            m2=64, m1=64, metric=default_metric((32, 32), "sobolev"))
+        qmap = MaskedFourierMap(problem)
+        alternating = alternating_operator_norm(qmap.bilinear())
+        assert operator_norm(qmap).value >= (1.0 - 5e-3) * alternating
 
     @pytest.mark.parametrize("metric_kind", ["euclidean", "sobolev"])
     @pytest.mark.parametrize(
@@ -454,8 +512,12 @@ class TestOperatorNorm:
 
     @pytest.mark.parametrize("shape", [(4, 4), (6, 7)])
     def test_never_exceeds_the_lifted_norm(self, shape):
-        bmap = MaskedFourierMap(fourier_problem(shape, "euclidean")).bilinear()
-        assert operator_norm(bmap).value <= dense_lifted_norm(bmap) * (1.0 + 1e-12)
+        qmap = MaskedFourierMap(fourier_problem(shape, "euclidean"))
+        bmap = qmap.bilinear()
+        lifted = dense_lifted_norm(bmap)
+        assert operator_norm(bmap).value <= lifted * (1.0 + 1e-12)
+        # the quadratic map is measured in its single-precision view
+        assert operator_norm(qmap).value <= lifted * (1.0 + 1e-6)
 
     @pytest.mark.parametrize("metric_kind", ["euclidean", "sobolev"])
     def test_at_least_the_best_start(self, metric_kind):

@@ -456,6 +456,35 @@ class TestSinglePrecision:
             assert got.dtype == ref.dtype == complex
             assert self.relative_error(problem.metric, got, ref) <= self.SWITCH / 10
 
+    @pytest.mark.parametrize("scale", [1e-24, 1e-20, 1.0, 1e16, 1e19])
+    def test_the_view_keeps_its_error_bound_at_any_mask_scale(self, scale):
+        # y at the scale 1/K, where the action is bounded by one: outside
+        # complex64's range the map keeps complex128 instead of a view that
+        # overflows (1e-24) or loses digits to subnormals (1e19)
+        rng = np.random.default_rng(59)
+        masks = make_rademacher_masks((32, 32), 4, seed=7)
+        problem = PRProblem(masks=MaskSet(array=scale * masks.array), m2=64, m1=64,
+                            metric=default_metric((32, 32), "sobolev"))
+        qmap = MaskedFourierMap(problem)
+        view = qmap.at_tolerance(self.SWITCH)
+        if view is qmap:
+            return
+        bound = qmap.adjoint_bound()
+        for _ in range(3):
+            y = rng.standard_normal(problem.data_dim) / bound
+            e = random_complex(rng, problem.metric.dim)
+            ref = qmap.sym_adjoint_action(y, e)
+            got = view.sym_adjoint_action(y, e)
+            assert self.relative_error(problem.metric, got, ref) <= 2.5e-7
+
+    def test_a_map_without_an_adjoint_bound_keeps_complex128(self):
+        # no floor, no bound: nothing says complex64 keeps its error bound
+        problem = PRProblem(masks=make_rademacher_masks((8, 8), 4, seed=52), m2=16, m1=16,
+                            metric=random_spd_metric(np.random.default_rng(60), 64))
+        qmap = MaskedFourierMap(problem)
+        assert qmap.adjoint_bound() is None
+        assert qmap.at_tolerance(self.SWITCH) is qmap
+
     @pytest.mark.parametrize("shape,m2,m1", TestPrunedKernels.LAYOUTS + TestPrunedKernels.RULE_LAYOUTS)
     @pytest.mark.parametrize("kernel", ["dense", "pruned"])
     def test_complex64_sandwich_matches_full_grid(self, monkeypatch, shape, m2, m1, kernel):
@@ -495,9 +524,12 @@ class TestSinglePrecision:
         )
         n = 64
         metric = random_spd_metric(rng, n)
+        # the view needs an adjoint bound, so the metric gets its floor
+        metric.spectral_floor = float(np.linalg.eigvalsh(metric.to_dense()).min())
         problem = PRProblem(masks=make_rademacher_masks((8, 8), 4, seed=54), m2=16, m1=16,
                             metric=metric)
         qmap = MaskedFourierMap(problem)
+        assert qmap.at_tolerance(self.SWITCH).single
         y = rng.standard_normal(problem.data_dim)
         w = random_hermitian_factored(rng, n, 2, metric, scale=3.0)
         tau = 1.0 / float(np.max(np.abs(qmap.sym_adjoint_action(y, random_complex(rng, n)))))
